@@ -13,6 +13,11 @@ the Pareto boundary to grid resolution.  G_i is evaluated once per grid value
 (n1 + n2 solver calls, not n1 * n2); grid evaluations are independent and
 could run in parallel, with the output order fixed by grid index.
 
+The rate grid stays in arrays from the formula to the filter: it is
+validated as a whole, the non-dominated cells are selected by an
+O(N log N) array sort (`pareto_indices`), and `RatePoint`s are built for
+the survivors only.
+
 The module also provides the half-duplex TDMA segment, the equal-rate point,
 and a random-covariance domination oracle that checks no sampled achievable
 pair escapes a computed curve.
@@ -94,6 +99,11 @@ def node_problem(ch: ChannelSet, node: int, z: float) -> DecoupledProblem:
     raise ValueError("node must be 1 or 2")
 
 
+def _rate(z, leakage, sigma2: float, beta: float):
+    """log2(1 + z / (sigma2 + beta * G)), elementwise over broadcast arrays."""
+    return np.log2(1.0 + z / (sigma2 + beta * leakage))
+
+
 def sweep_rate_point(ch: ChannelSet, z1: float, z2: float,
                      leakage1: float | None = None,
                      leakage2: float | None = None) -> RatePoint:
@@ -108,27 +118,50 @@ def sweep_rate_point(ch: ChannelSet, z1: float, z2: float,
         leakage2 = min_leakage(node_problem(ch, 2, z2))
     sigma2 = ch.frontend.sigma2
     beta = ch.frontend.beta
-    r1 = float(np.log2(1.0 + z2 / (sigma2 + beta * leakage1)))
-    r2 = float(np.log2(1.0 + z1 / (sigma2 + beta * leakage2)))
+    r1 = float(_rate(z2, leakage1, sigma2, beta))
+    r2 = float(_rate(z1, leakage2, sigma2, beta))
     return RatePoint(r1=r1, r2=r2, z1=float(z1), z2=float(z2), label="optimal")
+
+
+def pareto_indices(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Indices of the maximal pairs under componentwise domination, r1 ascending.
+
+    A stable sort by r1 descending (r2 descending on ties) keeps each pair
+    whose r2 strictly exceeds the maximum r2 of all pairs before it; the
+    kept indices are returned reversed.  Exact duplicates collapse to their
+    first occurrence, and the result has r2 strictly decreasing.
+    """
+    order = np.lexsort((-r2, -r1))
+    s2 = r2[order]
+    best_before = np.empty_like(s2)
+    if s2.size:
+        best_before[0] = -np.inf
+        np.maximum.accumulate(s2[:-1], out=best_before[1:])
+    return order[s2 > best_before][::-1]
 
 
 def pareto_filter(points: list[RatePoint]) -> list[RatePoint]:
     """Maximal subset under componentwise domination, r1 ascending.
 
-    Sort by r1 descending (r2 descending on ties), keep points whose r2
-    strictly exceeds the running maximum, reverse.  Duplicates collapse to
-    one point; the result is an antichain with r2 strictly decreasing.
+    The rates are compared as float64 arrays by `pareto_indices`, an
+    O(N log N) sort and running maximum.  Duplicates collapse to their
+    first occurrence; the result is an antichain with r2 strictly
+    decreasing.
     """
-    ordered = sorted(points, key=lambda p: (-p.r1, -p.r2))
-    kept: list[RatePoint] = []
-    best_r2 = -np.inf
-    for p in ordered:
-        if p.r2 > best_r2:
-            kept.append(p)
-            best_r2 = p.r2
-    kept.reverse()
-    return kept
+    r1 = np.array([p.r1 for p in points], dtype=np.float64)
+    r2 = np.array([p.r2 for p in points], dtype=np.float64)
+    return [points[k] for k in pareto_indices(r1, r2)]
+
+
+def _check_rates(r1: np.ndarray, r2: np.ndarray) -> None:
+    """Raise RatePoint's ValueError for the first invalid cell, row-major."""
+    finite = np.isfinite(r1) & np.isfinite(r2)
+    bad = ~finite | (r1 < 0) | (r2 < 0)
+    if bad.any():
+        first = int(np.argmax(bad))
+        if not finite.flat[first]:
+            raise ValueError("rates must be finite")
+        raise ValueError("rates must be nonnegative")
 
 
 def boundary(ch: ChannelSet, grid: SweepGrid) -> BoundaryCurve:
@@ -139,12 +172,15 @@ def boundary(ch: ChannelSet, grid: SweepGrid) -> BoundaryCurve:
     leak2 = np.array([min_leakage(node_problem(ch, 2, z)) for z in z2s])
     sigma2 = ch.frontend.sigma2
     beta = ch.frontend.beta
-    r1 = np.log2(1.0 + z2s[None, :] / (sigma2 + beta * leak1[:, None]))
-    r2 = np.log2(1.0 + z1s[:, None] / (sigma2 + beta * leak2[None, :]))
+    r1 = _rate(z2s[None, :], leak1[:, None], sigma2, beta)
+    r2 = _rate(z1s[:, None], leak2[None, :], sigma2, beta)
+    _check_rates(r1, r2)
+    keep = pareto_indices(r1.ravel(), r2.ravel())
+    rows, cols = np.divmod(keep, grid.n2)
     points = [
-        RatePoint(r1=float(r1[i, j]), r2=float(r2[i, j]),
-                  z1=float(z1s[i]), z2=float(z2s[j]), label="optimal")
-        for i in range(grid.n1) for j in range(grid.n2)
+        RatePoint(r1=a, r2=b, z1=z1, z2=z2, label="optimal")
+        for a, b, z1, z2 in zip(r1.ravel()[keep].tolist(), r2.ravel()[keep].tolist(),
+                                z1s[rows].tolist(), z2s[cols].tolist())
     ]
     meta = {
         "channel": channel_fingerprint(ch),
@@ -154,7 +190,7 @@ def boundary(ch: ChannelSet, grid: SweepGrid) -> BoundaryCurve:
         "sigma2": sigma2,
         "tolerances": {"loading_bisect_rel": 1e-12, "constraint_rel": 1e-8},
     }
-    return BoundaryCurve(points=pareto_filter(points), metadata=meta)
+    return BoundaryCurve(points=points, metadata=meta)
 
 
 def tdma_boundary(ch: ChannelSet, n: int) -> BoundaryCurve:
@@ -300,14 +336,15 @@ def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
         rates[k] = (pt.r1, pt.r2)
 
     # escape distance per sample: min over curve points of max(d1, d2),
-    # vectorized in chunks to bound the broadcast size
+    # vectorized in blocks of about 2^20 cells to bound the broadcast size
     max_violation = -np.inf
     violations = 0
-    for start in range(0, samples, 2048):
-        block = rates[start:start + 2048]
+    rows = max(1, (1 << 20) // max(1, c1.size))
+    for start in range(0, samples, rows):
+        block = rates[start:start + rows]
         d1 = block[:, None, 0] - c1[None, :]
         d2 = block[:, None, 1] - c2[None, :]
-        viol = np.maximum(d1, d2).min(axis=1)
+        viol = np.maximum(d1, d2, out=d1).min(axis=1)
         max_violation = max(max_violation, float(viol.max()))
         violations += int(np.count_nonzero(viol > tolerance))
 

@@ -62,3 +62,20 @@ def dual_value_on_grid(c_mat, a_mat, z, p, lam_grid):
         lam_min = np.linalg.eigvalsh(c_mat - lam * a_mat)[0]
         best = max(best, lam * z + p * min(0.0, lam_min))
     return best
+
+
+def pareto_filter_reference(points):
+    """List-based Pareto filter, kept as the reference for the array kernel.
+
+    Sort by r1 descending (r2 descending on ties), keep points whose r2
+    strictly exceeds the running maximum, reverse.
+    """
+    ordered = sorted(points, key=lambda p: (-p.r1, -p.r2))
+    kept = []
+    best_r2 = -np.inf
+    for p in ordered:
+        if p.r2 > best_r2:
+            kept.append(p)
+            best_r2 = p.r2
+    kept.reverse()
+    return kept

@@ -1,7 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fdpareto import pareto
 from fdpareto.channel import ScenarioSpec, generate_scenario, ideal_frontend
+from fdpareto.cli import preset_config
 from fdpareto.rates import RatePoint, single_link_max
 from fdpareto.pareto import (
     BoundaryCurve,
@@ -17,6 +23,8 @@ from fdpareto.pareto import (
     sweep_rate_point,
     tdma_boundary,
 )
+
+from oracles import pareto_filter_reference
 
 
 def scenario(gamma_db=40.0, beta_db=-40.0, m=3, seed=7, **kw):
@@ -86,6 +94,28 @@ class TestParetoFilter:
         assert [(p.r1, p.r2) for p in out] == [(1, 5)]
 
 
+# Rates drawn from a handful of values (heavy ties, signed zeros, exact
+# duplicates), small ints, or arbitrary nonnegative floats.
+_tied = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0])
+_rate_value = st.one_of(_tied, st.integers(0, 4),
+                        st.floats(0.0, 8.0, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_rate_value, _rate_value), max_size=40))
+@example([])
+@example([(0.0, -0.0)])
+@example([(0, 3), (2, 2), (3, 0), (1, 1), (2, 2), (3, 0)])
+@example([(-0.0, 1.0), (0.0, 1.0), (1.0, 0.0), (1.0, -0.0), (0.0, 1.0)])
+def test_pareto_filter_matches_reference(pairs):
+    # z1 carries the input index, so equal rates stay distinguishable
+    points = [RatePoint(r1=a, r2=b, z1=float(k)) for k, (a, b) in enumerate(pairs)]
+    out = pareto_filter(points)
+    ref = pareto_filter_reference(points)
+    assert len(out) == len(ref)
+    assert all(a is b for a, b in zip(out, ref))
+
+
 class TestBoundary:
     def test_ideal_channel_degenerates_to_corner(self):
         ch = ideal_frontend(scenario())
@@ -127,6 +157,71 @@ class TestBoundary:
         assert curve.points[-1].r2 == 0.0
         assert curve.points[0].r2 == pytest.approx(single_link_max(ch, 2), abs=1e-12)
         assert curve.points[0].r1 == 0.0
+
+
+def reference_boundary_points(ch, grid):
+    """Every grid cell as a RatePoint, filtered by the list-based reference.
+
+    The rate grid is computed exactly as the sweep computes it, and the
+    leakages are read through the `pareto` module so a patched solver
+    reaches both sides of a comparison.
+    """
+    z1s = grid.z1_values()
+    z2s = grid.z2_values()
+    leak1 = np.array([pareto.min_leakage(pareto.node_problem(ch, 1, z)) for z in z1s])
+    leak2 = np.array([pareto.min_leakage(pareto.node_problem(ch, 2, z)) for z in z2s])
+    sigma2 = ch.frontend.sigma2
+    beta = ch.frontend.beta
+    r1 = np.log2(1.0 + z2s[None, :] / (sigma2 + beta * leak1[:, None]))
+    r2 = np.log2(1.0 + z1s[:, None] / (sigma2 + beta * leak2[None, :]))
+    return pareto_filter_reference([
+        RatePoint(r1=float(r1[i, j]), r2=float(r2[i, j]),
+                  z1=float(z1s[i]), z2=float(z2s[j]), label="optimal")
+        for i in range(grid.n1) for j in range(grid.n2)
+    ])
+
+
+def _fig4_channel():
+    return generate_scenario(preset_config("fig4").scenario)
+
+
+class TestBoundaryMatchesReference:
+    @pytest.mark.parametrize("make_channel, n1, n2", [
+        (lambda: scenario(m=1), 60, 60),
+        (lambda: scenario(m=3, p1=1.0, p2=4.0, symmetric=False), 47, 71),
+        (lambda: ideal_frontend(scenario()), 41, 41),
+        (_fig4_channel, 200, 200),
+    ], ids=["m1", "m3-asymmetric", "ideal-frontend", "fig4"])
+    def test_points_and_csv_identical(self, make_channel, n1, n2):
+        ch = make_channel()
+        grid = SweepGrid.for_channel(ch, n1, n2)
+        curve = boundary(ch, grid)
+        ref = reference_boundary_points(ch, grid)
+        assert curve.points == ref
+        assert curve_to_csv(curve) == curve_to_csv(BoundaryCurve(points=ref))
+
+    @pytest.mark.parametrize("leakage, message", [
+        # den = 1 - 1.5 = -0.5: rate log2(1 - 2z) is negative at z = 0.25
+        # (the first bad cell) and -inf or NaN further out
+        (lambda calls: -1.5, "nonnegative"),
+        # one NaN leakage poisons a whole row of r1
+        (lambda calls: np.nan if calls == 3 else 0.0, "finite"),
+    ], ids=["negative", "nan"])
+    def test_invalid_rates_raise(self, monkeypatch, leakage, message):
+        from fdpareto.channel import ChannelSet, FrontEndModel
+        ch = ChannelSet(h11=np.array([1.0]), h12=np.array([1.0]),
+                        h21=np.array([1.0]), h22=np.array([1.0]),
+                        p1=1.0, p2=1.0, frontend=FrontEndModel(beta=1.0, sigma2=1.0))
+        grid = SweepGrid.for_channel(ch, 5)
+        errors = []
+        for build in (boundary, reference_boundary_points):
+            calls = itertools.count()
+            monkeypatch.setattr(pareto, "min_leakage",
+                                lambda prob: leakage(next(calls)))
+            with np.errstate(all="ignore"), pytest.raises(ValueError) as exc:
+                build(ch, grid)
+            errors.append(str(exc.value))
+        assert errors == [f"rates must be {message}"] * 2
 
 
 class TestTdmaBoundary:
