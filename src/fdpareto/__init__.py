@@ -44,7 +44,6 @@ from .pareto import (
     domination_oracle,
     equal_rate_point,
     pareto_filter,
-    sweep_rate_point,
     tdma_boundary,
 )
 from .rates import RatePoint, rate_pair, single_link_max
@@ -85,7 +84,6 @@ __all__ = [
     "residual_noise_variance",
     "single_link_max",
     "solve_sdp_via_reduction",
-    "sweep_rate_point",
     "tdma_boundary",
     "zf_weights",
 ]

@@ -100,6 +100,12 @@ def _loading_for_zero_eps(c: np.ndarray) -> float:
     return _SINGULAR_DELTA_REL * max(1.0, float(np.max(c)))
 
 
+def _filter_sums(c: np.ndarray, habs2: np.ndarray, load: float) -> tuple[float, float]:
+    """(h† (C + load I)^{-1} h, h† (C + load I)^{-2} h) for diagonal C = Diag(c)."""
+    d = c + load
+    return float(np.sum(habs2 / d)), float(np.sum(habs2 / d**2))
+
+
 def optimal_weights(prob: DecoupledProblem) -> BeamformerSolution:
     """Closed-form minimizer of the per-node leakage problem.
 
@@ -123,15 +129,12 @@ def optimal_weights(prob: DecoupledProblem) -> BeamformerSolution:
     z_max = prob.z_max
 
     def power_at(load: float) -> float:
-        d = c + load
-        s1 = float(np.sum(habs2 / d))
-        s2 = float(np.sum(habs2 / d**2))
+        s1, s2 = _filter_sums(c, habs2, load)
         return z * s2 / (s1 * s1)
 
     def weights_at(load: float) -> np.ndarray:
-        g = h / (c + load)
-        d = float(np.sum(habs2 / (c + load)))
-        return np.sqrt(z) * g / d
+        s1, _ = _filter_sums(c, habs2, load)
+        return np.sqrt(z) * (h / (c + load)) / s1
 
     # Low-z condition: the unloaded solution already fits the power budget.
     delta = _loading_for_zero_eps(c)
@@ -142,7 +145,7 @@ def optimal_weights(prob: DecoupledProblem) -> BeamformerSolution:
         # Cauchy-Schwarz leaves a single feasible point: full-power weights
         # along the cross channel (the eps -> inf limit of the closed form).
         epsilon = math.inf
-        w = np.sqrt(p) * h / float(np.linalg.norm(h))
+        w = mrt_weights(h, p)
     else:
         # For z just below z_max the power curve crosses p only at enormous
         # eps and the crossing flattens into round-off noise; the widened
@@ -197,11 +200,8 @@ def low_z_condition_bound(h_self, h_cross, p: float) -> float:
     regularization as optimal_weights.
     """
     c = np.abs(np.asarray(h_self, dtype=np.complex128).reshape(-1)) ** 2
-    h = np.asarray(h_cross, dtype=np.complex128).reshape(-1)
-    d = c + _loading_for_zero_eps(c)
-    habs2 = np.abs(h) ** 2
-    s1 = float(np.sum(habs2 / d))
-    s2 = float(np.sum(habs2 / d**2))
+    habs2 = np.abs(np.asarray(h_cross, dtype=np.complex128).reshape(-1)) ** 2
+    s1, s2 = _filter_sums(c, habs2, _loading_for_zero_eps(c))
     if s2 == 0.0:
         return 0.0
     return p * s1 * s1 / s2

@@ -36,12 +36,12 @@ indefinite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import numlin
-from .beamform import DecoupledProblem, covariance_of, optimal_weights
+from .beamform import DecoupledProblem, covariance_of, leakage_matrix, optimal_weights
 from .errors import NumericalError, OptimalityError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -89,11 +89,7 @@ class SdpInstance:
 
     @classmethod
     def from_channels(cls, h_self, h_cross, z: float, p: float) -> "SdpInstance":
-        h_self = np.asarray(h_self, dtype=np.complex128).reshape(-1)
-        h_cross = np.asarray(h_cross, dtype=np.complex128).reshape(-1)
-        c = np.diag(np.abs(h_self) ** 2).astype(np.complex128)
-        a = numlin.hermitianize(np.outer(h_cross, h_cross.conj()))
-        return cls(c=c, a=a, z=z, p=p)
+        return cls(c=leakage_matrix(h_self), a=covariance_of(h_cross), z=z, p=p)
 
     @property
     def dim(self) -> int:
@@ -120,9 +116,7 @@ class Certificate:
     slack_min_eig: float
 
     def to_dict(self) -> dict:
-        return {"lambda1": self.lambda1, "lambda2": self.lambda2,
-                "dual_value": self.dual_value, "gap": self.gap,
-                "slack_min_eig": self.slack_min_eig}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -150,15 +144,7 @@ class KktReport:
         return all(self.checks().values())
 
     def to_dict(self) -> dict:
-        return {
-            "primal_target_residual": self.primal_target_residual,
-            "power_excess": self.power_excess,
-            "q_min_eigenvalue": self.q_min_eigenvalue,
-            "slack_min_eigenvalue": self.slack_min_eigenvalue,
-            "complementarity_residual": self.complementarity_residual,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,24 @@ across platforms for a given numpy version.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+import math
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import numlin
+
+
+def require_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int (bool excluded); never coerce."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Raise ValueError unless value is a finite int or float (bool excluded)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,13 +69,11 @@ class ChannelSet:
     frontend: FrontEndModel
 
     def __post_init__(self):
-        vecs = {}
         for name in ("h11", "h12", "h21", "h22"):
             v = numlin.check_finite(getattr(self, name), name).reshape(-1)
             v.setflags(write=False)
-            vecs[name] = v
             object.__setattr__(self, name, v)
-        dims = {v.shape[0] for v in vecs.values()}
+        dims = {v.shape[0] for v in (self.h11, self.h12, self.h21, self.h22)}
         if len(dims) != 1 or min(dims) < 1:
             raise ValueError(f"channel vectors must share one dimension >= 1, got {dims}")
         if self.p1 <= 0 or self.p2 <= 0:
@@ -92,18 +103,34 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("m", "seed"):
+            require_int(name, getattr(self, name))
+        for name in ("gamma_db", "beta_db", "p1", "p2", "sigma2"):
+            require_real(name, getattr(self, name))
+        if not isinstance(self.symmetric, bool):
+            raise ValueError(f"symmetric must be true or false, got {self.symmetric!r}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.p1 <= 0 or self.p2 <= 0 or self.sigma2 <= 0:
             raise ValueError("p1, p2, sigma2 must be positive")
         if self.seed < 0:
             raise ValueError("seed must be an unsigned integer")
+        self.linear_gains()  # raises for a dB value whose linear gain overflows
+
+    def linear_gains(self) -> tuple[float, float]:
+        """(self-channel norm 10^(gamma_db/20), front-end level 10^(beta_db/10))."""
+        try:
+            return 10.0 ** (self.gamma_db / 20.0), 10.0 ** (self.beta_db / 10.0)
+        except OverflowError:
+            raise ValueError("gamma_db or beta_db is too large") from None
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
+        if not isinstance(d, dict):
+            raise ValueError("the scenario block must be a JSON object")
         known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
         missing = {"m", "gamma_db", "beta_db"} - known.keys()
         if missing:
@@ -132,29 +159,26 @@ def generate_scenario(spec: ScenarioSpec) -> ChannelSet:
     adding asymmetry does not disturb earlier draws.
     """
     rng = np.random.default_rng(spec.seed)
-    self_norm = 10.0 ** (spec.gamma_db / 20.0)
+    self_norm, beta = spec.linear_gains()
     h12 = _draw_with_norm(rng, spec.m, 1.0)
     h21 = h12 if spec.symmetric else _draw_with_norm(rng, spec.m, 1.0)
     h11 = _draw_with_norm(rng, spec.m, self_norm)
     h22 = h11 if spec.symmetric else _draw_with_norm(rng, spec.m, self_norm)
-    frontend = FrontEndModel(beta=10.0 ** (spec.beta_db / 10.0), sigma2=spec.sigma2)
+    frontend = FrontEndModel(beta=beta, sigma2=spec.sigma2)
     return ChannelSet(h11=h11, h12=h12, h21=h21, h22=h22,
                       p1=spec.p1, p2=spec.p2, frontend=frontend)
 
 
 def ideal_frontend(ch: ChannelSet) -> ChannelSet:
     """The same channels with beta forced to zero (no front-end noise)."""
-    return ChannelSet(h11=ch.h11, h12=ch.h12, h21=ch.h21, h22=ch.h22,
-                      p1=ch.p1, p2=ch.p2,
-                      frontend=FrontEndModel(beta=0.0, sigma2=ch.frontend.sigma2))
+    return replace(ch, frontend=FrontEndModel(beta=0.0, sigma2=ch.frontend.sigma2))
 
 
-def residual_noise_variance(h_self: np.ndarray, q: np.ndarray,
-                            frontend: FrontEndModel) -> float:
-    """Aggregate noise power at a receiver: sigma2 + beta * h_self† diag(Q) h_self.
+def self_leakage(h_self: np.ndarray, q: np.ndarray) -> float:
+    """Front-end leakage h_self† diag(Q) h_self of covariance Q into its own receiver.
 
     Only the diagonal of Q enters (per-antenna transmit powers); the result
-    is >= sigma2 for any PSD Q.
+    is >= 0 for any PSD Q.
     """
     h_self = np.asarray(h_self, dtype=np.complex128).reshape(-1)
     q = np.asarray(q, dtype=np.complex128)
@@ -162,5 +186,10 @@ def residual_noise_variance(h_self: np.ndarray, q: np.ndarray,
         raise ValueError(
             f"covariance shape {q.shape} does not match channel dim {h_self.shape[0]}"
         )
-    leak = float(np.sum(np.abs(h_self) ** 2 * np.real(np.diag(q))))
-    return frontend.sigma2 + frontend.beta * leak
+    return float(np.sum(np.abs(h_self) ** 2 * np.real(np.diag(q))))
+
+
+def residual_noise_variance(h_self: np.ndarray, q: np.ndarray,
+                            frontend: FrontEndModel) -> float:
+    """Aggregate noise power at a receiver: sigma2 + beta * h_self† diag(Q) h_self."""
+    return frontend.sigma2 + frontend.beta * self_leakage(h_self, q)

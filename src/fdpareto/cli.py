@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .certify import (
     gap_tolerance,
     rank_reduce,
 )
-from .channel import ChannelSet, ScenarioSpec, generate_scenario, ideal_frontend
+from .channel import ChannelSet, ScenarioSpec, generate_scenario, ideal_frontend, require_int
 from .errors import DegenerateGeometryError
 from .pareto import (
     SweepGrid,
@@ -51,7 +51,7 @@ from .pareto import (
 )
 from .rates import rate_pair
 
-_EMIT_CHOICES = {"boundary", "tdma", "zf", "certificates", "oracle"}
+_EMIT_CHOICES = {"boundary", "tdma", "oracle"}
 
 PRESETS = {
     "fig4": {"beta_db": -40.0},
@@ -72,6 +72,10 @@ class RunConfig:
     emit: frozenset = field(default_factory=lambda: frozenset({"boundary", "tdma"}))
 
     def __post_init__(self):
+        require_int("grid_n", self.grid_n)
+        require_int("samples", self.samples)
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         if self.grid_n < 2:
             raise ValueError("grid_n must be >= 2")
         if self.samples < 1:
@@ -82,6 +86,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ValueError("the config must be a JSON object")
         extra = d.keys() - {"scenario", "grid_n", "samples", "out_dir", "emit"}
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
@@ -92,7 +98,10 @@ class RunConfig:
             if key in d:
                 kwargs[key] = d[key]
         if "emit" in d:
-            kwargs["emit"] = frozenset(d["emit"]) | {"boundary", "tdma"}
+            emit = d["emit"]
+            if not isinstance(emit, list) or not all(isinstance(e, str) for e in emit):
+                raise ValueError(f"emit must be a list of strings, got {emit!r}")
+            kwargs["emit"] = frozenset(emit) | {"boundary", "tdma"}
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -110,10 +119,6 @@ def preset_config(name: str, grid_n: int = 200, samples: int = 10000) -> RunConf
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _write(out_dir: Path, name: str, text: str) -> None:
-    (out_dir / name).write_text(text)
 
 
 def _prepare_out_dir(path_str: str | None) -> Path:
@@ -147,22 +152,16 @@ def cmd_boundary(config: RunConfig, out_dir: Path, preset: str | None = None) ->
     files: dict[str, str] = {}
     if preset is not None:
         beta_db = PRESETS[preset]["beta_db"]
-        tdma_done = False
         for gamma in _PRESET_GAMMAS:
-            spec = ScenarioSpec(m=config.scenario.m, gamma_db=gamma,
-                                beta_db=beta_db, p1=config.scenario.p1,
-                                p2=config.scenario.p2,
-                                sigma2=config.scenario.sigma2,
-                                symmetric=True, seed=config.scenario.seed)
-            ch = generate_scenario(spec)
+            ch = generate_scenario(replace(config.scenario, gamma_db=gamma,
+                                           beta_db=beta_db, symmetric=True))
             curve = boundary(ch, SweepGrid.for_channel(ch, config.grid_n))
             files[f"boundary_gamma{gamma:g}.csv"] = curve_to_csv(curve)
-            if not tdma_done:
+            if gamma == _PRESET_GAMMAS[0]:
                 files["tdma.csv"] = curve_to_csv(tdma_boundary(ch, config.grid_n))
                 ideal = boundary(ideal_frontend(ch),
                                  SweepGrid.for_channel(ch, config.grid_n))
                 files["ideal.csv"] = curve_to_csv(ideal)
-                tdma_done = True
     else:
         ch = generate_scenario(config.scenario)
         curve = boundary(ch, SweepGrid.for_channel(ch, config.grid_n))
@@ -176,16 +175,15 @@ def cmd_boundary(config: RunConfig, out_dir: Path, preset: str | None = None) ->
     files["metadata.json"] = _json_text(
         _metadata(config, preset, {"outputs": sorted(files) + ["metadata.json"]}))
     for name, text in files.items():
-        _write(out_dir, name, text)
+        (out_dir / name).write_text(text)
     return 0
 
 
 def _projection_report(ch: ChannelSet, node: int, w: np.ndarray) -> dict:
-    h_self = ch.h11 if node == 1 else ch.h22
-    h_cross = ch.h12 if node == 1 else ch.h21
+    prob = node_problem(ch, node, 0.0)
     return {
-        "cross_projection": float(abs(np.vdot(h_cross, w)) / np.linalg.norm(h_cross)),
-        "self_projection": float(abs(np.vdot(h_self, w)) / np.linalg.norm(h_self)),
+        "cross_projection": float(abs(np.vdot(prob.h_cross, w)) / np.linalg.norm(prob.h_cross)),
+        "self_projection": float(abs(np.vdot(prob.h_self, w)) / np.linalg.norm(prob.h_self)),
         "power": float(np.linalg.norm(w)) ** 2,
     }
 
@@ -221,7 +219,7 @@ def cmd_compare_zf(config: RunConfig, out_dir: Path) -> int:
             geometry[f"node{node}"] = entry
         doc["geometry"] = geometry
     doc["metadata"] = _metadata(config, None, {})
-    _write(out_dir, "zf_comparison.json", _json_text(doc))
+    (out_dir / "zf_comparison.json").write_text(_json_text(doc))
     return 0
 
 
@@ -244,11 +242,12 @@ def _rank_demo(ch: ChannelSet, node: int, z: float, seed: int) -> dict:
     t0 = float(np.trace(q0).real)
     trace = rank_reduce(inst, q0)
     qf = trace.final_q
+    history = trace.to_dict()
     return {
         "z": z,
         "start_rank": int(numlin.numeric_rank(q0, 1e-9)),
-        "iterations": trace.to_dict()["iterations"],
-        "final_rank": trace.to_dict()["final_rank"],
+        "iterations": history["iterations"],
+        "final_rank": history["final_rank"],
         "target_residual": abs(float(np.trace(inst.a @ qf).real) - z0),
         "trace_residual": abs(float(np.trace(qf).real) - t0),
         "min_eigenvalue": numlin.min_eigenvalue(qf),
@@ -303,7 +302,7 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
         },
         "metadata": _metadata(config, None, {}),
     }
-    _write(out_dir, "certificates.json", _json_text(doc))
+    (out_dir / "certificates.json").write_text(_json_text(doc))
     return 2 if failed else 0
 
 
@@ -317,10 +316,7 @@ def _load_config(args) -> RunConfig:
     config = RunConfig.from_dict(raw)
     if preset is not None:
         # preset fixes the scenario family; config supplies the knobs
-        base = preset_config(preset, grid_n=config.grid_n, samples=config.samples)
-        config = RunConfig(scenario=base.scenario, grid_n=config.grid_n,
-                           samples=config.samples, out_dir=config.out_dir,
-                           emit=config.emit)
+        config = replace(config, scenario=preset_config(preset).scenario)
     return config
 
 

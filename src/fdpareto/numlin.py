@@ -53,14 +53,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def min(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def max(self) -> float:
-        return float(self.eigenvalues[-1])
-
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T

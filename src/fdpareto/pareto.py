@@ -6,7 +6,8 @@ powers (z1, z2) over their feasible boxes and evaluating
     r1 = log2(1 + z2 / (sigma2 + beta * G1(z1)))
     r2 = log2(1 + z1 / (sigma2 + beta * G2(z2)))
 
-where G_i is each node's minimal self-leakage at delivered power z_i.  Every
+where G_i is each node's minimal self-leakage at delivered power z_i (the
+one rate formula, `rates._rate`, applied to whole grids).  Every
 point of that sweep is achievable, and every Pareto-optimal rate pair appears
 in it, so filtering the swept grid to its non-dominated subset approximates
 the Pareto boundary to grid resolution.  G_i is evaluated once per grid value
@@ -25,15 +26,13 @@ pair escapes a computed curve.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .beamform import DecoupledProblem, min_leakage
 from .channel import ChannelSet
-from .rates import RatePoint, rate_pair, single_link_max
+from .rates import RatePoint, _rate, rate_pair, single_link_max
 
 CSV_HEADER = "r1,r2,z1,z2,label"
 _FMT = ".12g"
@@ -57,8 +56,8 @@ class SweepGrid:
     @classmethod
     def for_channel(cls, ch: ChannelSet, n1: int, n2: int | None = None) -> "SweepGrid":
         return cls(n1=n1, n2=n2 if n2 is not None else n1,
-                   z1_max=ch.p1 * float(np.linalg.norm(ch.h12)) ** 2,
-                   z2_max=ch.p2 * float(np.linalg.norm(ch.h21)) ** 2)
+                   z1_max=node_problem(ch, 1, 0.0).z_max,
+                   z2_max=node_problem(ch, 2, 0.0).z_max)
 
     def z1_values(self) -> np.ndarray:
         return np.linspace(0.0, self.z1_max, self.n1)
@@ -69,25 +68,15 @@ class SweepGrid:
 
 @dataclass(frozen=True)
 class BoundaryCurve:
-    """Pareto-filtered rate points sorted by r1 ascending, plus metadata."""
+    """Pareto-filtered rate points sorted by r1 ascending."""
 
     points: list[RatePoint]
-    metadata: dict = field(default_factory=dict)
 
     def r1_array(self) -> np.ndarray:
         return np.array([p.r1 for p in self.points])
 
     def r2_array(self) -> np.ndarray:
         return np.array([p.r2 for p in self.points])
-
-
-def channel_fingerprint(ch: ChannelSet) -> str:
-    """Short stable hash of the channel data, for curve provenance."""
-    h = hashlib.sha256()
-    for v in (ch.h11, ch.h12, ch.h21, ch.h22):
-        h.update(np.ascontiguousarray(v).tobytes())
-    h.update(json.dumps([ch.p1, ch.p2, ch.frontend.beta, ch.frontend.sigma2]).encode())
-    return h.hexdigest()[:16]
 
 
 def node_problem(ch: ChannelSet, node: int, z: float) -> DecoupledProblem:
@@ -97,30 +86,6 @@ def node_problem(ch: ChannelSet, node: int, z: float) -> DecoupledProblem:
     if node == 2:
         return DecoupledProblem(h_self=ch.h22, h_cross=ch.h21, p=ch.p2, z=z)
     raise ValueError("node must be 1 or 2")
-
-
-def _rate(z, leakage, sigma2: float, beta: float):
-    """log2(1 + z / (sigma2 + beta * G)), elementwise over broadcast arrays."""
-    return np.log2(1.0 + z / (sigma2 + beta * leakage))
-
-
-def sweep_rate_point(ch: ChannelSet, z1: float, z2: float,
-                     leakage1: float | None = None,
-                     leakage2: float | None = None) -> RatePoint:
-    """Rate pair on the sweep surface at coordinates (z1, z2).
-
-    The minimal leakages may be passed in when already known (the grid sweep
-    computes each once per z value).
-    """
-    if leakage1 is None:
-        leakage1 = min_leakage(node_problem(ch, 1, z1))
-    if leakage2 is None:
-        leakage2 = min_leakage(node_problem(ch, 2, z2))
-    sigma2 = ch.frontend.sigma2
-    beta = ch.frontend.beta
-    r1 = float(_rate(z2, leakage1, sigma2, beta))
-    r2 = float(_rate(z1, leakage2, sigma2, beta))
-    return RatePoint(r1=r1, r2=r2, z1=float(z1), z2=float(z2), label="optimal")
 
 
 def pareto_indices(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
@@ -182,15 +147,7 @@ def boundary(ch: ChannelSet, grid: SweepGrid) -> BoundaryCurve:
         for a, b, z1, z2 in zip(r1.ravel()[keep].tolist(), r2.ravel()[keep].tolist(),
                                 z1s[rows].tolist(), z2s[cols].tolist())
     ]
-    meta = {
-        "channel": channel_fingerprint(ch),
-        "grid": {"n1": grid.n1, "n2": grid.n2,
-                 "z1_max": grid.z1_max, "z2_max": grid.z2_max},
-        "beta": beta,
-        "sigma2": sigma2,
-        "tolerances": {"loading_bisect_rel": 1e-12, "constraint_rel": 1e-8},
-    }
-    return BoundaryCurve(points=points, metadata=meta)
+    return BoundaryCurve(points=points)
 
 
 def tdma_boundary(ch: ChannelSet, n: int) -> BoundaryCurve:
@@ -207,9 +164,7 @@ def tdma_boundary(ch: ChannelSet, n: int) -> BoundaryCurve:
     ts = np.linspace(0.0, 1.0, n)
     points = [RatePoint(r1=float(t * r1_max), r2=float((1.0 - t) * r2_max),
                         label="tdma") for t in ts]
-    meta = {"channel": channel_fingerprint(ch), "n": n,
-            "r1_max": r1_max, "r2_max": r2_max}
-    return BoundaryCurve(points=points, metadata=meta)
+    return BoundaryCurve(points=points)
 
 
 def equal_rate_point(curve: BoundaryCurve) -> RatePoint:
@@ -299,10 +254,7 @@ class OracleReport:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        return {"samples": self.samples, "max_violation": self.max_violation,
-                "tolerance": self.tolerance, "slack1": self.slack1,
-                "slack2": self.slack2, "violations": self.violations,
-                "passed": self.passed}
+        return {**asdict(self), "passed": self.passed}
 
 
 def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
@@ -380,14 +332,3 @@ def curve_from_csv(text: str) -> BoundaryCurve:
                                 label=label))
     return BoundaryCurve(points=points)
 
-
-def curve_to_json(curve: BoundaryCurve) -> str:
-    """Curve points plus metadata as a deterministic JSON document."""
-    doc = {
-        "metadata": curve.metadata,
-        "points": [
-            {"r1": p.r1, "r2": p.r2, "z1": p.z1, "z2": p.z2, "label": p.label}
-            for p in curve.points
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -1,11 +1,14 @@
-"""Achievable rate pairs for given transmit covariances.
+"""The rate model: one rate formula, and rate pairs of transmit covariances.
 
 With Gaussian codebooks, the rate of the link into node i is
 
-    log2(1 + h_ji† Q_j h_ji / (sigma2 + beta * h_ii† diag(Q_i) h_ii)),
+    log2(1 + z / (sigma2 + beta * G)),
 
-i.e. the delivered signal power from the far node over the local noise floor
-plus residual self-interference.  Rates are in bits per channel use.
+with z = h_ji† Q_j h_ji the signal power delivered from the far node and
+G = h_ii† diag(Q_i) h_ii the node's own front-end leakage.  `_rate` is the
+only place this formula is written: `rate_pair` applies it to covariances,
+`single_link_max` to a silent node (G = 0), and the boundary sweep to whole
+(z, G) grids.  Rates are in bits per channel use.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
-from .channel import ChannelSet, residual_noise_variance
+from .channel import ChannelSet, self_leakage
 
 # Slack on trace(Q) <= P checks; headroom for covariances built from
 # computed beamforming weights.
@@ -57,17 +60,20 @@ def _validate_covariance(q, m: int, p: float, name: str) -> np.ndarray:
     return q
 
 
+def _rate(z, leakage, sigma2: float, beta: float):
+    """log2(1 + z / (sigma2 + beta * G)), elementwise over broadcast arrays."""
+    return np.log2(1.0 + z / (sigma2 + beta * leakage))
+
+
 def rate_pair(ch: ChannelSet, q1, q2, label: str = "optimal") -> RatePoint:
     """Rate pair achieved by transmit covariances (Q1, Q2)."""
     q1 = _validate_covariance(q1, ch.m, ch.p1, "Q1")
     q2 = _validate_covariance(q2, ch.m, ch.p2, "Q2")
     fe = ch.frontend
-    den1 = residual_noise_variance(ch.h11, q1, fe)
-    den2 = residual_noise_variance(ch.h22, q2, fe)
     num1 = max(0.0, float(np.real(ch.h21.conj() @ q2 @ ch.h21)))
     num2 = max(0.0, float(np.real(ch.h12.conj() @ q1 @ ch.h12)))
-    return RatePoint(r1=float(np.log2(1.0 + num1 / den1)),
-                     r2=float(np.log2(1.0 + num2 / den2)),
+    return RatePoint(r1=float(_rate(num1, self_leakage(ch.h11, q1), fe.sigma2, fe.beta)),
+                     r2=float(_rate(num2, self_leakage(ch.h22, q2), fe.sigma2, fe.beta)),
                      label=label)
 
 
@@ -84,4 +90,5 @@ def single_link_max(ch: ChannelSet, direction: int) -> float:
         p, h = ch.p1, ch.h12
     else:
         raise ValueError("direction must be 1 or 2")
-    return float(np.log2(1.0 + p * float(np.linalg.norm(h)) ** 2 / ch.frontend.sigma2))
+    return float(_rate(p * float(np.linalg.norm(h)) ** 2, 0.0, ch.frontend.sigma2,
+                       ch.frontend.beta))

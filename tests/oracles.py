@@ -2,10 +2,15 @@
 
 These deliberately avoid the package's own solvers: feasible competitors are
 drawn by direct sampling, and the dual value is maximized on a dense 1-D
-grid with numpy's LAPACK eigensolver.
+grid with numpy's LAPACK eigensolver.  The scalar references for array
+kernels (`sweep_rate_point`, `pareto_filter_reference`) evaluate one point
+at a time.
 """
 
 import numpy as np
+
+from fdpareto.pareto import min_leakage, node_problem
+from fdpareto.rates import RatePoint
 
 
 def sample_feasible_weights(rng, h_cross, p, z, n):
@@ -79,3 +84,19 @@ def pareto_filter_reference(points):
             best_r2 = p.r2
     kept.reverse()
     return kept
+
+
+def sweep_rate_point(ch, z1, z2):
+    """Rate pair on the sweep surface at (z1, z2), one scalar cell.
+
+    The scalar reference for the boundary's rate grid: the rate formula is
+    written out here on scalars, apart from the array kernel, and each
+    minimal leakage G_i(z_i) comes from its own solver call.
+    """
+    sigma2 = ch.frontend.sigma2
+    beta = ch.frontend.beta
+    leakage1 = min_leakage(node_problem(ch, 1, z1))
+    leakage2 = min_leakage(node_problem(ch, 2, z2))
+    r1 = float(np.log2(1.0 + z2 / (sigma2 + beta * leakage1)))
+    r2 = float(np.log2(1.0 + z1 / (sigma2 + beta * leakage2)))
+    return RatePoint(r1=r1, r2=r2, z1=float(z1), z2=float(z2), label="optimal")

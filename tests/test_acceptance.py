@@ -25,12 +25,11 @@ from fdpareto.pareto import (
     curve_dominates,
     domination_oracle,
     equal_rate_point,
-    sweep_rate_point,
     tdma_boundary,
 )
 from fdpareto.rates import rate_pair
 
-from oracles import leakage_of, sample_feasible_weights_stratified
+from oracles import leakage_of, sample_feasible_weights_stratified, sweep_rate_point
 
 GRID_N = 200
 SEED = 7

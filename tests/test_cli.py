@@ -191,6 +191,54 @@ class TestValidation:
         assert (out / "boundary.csv").exists()
 
 
+def _scenario_with(**fields):
+    return {"m": 3, "gamma_db": 40.0, "beta_db": -40.0, "seed": 7, **fields}
+
+
+@pytest.mark.parametrize("config", [
+    {"scenario": _scenario_with(m="3")},
+    {"scenario": _scenario_with(), "grid_n": "10"},
+    [{"scenario": _scenario_with()}],
+    {"scenario": [1, 2]},
+    {"scenario": _scenario_with(), "grid_n": 10.5},
+    {"scenario": _scenario_with(seed=1.5)},
+    {"scenario": _scenario_with(m=True)},
+    {"scenario": _scenario_with(), "samples": True},
+    {"scenario": _scenario_with(gamma_db="x")},
+    {"scenario": _scenario_with(gamma_db=1e6)},
+    {"scenario": _scenario_with(beta_db=1e6)},
+    {"scenario": _scenario_with(p1=float("nan"))},
+    {"scenario": _scenario_with(sigma2=float("inf"))},
+    {"scenario": _scenario_with(symmetric="yes")},
+    {"scenario": _scenario_with(), "emit": "oracle"},
+    {"scenario": _scenario_with(), "emit": [["oracle"]]},
+    {"scenario": _scenario_with(), "out_dir": 5},
+], ids=["m-str", "grid_n-str", "top-level-list", "scenario-list", "grid_n-float",
+        "seed-float", "m-bool", "samples-bool", "gamma-str", "gamma-overflow",
+        "beta-overflow", "p1-nan", "sigma2-inf", "symmetric-str", "emit-str",
+        "emit-nested", "out_dir-int"])
+def test_malformed_config_exits_1(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["boundary", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith("fdpareto: error:")
+
+
+@pytest.mark.parametrize("entry", ["zf", "certificates"])
+def test_inert_emit_entries_rejected(tmp_path, capsys, entry):
+    cfg = write_config(tmp_path, emit=[entry])
+    assert main(["boundary", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    assert "unknown emit entries" in capsys.readouterr().err
+
+
+def test_integer_values_echo_uncoerced(tmp_path):
+    cfg = write_config(tmp_path, scenario=_scenario_with(gamma_db=40, p1=1))
+    out = tmp_path / "out"
+    assert main(["boundary", "--config", str(cfg), "--out", str(out)]) == 0
+    text = (out / "metadata.json").read_text()
+    assert '"gamma_db": 40,' in text and '"p1": 1,' in text
+
+
 def test_run_config_validation():
     spec = ScenarioSpec(m=2, gamma_db=0.0, beta_db=-40.0)
     with pytest.raises(ValueError):

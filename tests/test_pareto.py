@@ -20,11 +20,10 @@ from fdpareto.pareto import (
     equal_rate_point,
     grid_slack,
     pareto_filter,
-    sweep_rate_point,
     tdma_boundary,
 )
 
-from oracles import pareto_filter_reference
+from oracles import pareto_filter_reference, sweep_rate_point
 
 
 def scenario(gamma_db=40.0, beta_db=-40.0, m=3, seed=7, **kw):
@@ -224,6 +223,20 @@ class TestBoundaryMatchesReference:
         assert errors == [f"rates must be {message}"] * 2
 
 
+@pytest.mark.parametrize("make_channel, n1, n2", [
+    (lambda: scenario(m=1), 60, 60),
+    (lambda: scenario(m=3, p1=1.0, p2=4.0, symmetric=False), 47, 71),
+    (_fig4_channel, 200, 200),
+], ids=["m1", "m3-asymmetric", "fig4"])
+def test_boundary_rates_equal_scalar_reference(make_channel, n1, n2):
+    # the array rate kernel and the scalar reference agree to the last bit
+    ch = make_channel()
+    curve = boundary(ch, SweepGrid.for_channel(ch, n1, n2))
+    for pt in curve.points:
+        ref = sweep_rate_point(ch, pt.z1, pt.z2)
+        assert (pt.r1, pt.r2) == (ref.r1, ref.r2)
+
+
 class TestTdmaBoundary:
     def test_endpoints_are_intercepts(self):
         ch = scenario()
@@ -319,17 +332,6 @@ class TestCsvRoundTrip:
     def test_header_enforced(self):
         with pytest.raises(ValueError):
             curve_from_csv("a,b\n1,2\n")
-
-    def test_json_serialization(self):
-        import json
-        from fdpareto.pareto import curve_to_json
-        ch = scenario(gamma_db=20.0)
-        curve = boundary(ch, SweepGrid.for_channel(ch, 21))
-        doc = json.loads(curve_to_json(curve))
-        assert set(doc) == {"metadata", "points"}
-        assert doc["metadata"]["grid"]["n1"] == 21
-        assert len(doc["points"]) == len(curve.points)
-        assert set(doc["points"][0]) == {"r1", "r2", "z1", "z2", "label"}
 
 
 def test_sweepgrid_validation():
