@@ -8,6 +8,7 @@ from .beamform import (
     BeamformerSolution,
     DecoupledProblem,
     covariance_of,
+    leakage_curve,
     leakage_matrix,
     min_leakage,
     mrt_weights,
@@ -74,6 +75,7 @@ __all__ = [
     "equal_rate_point",
     "generate_scenario",
     "kkt_check",
+    "leakage_curve",
     "leakage_matrix",
     "min_leakage",
     "mrt_weights",

@@ -18,12 +18,12 @@ diagonal everything reduces to elementwise arithmetic, and ||w(eps)||^2 is
 nonincreasing in eps (Cauchy-Schwarz), so a doubling bracket plus bisection
 finds the loading reliably.
 
-All functions are pure; sweeps over z may run them in parallel.
+All functions are pure.  A sweep over z is one array solve: `leakage_curve`
+runs every z's bracket and bisection together on (n, m) arrays, each z
+stopping at its own step, and `optimal_weights` is the same solve at one z.
 """
 
 from __future__ import annotations
-
-import math
 
 from dataclasses import dataclass
 
@@ -83,14 +83,15 @@ def leakage_matrix(h_self) -> np.ndarray:
     return np.diag(np.abs(h_self) ** 2).astype(np.complex128)
 
 
-def _clamped_z(prob: DecoupledProblem) -> float:
-    z_max = prob.z_max
-    z = prob.z
-    if z < -_Z_CLAMP_ABS or z > z_max * (1.0 + _Z_CLAMP_REL) + _Z_CLAMP_ABS:
+def _clamped_z(zs: np.ndarray, z_max: float) -> np.ndarray:
+    """z clamped into [0, z_max]; InfeasibleError for the first z beyond the fuzz window."""
+    outside = (zs < -_Z_CLAMP_ABS) | (zs > z_max * (1.0 + _Z_CLAMP_REL) + _Z_CLAMP_ABS)
+    if outside.any():
+        z = zs[np.argmax(outside)]
         raise InfeasibleError(
             f"z={z:.12g} outside the feasible range [0, {z_max:.12g}]"
         )
-    return min(max(z, 0.0), z_max)
+    return np.minimum(np.maximum(zs, 0.0), z_max)
 
 
 def _loading_for_zero_eps(c: np.ndarray) -> float:
@@ -100,10 +101,88 @@ def _loading_for_zero_eps(c: np.ndarray) -> float:
     return _SINGULAR_DELTA_REL * max(1.0, float(np.max(c)))
 
 
-def _filter_sums(c: np.ndarray, habs2: np.ndarray, load: float) -> tuple[float, float]:
-    """(h† (C + load I)^{-1} h, h† (C + load I)^{-2} h) for diagonal C = Diag(c)."""
-    d = c + load
-    return float(np.sum(habs2 / d)), float(np.sum(habs2 / d**2))
+def _filter_sums(c: np.ndarray, habs2: np.ndarray,
+                 load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(h† (C + l I)^{-1} h, h† (C + l I)^{-2} h) for each loading l, C = Diag(c).
+
+    The sums run along the rows of a C-contiguous (n, m) array, so each
+    loading gets the same pairwise summation as a 1-D sum over m entries.
+    """
+    d = c + load[:, None]
+    return (habs2 / d).sum(axis=1), (habs2 / d**2).sum(axis=1)
+
+
+def _power_at(c, habs2, z, load) -> np.ndarray:
+    """||w||^2 of the loaded filter delivering z, for each (z, load) pair."""
+    s1, s2 = _filter_sums(c, habs2, load)
+    power = z * s2 / (s1 * s1)
+    if not np.isfinite(power).all():
+        raise NumericalError("transmit power of the loaded filter is not finite")
+    return power
+
+
+def _bisect_loading(c, habs2, p: float, z: np.ndarray) -> np.ndarray:
+    """The loading eps > 0 with ||w(eps)||^2 = p, for each z above the low-z bound.
+
+    Each element doubles its own bracket and then bisects it until
+    hi - lo <= 1e-12 hi; np.where freezes the elements that have stopped,
+    so every element takes exactly the steps a one-z search would take.
+    """
+    # For z just below z_max the power curve crosses p only at enormous
+    # eps and the crossing flattens into round-off noise; the widened
+    # accept window keeps the expansion finite there.
+    hi = np.full(z.shape, max(1.0, float(np.max(c))))
+    accept = p * (1.0 + 8.0 * np.finfo(np.float64).eps)
+    for _ in range(_MAX_DOUBLINGS):
+        short = _power_at(c, habs2, z, hi) > accept
+        if not short.any():
+            break
+        hi = np.where(short, 2.0 * hi, hi)
+    else:
+        raise NumericalError("diagonal-loading bracket expansion failed")
+    lo = np.zeros_like(hi)
+    active = hi - lo > _EPS_BISECT_REL * hi
+    while active.any():
+        mid = 0.5 * (lo + hi)
+        up = active & (_power_at(c, habs2, z, mid) > p)
+        lo = np.where(up, mid, lo)
+        hi = np.where(active ^ up, mid, hi)
+        active = hi - lo > _EPS_BISECT_REL * hi
+    return hi
+
+
+def _solve(c: np.ndarray, h: np.ndarray, p: float, z_max: float,
+           zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Loading and weights for each clamped z: (eps of shape (n,), w of shape (n, m)).
+
+    eps is 0 where the unloaded solution fits the power budget (the low-z
+    condition; z = 0 gives exact zero weights), inf at z = z_max above that
+    bound (the MRT beam), and the bisected loading otherwise.  Raises
+    NumericalError on a non-finite power or a failed bracket.
+    """
+    eps = np.zeros(zs.shape)
+    w = np.zeros((zs.shape[0], h.shape[0]), dtype=np.complex128)
+    live = np.flatnonzero(zs != 0.0)
+    z = zs[live]
+    habs2 = np.abs(h) ** 2
+    with np.errstate(all="ignore"):
+        # Low-z condition: the unloaded solution already fits the power budget.
+        load = np.full(z.shape, _loading_for_zero_eps(c))
+        loaded = _power_at(c, habs2, z, load) > p
+        # Cauchy-Schwarz leaves a single feasible point at z_max: full-power
+        # weights along the cross channel (the eps -> inf limit of the closed form).
+        at_max = loaded & (z == z_max)
+        loaded &= ~at_max
+        if loaded.any():
+            load[loaded] = _bisect_loading(c, habs2, p, z[loaded])
+        eps[live] = np.where(at_max, np.inf, np.where(loaded, load, 0.0))
+        rows = ~at_max  # the loaded-filter closed form, at eps or the eps=0 load
+        s1, _ = _filter_sums(c, habs2, load[rows])
+        w[live[rows]] = (np.sqrt(z[rows])[:, None] * (h / (c + load[rows][:, None]))
+                         / s1[:, None])
+    if at_max.any():
+        w[live[at_max]] = mrt_weights(h, p)
+    return eps, w
 
 
 def optimal_weights(prob: DecoupledProblem) -> BeamformerSolution:
@@ -111,62 +190,18 @@ def optimal_weights(prob: DecoupledProblem) -> BeamformerSolution:
 
     Returns the eps=0 solution when it satisfies the power budget (the
     low-z condition); otherwise bisects the loading until ||w||^2 = p to
-    1e-10 relative.  Raises InfeasibleError for z outside [0, p*||h_cross||^2]
-    and NumericalError if the bracket or the final constraint check fails.
+    1e-10 relative: the one-z case of the array solve behind `leakage_curve`.
+    Raises InfeasibleError for z outside [0, p*||h_cross||^2] and
+    NumericalError if the bracket or the final constraint check fails.
     """
     c = np.abs(prob.h_self) ** 2
     h = prob.h_cross
     p = prob.p
-    z = _clamped_z(prob)
-    m = h.shape[0]
-
-    if z == 0.0:
-        w = np.zeros(m, dtype=np.complex128)
-        return BeamformerSolution(w=w, epsilon=0.0, leakage=0.0,
-                                  achieved_z=0.0, achieved_power=0.0)
-
-    habs2 = np.abs(h) ** 2
-    z_max = prob.z_max
-
-    def power_at(load: float) -> float:
-        s1, s2 = _filter_sums(c, habs2, load)
-        return z * s2 / (s1 * s1)
-
-    def weights_at(load: float) -> np.ndarray:
-        s1, _ = _filter_sums(c, habs2, load)
-        return np.sqrt(z) * (h / (c + load)) / s1
-
-    # Low-z condition: the unloaded solution already fits the power budget.
-    delta = _loading_for_zero_eps(c)
-    if power_at(delta) <= p:
-        epsilon = 0.0
-        w = weights_at(delta)
-    elif z == z_max:
-        # Cauchy-Schwarz leaves a single feasible point: full-power weights
-        # along the cross channel (the eps -> inf limit of the closed form).
-        epsilon = math.inf
-        w = mrt_weights(h, p)
-    else:
-        # For z just below z_max the power curve crosses p only at enormous
-        # eps and the crossing flattens into round-off noise; the widened
-        # accept window keeps the expansion finite there.
-        hi = max(1.0, float(np.max(c)))
-        accept = p * (1.0 + 8.0 * np.finfo(np.float64).eps)
-        for _ in range(_MAX_DOUBLINGS):
-            if power_at(hi) <= accept:
-                break
-            hi *= 2.0
-        else:
-            raise NumericalError("diagonal-loading bracket expansion failed")
-        lo = 0.0
-        while hi - lo > _EPS_BISECT_REL * hi:
-            mid = 0.5 * (lo + hi)
-            if power_at(mid) > p:
-                lo = mid
-            else:
-                hi = mid
-        epsilon = hi
-        w = weights_at(epsilon)
+    zs = _clamped_z(np.array([prob.z], dtype=np.float64), prob.z_max)
+    eps, ws = _solve(c, h, p, prob.z_max, zs)
+    z = float(zs[0])
+    epsilon = float(eps[0])
+    w = ws[0]
 
     achieved_z = float(np.abs(np.vdot(h, w)) ** 2)
     achieved_power = float(np.linalg.norm(w)) ** 2
@@ -193,6 +228,47 @@ def min_leakage(prob: DecoupledProblem) -> float:
     return optimal_weights(prob).leakage
 
 
+def leakage_curve(h_self, h_cross, p: float, zs) -> np.ndarray:
+    """Minimal self-leakage G(z) for every delivered power z of an array.
+
+    One masked array solve covers the whole array: the same loading, weights
+    and leakage as `optimal_weights` at each z, to the last bit.  Raises
+    InfeasibleError for the first z outside [0, p*||h_cross||^2], and
+    NumericalError if a loading search fails or any solution misses its
+    delivered-power, power-budget or power-boundary constraint by more than
+    `optimal_weights` allows.
+    """
+    prob = DecoupledProblem(h_self=h_self, h_cross=h_cross, p=p, z=0.0)
+    c = np.abs(prob.h_self) ** 2
+    h = prob.h_cross
+    z = _clamped_z(np.asarray(zs, dtype=np.float64).reshape(-1), prob.z_max)
+    eps, w = _solve(c, h, p, prob.z_max, z)
+
+    achieved_z = np.abs(w @ h.conj()) ** 2
+    achieved_power = np.linalg.norm(w, axis=1) ** 2
+    leakage = np.sum(c * np.abs(w) ** 2, axis=1)
+
+    bad = ~(np.abs(achieved_z - z) <= 1e-8 * np.maximum(1.0, z))
+    if bad.any():
+        k = np.argmax(bad)
+        raise NumericalError(
+            f"delivered-power constraint violated: |w†h|^2={achieved_z[k]:.12g}, z={z[k]:.12g}"
+        )
+    bad = ~(achieved_power <= p * (1.0 + 1e-8))
+    if bad.any():
+        raise NumericalError(
+            f"power constraint violated: ||w||^2={achieved_power[np.argmax(bad)]:.12g}, "
+            f"p={p:.12g}"
+        )
+    bad = (eps > 0.0) & ~(np.abs(achieved_power - p) <= 1e-10 * max(1.0, p))
+    if bad.any():
+        raise NumericalError(
+            "loaded solution is off the power boundary: "
+            f"||w||^2={achieved_power[np.argmax(bad)]:.12g}"
+        )
+    return leakage
+
+
 def low_z_condition_bound(h_self, h_cross, p: float) -> float:
     """Largest z for which the unloaded (eps=0) solution meets the power budget.
 
@@ -201,7 +277,8 @@ def low_z_condition_bound(h_self, h_cross, p: float) -> float:
     """
     c = np.abs(np.asarray(h_self, dtype=np.complex128).reshape(-1)) ** 2
     habs2 = np.abs(np.asarray(h_cross, dtype=np.complex128).reshape(-1)) ** 2
-    s1, s2 = _filter_sums(c, habs2, _loading_for_zero_eps(c))
+    s1, s2 = _filter_sums(c, habs2, np.array([_loading_for_zero_eps(c)]))
+    s1, s2 = float(s1[0]), float(s2[0])
     if s2 == 0.0:
         return 0.0
     return p * s1 * s1 / s2

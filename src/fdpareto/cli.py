@@ -37,7 +37,7 @@ from .certify import (
     rank_reduce,
 )
 from .channel import ChannelSet, ScenarioSpec, generate_scenario, ideal_frontend, require_int
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, NumericalError
 from .pareto import (
     SweepGrid,
     boundary,
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
         if args.command == "certify":
             return cmd_certify(config, out_dir)
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, NumericalError) as exc:
         print(f"fdpareto: error: {exc}", file=sys.stderr)
         return 1
 

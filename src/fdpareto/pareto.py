@@ -11,13 +11,15 @@ one rate formula, `rates._rate`, applied to whole grids).  Every
 point of that sweep is achievable, and every Pareto-optimal rate pair appears
 in it, so filtering the swept grid to its non-dominated subset approximates
 the Pareto boundary to grid resolution.  G_i is evaluated once per grid value
-(n1 + n2 solver calls, not n1 * n2); grid evaluations are independent and
-could run in parallel, with the output order fixed by grid index.
+(n1 + n2 solves, not n1 * n2), as one array solve per node
+(`beamform.leakage_curve`) over that node's whole z grid.
 
 The rate grid stays in arrays from the formula to the filter: it is
 validated as a whole, the non-dominated cells are selected by an
 O(N log N) array sort (`pareto_indices`), and `RatePoint`s are built for
-the survivors only.
+the survivors only.  Survivors whose rates, at the 12 significant digits of
+the CSV, are dominated by another survivor's are dropped, so the written
+curve is strictly monotone.
 
 The module also provides the half-duplex TDMA segment, the equal-rate point,
 and a random-covariance domination oracle that checks no sampled achievable
@@ -30,7 +32,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .beamform import DecoupledProblem, min_leakage
+# min_leakage stays importable here for callers of the scalar solve.
+from .beamform import DecoupledProblem, leakage_curve, min_leakage  # noqa: F401
 from .channel import ChannelSet
 from .rates import RatePoint, _rate, rate_pair, single_link_max
 
@@ -129,18 +132,29 @@ def _check_rates(r1: np.ndarray, r2: np.ndarray) -> None:
         raise ValueError("rates must be nonnegative")
 
 
+def _as_written(x: np.ndarray) -> np.ndarray:
+    """The values as `curve_to_csv` writes and `curve_from_csv` reads them."""
+    return np.array([float(format(v, _FMT)) for v in x.tolist()])
+
+
 def boundary(ch: ChannelSet, grid: SweepGrid) -> BoundaryCurve:
     """Pareto boundary of the achievable region, to grid resolution."""
     z1s = grid.z1_values()
     z2s = grid.z2_values()
-    leak1 = np.array([min_leakage(node_problem(ch, 1, z)) for z in z1s])
-    leak2 = np.array([min_leakage(node_problem(ch, 2, z)) for z in z2s])
+    node1, node2 = node_problem(ch, 1, 0.0), node_problem(ch, 2, 0.0)
+    leak1 = leakage_curve(node1.h_self, node1.h_cross, node1.p, z1s)
+    leak2 = leakage_curve(node2.h_self, node2.h_cross, node2.p, z2s)
     sigma2 = ch.frontend.sigma2
     beta = ch.frontend.beta
     r1 = _rate(z2s[None, :], leak1[:, None], sigma2, beta)
     r2 = _rate(z1s[:, None], leak2[None, :], sigma2, beta)
     _check_rates(r1, r2)
     keep = pareto_indices(r1.ravel(), r2.ravel())
+    # Along a flat stretch of the boundary, neighbouring maximal points can
+    # differ only below the digits the CSV keeps; filter once more on the
+    # rates as written, so the file stays strictly monotone.
+    keep = keep[pareto_indices(_as_written(r1.ravel()[keep]),
+                               _as_written(r2.ravel()[keep]))]
     rows, cols = np.divmod(keep, grid.n2)
     points = [
         RatePoint(r1=a, r2=b, z1=z1, z2=z2, label="optimal")

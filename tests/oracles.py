@@ -3,13 +3,25 @@
 These deliberately avoid the package's own solvers: feasible competitors are
 drawn by direct sampling, and the dual value is maximized on a dense 1-D
 grid with numpy's LAPACK eigensolver.  The scalar references for array
-kernels (`sweep_rate_point`, `pareto_filter_reference`) evaluate one point
-at a time.
+kernels (`optimal_weights_reference`, `sweep_rate_point`,
+`pareto_filter_reference`) evaluate one point at a time.
 """
+
+import math
 
 import numpy as np
 
-from fdpareto.pareto import min_leakage, node_problem
+from fdpareto.beamform import (
+    _EPS_BISECT_REL,
+    _MAX_DOUBLINGS,
+    _Z_CLAMP_ABS,
+    _Z_CLAMP_REL,
+    BeamformerSolution,
+    _loading_for_zero_eps,
+    mrt_weights,
+)
+from fdpareto.errors import InfeasibleError, NumericalError
+from fdpareto.pareto import node_problem
 from fdpareto.rates import RatePoint
 
 
@@ -91,12 +103,115 @@ def sweep_rate_point(ch, z1, z2):
 
     The scalar reference for the boundary's rate grid: the rate formula is
     written out here on scalars, apart from the array kernel, and each
-    minimal leakage G_i(z_i) comes from its own solver call.
+    minimal leakage G_i(z_i) comes from its own scalar solver call.
     """
     sigma2 = ch.frontend.sigma2
     beta = ch.frontend.beta
-    leakage1 = min_leakage(node_problem(ch, 1, z1))
-    leakage2 = min_leakage(node_problem(ch, 2, z2))
+    leakage1 = min_leakage_reference(node_problem(ch, 1, z1))
+    leakage2 = min_leakage_reference(node_problem(ch, 2, z2))
     r1 = float(np.log2(1.0 + z2 / (sigma2 + beta * leakage1)))
     r2 = float(np.log2(1.0 + z1 / (sigma2 + beta * leakage2)))
     return RatePoint(r1=r1, r2=r2, z1=float(z1), z2=float(z2), label="optimal")
+
+
+def _clamped_z(prob):
+    z_max = prob.z_max
+    z = prob.z
+    if z < -_Z_CLAMP_ABS or z > z_max * (1.0 + _Z_CLAMP_REL) + _Z_CLAMP_ABS:
+        raise InfeasibleError(
+            f"z={z:.12g} outside the feasible range [0, {z_max:.12g}]"
+        )
+    return min(max(z, 0.0), z_max)
+
+
+def _filter_sums(c, habs2, load):
+    """(h† (C + load I)^{-1} h, h† (C + load I)^{-2} h) for diagonal C = Diag(c)."""
+    d = c + load
+    return float(np.sum(habs2 / d)), float(np.sum(habs2 / d**2))
+
+
+def optimal_weights_reference(prob):
+    """Scalar loading search, one z at a time: the reference for the array kernel.
+
+    Returns the eps=0 solution when it satisfies the power budget (the
+    low-z condition); otherwise bisects the loading until ||w||^2 = p to
+    1e-10 relative.  Raises InfeasibleError for z outside [0, p*||h_cross||^2]
+    and NumericalError if the bracket or the final constraint check fails.
+    """
+    c = np.abs(prob.h_self) ** 2
+    h = prob.h_cross
+    p = prob.p
+    z = _clamped_z(prob)
+    m = h.shape[0]
+
+    if z == 0.0:
+        w = np.zeros(m, dtype=np.complex128)
+        return BeamformerSolution(w=w, epsilon=0.0, leakage=0.0,
+                                  achieved_z=0.0, achieved_power=0.0)
+
+    habs2 = np.abs(h) ** 2
+    z_max = prob.z_max
+
+    def power_at(load: float) -> float:
+        s1, s2 = _filter_sums(c, habs2, load)
+        return z * s2 / (s1 * s1)
+
+    def weights_at(load: float) -> np.ndarray:
+        s1, _ = _filter_sums(c, habs2, load)
+        return np.sqrt(z) * (h / (c + load)) / s1
+
+    # Low-z condition: the unloaded solution already fits the power budget.
+    delta = _loading_for_zero_eps(c)
+    if power_at(delta) <= p:
+        epsilon = 0.0
+        w = weights_at(delta)
+    elif z == z_max:
+        # Cauchy-Schwarz leaves a single feasible point: full-power weights
+        # along the cross channel (the eps -> inf limit of the closed form).
+        epsilon = math.inf
+        w = mrt_weights(h, p)
+    else:
+        # For z just below z_max the power curve crosses p only at enormous
+        # eps and the crossing flattens into round-off noise; the widened
+        # accept window keeps the expansion finite there.
+        hi = max(1.0, float(np.max(c)))
+        accept = p * (1.0 + 8.0 * np.finfo(np.float64).eps)
+        for _ in range(_MAX_DOUBLINGS):
+            if power_at(hi) <= accept:
+                break
+            hi *= 2.0
+        else:
+            raise NumericalError("diagonal-loading bracket expansion failed")
+        lo = 0.0
+        while hi - lo > _EPS_BISECT_REL * hi:
+            mid = 0.5 * (lo + hi)
+            if power_at(mid) > p:
+                lo = mid
+            else:
+                hi = mid
+        epsilon = hi
+        w = weights_at(epsilon)
+
+    achieved_z = float(np.abs(np.vdot(h, w)) ** 2)
+    achieved_power = float(np.linalg.norm(w)) ** 2
+    leakage = float(np.sum(c * np.abs(w) ** 2))
+
+    if abs(achieved_z - z) > 1e-8 * max(1.0, z):
+        raise NumericalError(
+            f"delivered-power constraint violated: |w†h|^2={achieved_z:.12g}, z={z:.12g}"
+        )
+    if achieved_power > p * (1.0 + 1e-8):
+        raise NumericalError(
+            f"power constraint violated: ||w||^2={achieved_power:.12g}, p={p:.12g}"
+        )
+    if epsilon > 0.0 and abs(achieved_power - p) > 1e-10 * max(1.0, p):
+        raise NumericalError(
+            f"loaded solution is off the power boundary: ||w||^2={achieved_power:.12g}"
+        )
+    return BeamformerSolution(w=w, epsilon=epsilon, leakage=leakage,
+                              achieved_z=achieved_z, achieved_power=achieved_power)
+
+
+def min_leakage_reference(prob):
+    """Minimal self-leakage at delivered power z, from the scalar reference."""
+    return optimal_weights_reference(prob).leakage

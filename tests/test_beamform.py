@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fdpareto import beamform
 from fdpareto.beamform import (
     DecoupledProblem,
     covariance_of,
+    leakage_curve,
     leakage_matrix,
     low_z_condition_bound,
     min_leakage,
@@ -11,9 +15,16 @@ from fdpareto.beamform import (
     optimal_weights,
     zf_weights,
 )
-from fdpareto.errors import DegenerateGeometryError, InfeasibleError
+from fdpareto.channel import ScenarioSpec, generate_scenario
+from fdpareto.errors import DegenerateGeometryError, InfeasibleError, NumericalError
+from fdpareto.pareto import node_problem
 
-from oracles import leakage_of, sample_feasible_weights
+from oracles import (
+    leakage_of,
+    min_leakage_reference,
+    optimal_weights_reference,
+    sample_feasible_weights,
+)
 
 
 def random_problem(rng, m, z_frac=None, zero_self_entries=0):
@@ -161,6 +172,105 @@ class TestOptimalWeights:
         z_max = 2.0
         sol = optimal_weights(DecoupledProblem(z=z_max * (1 + 1e-13), **prob_args))
         assert sol.achieved_z == pytest.approx(z_max, rel=1e-10)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0),
+       beta_db=st.floats(-80.0, 0.0), p1=st.floats(0.05, 20.0),
+       p2=st.floats(0.05, 20.0), symmetric=st.booleans(),
+       seed=st.integers(0, 2**16), node=st.sampled_from((1, 2)),
+       zero_self=st.integers(0, 7),
+       fracs=st.lists(st.floats(0.0, 1.0), max_size=12))
+def test_array_kernel_matches_scalar_reference(m, gamma_db, beta_db, p1, p2,
+                                               symmetric, seed, node, zero_self,
+                                               fracs):
+    # every z of one array gets the loading, leakage and weights of the
+    # scalar one-z search, to the last bit
+    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
+                                        p1=p1, p2=p2, symmetric=symmetric,
+                                        seed=seed))
+    prob = node_problem(ch, node, 0.0)
+    h_self = prob.h_self.copy()
+    h_self[:min(zero_self, m - 1)] = 0.0  # singular C: the regularized eps=0 path
+    z_max = prob.z_max
+    bound = low_z_condition_bound(h_self, prob.h_cross, prob.p)
+    edges = [0.0, z_max, np.nextafter(z_max, 0.0), bound,
+             np.nextafter(bound, 0.0), np.nextafter(bound, np.inf)]
+    zs = np.minimum(np.array(edges + [f * z_max for f in fracs]), z_max)
+
+    refs = [optimal_weights_reference(DecoupledProblem(h_self, prob.h_cross,
+                                                       prob.p, float(z)))
+            for z in zs]
+    eps, w = beamform._solve(np.abs(h_self) ** 2, prob.h_cross, prob.p, z_max, zs)
+    assert _bits(eps) == _bits(np.array([r.epsilon for r in refs]))
+    assert _bits(w) == _bits(np.array([r.w for r in refs]))
+    g = leakage_curve(h_self, prob.h_cross, prob.p, zs)
+    assert _bits(g) == _bits(np.array([r.leakage for r in refs]))
+    for z, ref in zip(zs, refs):
+        sol = optimal_weights(DecoupledProblem(h_self, prob.h_cross, prob.p, float(z)))
+        assert _bits(sol.w) == _bits(ref.w)
+        assert (sol.epsilon, sol.leakage, sol.achieved_z, sol.achieved_power) == \
+            (ref.epsilon, ref.leakage, ref.achieved_z, ref.achieved_power)
+
+
+class TestLeakageCurve:
+    args = dict(h_self=np.array([1.0, 2.0]), h_cross=np.array([1.0, 1.0]), p=1.0)
+
+    def test_hand_instance(self):
+        # z = 0 (silent), z = 1 (unloaded, leakage 0.8) and z_max = 2 (MRT)
+        z_max = DecoupledProblem(z=0.0, **self.args).z_max
+        g = leakage_curve(zs=[0.0, 1.0, z_max], **self.args)
+        assert g[0] == 0.0
+        assert g[1] == pytest.approx(0.8, abs=1e-12)
+        assert g[2] == pytest.approx(2.5, rel=1e-12)
+
+    def test_first_infeasible_z_named(self):
+        with pytest.raises(InfeasibleError, match=r"z=2\.5 outside"):
+            leakage_curve(zs=[1.0, 2.5, -1.0], **self.args)
+
+    @pytest.mark.parametrize("z, spoil, message", [
+        # C = diag(1, 4), h = (1, 1), p = 1: z = 1 is unloaded, z = 1.9 loaded;
+        # v = (1, -1)/sqrt(2) is orthogonal to h, so adding it keeps |w†h|^2
+        (1.0, lambda w, v: 1.1 * w, "delivered-power"),
+        (1.0, lambda w, v: np.full_like(w, np.nan), "delivered-power"),
+        (1.0, lambda w, v: w + v, "power constraint"),
+        (1.9, lambda w, v: w - 0.5 * np.vdot(v, w) * v, "off the power boundary"),
+    ], ids=["delivered-power", "nan-weights", "power-budget", "power-boundary"])
+    def test_constraint_checks(self, monkeypatch, z, spoil, message):
+        solve = beamform._solve
+        v = np.array([1.0, -1.0]) / np.sqrt(2.0)
+
+        def spoiled(*args):
+            eps, w = solve(*args)
+            return eps, np.array([spoil(row, v) for row in w])
+
+        monkeypatch.setattr(beamform, "_solve", spoiled)
+        with pytest.raises(NumericalError, match=message):
+            leakage_curve(zs=[0.5, z], **self.args)
+
+    def test_zero_self_channel(self):
+        # C = 0: every z below z_max is unloaded and z_max is the MRT beam
+        h_self, h_cross = np.zeros(2), np.array([1.0, 1.0j])
+        z_max = DecoupledProblem(h_self, h_cross, 1.0, 0.0).z_max
+        zs = np.linspace(0.0, z_max, 9)
+        assert _bits(leakage_curve(h_self, h_cross, 1.0, zs)) == _bits(np.array([
+            min_leakage_reference(DecoupledProblem(h_self, h_cross, 1.0, z))
+            for z in zs]))
+        # one ulp below z_max the unloaded power rounds above p, and the
+        # loading search drives s1 = ||h||^2 / eps past the float range: the
+        # kernel raises where the scalar search bisects on NaN powers
+        with pytest.raises(NumericalError, match="not finite"):
+            leakage_curve(h_self, h_cross, 1.0, [np.nextafter(z_max, 0.0)])
+
+    def test_non_finite_power_raises_without_warning(self):
+        # |h_self|^2 = 1e300: s1^2 underflows to 0 and the power is not finite
+        with np.errstate(all="raise"), pytest.raises(NumericalError, match="not finite"):
+            leakage_curve(np.array([1e150, 1e150]), np.array([1.0, 0.5]), 1.0,
+                          [0.0, 0.5, 1.25])
 
 
 class TestZfWeights:

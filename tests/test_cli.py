@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -222,6 +223,23 @@ def test_malformed_config_exits_1(tmp_path, capsys, config):
     path.write_text(json.dumps(config))
     assert main(["boundary", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err.startswith("fdpareto: error:")
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("boundary", {"gamma_db": 3000.0}),
+    ("certify", {"gamma_db": 3000.0}),
+    ("certify", {"p1": 1e300}),
+], ids=["boundary-gamma3000", "certify-gamma3000", "certify-p1-1e300"])
+def test_extreme_finite_config_exits_1(tmp_path, capsys, command, fields):
+    # finite values whose filter sums or dual objective leave the float range
+    cfg = write_config(tmp_path, scenario=_scenario_with(**fields), grid_n=4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fdpareto: error:") and err.count("\n") == 1
+    # the loading solve runs under np.errstate and raises instead of warning
+    assert [str(w.message) for w in caught if w.filename.endswith("beamform.py")] == []
 
 
 @pytest.mark.parametrize("entry", ["zf", "certificates"])

@@ -23,6 +23,7 @@ from fdpareto.pareto import (
     tdma_boundary,
 )
 
+import oracles
 from oracles import pareto_filter_reference, sweep_rate_point
 
 
@@ -161,14 +162,16 @@ class TestBoundary:
 def reference_boundary_points(ch, grid):
     """Every grid cell as a RatePoint, filtered by the list-based reference.
 
-    The rate grid is computed exactly as the sweep computes it, and the
-    leakages are read through the `pareto` module so a patched solver
-    reaches both sides of a comparison.
+    The rate grid is computed exactly as the sweep computes it, and each
+    leakage comes from the scalar reference solver, one z at a time, read
+    through the `oracles` module so a patched reference takes effect.
     """
     z1s = grid.z1_values()
     z2s = grid.z2_values()
-    leak1 = np.array([pareto.min_leakage(pareto.node_problem(ch, 1, z)) for z in z1s])
-    leak2 = np.array([pareto.min_leakage(pareto.node_problem(ch, 2, z)) for z in z2s])
+    leak1 = np.array([oracles.min_leakage_reference(pareto.node_problem(ch, 1, z))
+                      for z in z1s])
+    leak2 = np.array([oracles.min_leakage_reference(pareto.node_problem(ch, 2, z))
+                      for z in z2s])
     sigma2 = ch.frontend.sigma2
     beta = ch.frontend.beta
     r1 = np.log2(1.0 + z2s[None, :] / (sigma2 + beta * leak1[:, None]))
@@ -214,8 +217,13 @@ class TestBoundaryMatchesReference:
         grid = SweepGrid.for_channel(ch, 5)
         errors = []
         for build in (boundary, reference_boundary_points):
+            # the same leakage sequence reaches the node curves of `boundary`
+            # and the per-z reference solves, in z order, node 1 first
             calls = itertools.count()
-            monkeypatch.setattr(pareto, "min_leakage",
+            monkeypatch.setattr(pareto, "leakage_curve",
+                                lambda h_self, h_cross, p, zs:
+                                np.array([leakage(next(calls)) for _ in zs]))
+            monkeypatch.setattr(oracles, "min_leakage_reference",
                                 lambda prob: leakage(next(calls)))
             with np.errstate(all="ignore"), pytest.raises(ValueError) as exc:
                 build(ch, grid)
@@ -235,6 +243,22 @@ def test_boundary_rates_equal_scalar_reference(make_channel, n1, n2):
     for pt in curve.points:
         ref = sweep_rate_point(ch, pt.z1, pt.z2)
         assert (pt.r1, pt.r2) == (ref.r1, ref.r2)
+
+
+def test_written_curve_stays_strictly_monotone():
+    # at beta = -62 dB, r1 is flat to about 1e-11 along z2 = z2_max, so
+    # maximal grid points can share their r1 at the CSV's 12 digits; only the
+    # one with the highest r2 is written
+    ch = scenario(m=4, gamma_db=7.149, beta_db=-62.171, p1=0.5933, p2=1.3341,
+                  seed=1643434257)
+    grid = SweepGrid.for_channel(ch, 200)
+    curve = boundary(ch, grid)
+    written = curve_from_csv(curve_to_csv(curve))
+    assert np.all(np.diff(written.r1_array()) > 0)
+    assert np.all(np.diff(written.r2_array()) < 0)
+    ref = reference_boundary_points(ch, grid)
+    assert set(curve.points) < set(ref)
+    assert curve.points[0] == ref[0] and curve.points[-1].r1 == ref[-1].r1
 
 
 class TestTdmaBoundary:
