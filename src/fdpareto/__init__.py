@@ -47,7 +47,7 @@ from .pareto import (
     pareto_filter,
     tdma_boundary,
 )
-from .rates import RatePoint, rate_pair, single_link_max
+from .rates import RatePoint, rate_pair, rate_pairs, single_link_max
 
 __version__ = "0.1.0"
 
@@ -83,6 +83,7 @@ __all__ = [
     "pareto_filter",
     "rank_reduce",
     "rate_pair",
+    "rate_pairs",
     "residual_noise_variance",
     "single_link_max",
     "solve_sdp_via_reduction",

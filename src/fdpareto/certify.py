@@ -69,9 +69,9 @@ class SdpInstance:
         a = numlin.hermitianize(numlin.check_finite(self.a, "a"))
         if c.shape != a.shape:
             raise ValueError("c and a must have the same shape")
-        if np.any(np.abs(c - np.diag(np.diag(c))) > 1e-12 * max(1.0, float(np.linalg.norm(c)))):
+        if np.any(np.abs(c - np.diag(np.diag(c))) > 1e-12 * max(1.0, numlin.frobenius_norm(c))):
             raise ValueError("c must be diagonal")
-        if np.any(np.real(np.diag(c)) < -1e-12 * max(1.0, float(np.linalg.norm(c)))):
+        if np.any(np.real(np.diag(c)) < -1e-12 * max(1.0, numlin.frobenius_norm(c))):
             raise ValueError("c must be PSD")
         c = np.diag(np.maximum(np.real(np.diag(c)), 0.0)).astype(np.complex128)
         lam = numlin.eigvals_hermitian(a)

@@ -25,6 +25,8 @@ from .errors import NumericalError
 # Off-diagonal elements below this fraction of ||A||_F are left unrotated.
 _JACOBI_TOL = 1e-15
 _MAX_SWEEPS = 100
+# is_psd counts eigenvalues down to -ROUNDOFF * ||A||_F (beyond its tol) as zero.
+ROUNDOFF = 64.0 * np.finfo(np.float64).eps
 
 
 def hermitianize(a) -> np.ndarray:
@@ -58,13 +60,30 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
+def frobenius_norm(a) -> float:
+    """||A||_F, without an overflow warning when the sum of squares overflows.
+
+    Equal to `np.linalg.norm(a)` wherever that is finite; otherwise the
+    entries are first divided by the largest modulus, so a finite norm comes
+    out finite and only a norm beyond the float range is inf.
+    """
+    a = np.asarray(a)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+        if math.isinf(norm):
+            big = float(np.max(np.abs(a)))
+            if math.isfinite(big):
+                norm = big * float(np.linalg.norm(a / big))
+    return norm
+
+
 def _jacobi(a: np.ndarray, want_vectors: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Cyclic complex Jacobi on a Hermitian matrix; returns (diag, vectors)."""
     n = a.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    norm = float(np.linalg.norm(a))
+    eye = np.eye(n, dtype=np.complex128) if want_vectors else None
+    norm = frobenius_norm(a)
     if norm == 0.0 or n == 1:
-        return np.real(np.diag(a)).copy(), (eye if want_vectors else None)
+        return np.real(np.diag(a)).copy(), eye
     w = [list(row) for row in a.tolist()]
     v = [list(row) for row in eye.tolist()] if want_vectors else None
     skip = _JACOBI_TOL * norm
@@ -159,7 +178,7 @@ def is_psd(a, tol: float) -> bool:
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     a = np.asarray(a, dtype=np.complex128)
-    roundoff = 64.0 * np.finfo(np.float64).eps * float(np.linalg.norm(a))
+    roundoff = ROUNDOFF * frobenius_norm(a)
     return min_eigenvalue(a) >= -(tol + roundoff)
 
 

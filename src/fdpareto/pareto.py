@@ -23,7 +23,12 @@ curve is strictly monotone.
 
 The module also provides the half-duplex TDMA segment, the equal-rate point,
 and a random-covariance domination oracle that checks no sampled achievable
-pair escapes a computed curve.
+pair escapes a computed curve.  The oracle's random draws run one sample at
+a time, in a fixed order; everything after them runs on arrays.  The Gram
+matrices, their scaling, the rate pairs and their checks form one stacked
+pass per block of samples (`rates.rate_pairs`).  Each pair's escape
+distance is found by a bisection along the curve's staircase
+(`escape_distances`), not by comparing it with every curve point.
 """
 
 from __future__ import annotations
@@ -35,10 +40,12 @@ import numpy as np
 # min_leakage stays importable here for callers of the scalar solve.
 from .beamform import DecoupledProblem, leakage_curve, min_leakage  # noqa: F401
 from .channel import ChannelSet
-from .rates import RatePoint, _rate, rate_pair, single_link_max
+from .rates import RatePoint, _check_rates, _rate, rate_pairs, single_link_max
 
 CSV_HEADER = "r1,r2,z1,z2,label"
 _FMT = ".12g"
+# Oracle samples per array pass; bounds its stacks to a few MB at m = 8.
+_ORACLE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -119,17 +126,6 @@ def pareto_filter(points: list[RatePoint]) -> list[RatePoint]:
     r1 = np.array([p.r1 for p in points], dtype=np.float64)
     r2 = np.array([p.r2 for p in points], dtype=np.float64)
     return [points[k] for k in pareto_indices(r1, r2)]
-
-
-def _check_rates(r1: np.ndarray, r2: np.ndarray) -> None:
-    """Raise RatePoint's ValueError for the first invalid cell, row-major."""
-    finite = np.isfinite(r1) & np.isfinite(r2)
-    bad = ~finite | (r1 < 0) | (r2 < 0)
-    if bad.any():
-        first = int(np.argmax(bad))
-        if not finite.flat[first]:
-            raise ValueError("rates must be finite")
-        raise ValueError("rates must be nonnegative")
 
 
 def _as_written(x: np.ndarray) -> np.ndarray:
@@ -271,6 +267,63 @@ class OracleReport:
         return {**asdict(self), "passed": self.passed}
 
 
+def _sampled_covariances(rng: np.random.Generator, ch: ChannelSet,
+                         n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n random covariance pairs, as one (n, m, m) stack per node.
+
+    Per pair and node, in this order: a (2, m, m) normal draw g (real and
+    imaginary parts) and a uniform fraction u; the covariance is the Gram
+    matrix g g† scaled to trace u * P.  Only the draws run per pair; the
+    arithmetic runs on the whole stack.
+    """
+    m = ch.m
+    g = np.empty((n, 2, 2, m, m))
+    u = np.empty((n, 2))
+    fracs = u.reshape(-1)
+    # rng.random() is rng.uniform(0.0, 1.0): the same draw at a third of the
+    # call overhead.
+    normal, uniform = rng.standard_normal, rng.random
+    for k, draw in enumerate(g.reshape(2 * n, 2, m, m)):
+        normal(out=draw)
+        fracs[k] = uniform()
+    g = g[:, :, 0] + 1j * g[:, :, 1]
+    q = g @ np.conj(np.swapaxes(g, -1, -2))
+    q *= (u * np.array([ch.p1, ch.p2]) / np.trace(q, axis1=-2, axis2=-1).real)[..., None, None]
+    return q[:, 0], q[:, 1]
+
+
+def escape_distances(r1: np.ndarray, r2: np.ndarray, c1: np.ndarray,
+                     c2: np.ndarray) -> np.ndarray:
+    """min over k of max(r1 - c1[k], r2 - c2[k]) for each pair (r1, r2).
+
+    c1 must be nondecreasing and c2 nonincreasing, as a curve's shifted
+    rates are.  Then r1 - c1[k] falls and r2 - c2[k] rises with k, so the
+    maximum is smallest at the first k where the second term reaches the
+    first, or at the k before it.  A vectorised bisection finds that k for
+    every pair at once; the two candidates are evaluated with the same
+    subtractions as the full (pairs x curve) minimum, so the result is equal
+    to it exactly.
+    """
+    n = c1.size
+    if n == 0:
+        raise ValueError("empty curve")
+    lo = np.zeros(r1.shape, dtype=np.intp)
+    hi = np.full(r1.shape, n, dtype=np.intp)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        at = np.minimum(mid, n - 1)
+        reached = (mid < hi) & (r2 - c2[at] >= r1 - c1[at])
+        hi = np.where(reached, mid, hi)
+        lo = np.where(reached | (mid >= hi), lo, mid + 1)
+
+    def distance(k):
+        k = np.clip(k, 0, n - 1)
+        return np.maximum(r1 - c1[k], r2 - c2[k])
+
+    return np.minimum(np.where(lo < n, distance(lo), np.inf),
+                      np.where(lo > 0, distance(lo - 1), np.inf))
+
+
 def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
                       seed: int, tolerance: float = 1e-6) -> OracleReport:
     """Check random achievable rate pairs against a computed curve.
@@ -281,36 +334,27 @@ def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
     violation of a sample is min over curve points of
     max(r1 - c1 - slack1, r2 - c2 - slack2); a positive value beyond
     `tolerance` counts as a violation.
+
+    Only the random draws run per sample, in a fixed order: for each sample
+    and each node, a (2, m, m) normal draw and then a uniform fraction.
+    Blocks of `_ORACLE_BLOCK` samples then go through one array pass: the
+    Gram matrices, their scaling, `rates.rate_pairs` (which checks every
+    covariance's trace and PSD and every rate) and `escape_distances`, a
+    bisection along the curve's staircase.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    m = ch.m
     slack1, slack2 = grid_slack(curve)
     c1 = curve.r1_array() + slack1
     c2 = curve.r2_array() + slack2
 
-    rates = np.empty((samples, 2))
-    for k in range(samples):
-        qs = []
-        for p_budget in (ch.p1, ch.p2):
-            g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            q = g @ g.conj().T
-            q *= float(rng.uniform(0.0, 1.0)) * p_budget / float(np.trace(q).real)
-            qs.append(q)
-        pt = rate_pair(ch, qs[0], qs[1], label="sampled")
-        rates[k] = (pt.r1, pt.r2)
-
-    # escape distance per sample: min over curve points of max(d1, d2),
-    # vectorized in blocks of about 2^20 cells to bound the broadcast size
     max_violation = -np.inf
     violations = 0
-    rows = max(1, (1 << 20) // max(1, c1.size))
-    for start in range(0, samples, rows):
-        block = rates[start:start + rows]
-        d1 = block[:, None, 0] - c1[None, :]
-        d2 = block[:, None, 1] - c2[None, :]
-        viol = np.maximum(d1, d2, out=d1).min(axis=1)
+    for start in range(0, samples, _ORACLE_BLOCK):
+        q1s, q2s = _sampled_covariances(rng, ch, min(_ORACLE_BLOCK, samples - start))
+        r1, r2 = rate_pairs(ch, q1s, q2s)
+        viol = escape_distances(r1, r2, c1, c2)
         max_violation = max(max_violation, float(viol.max()))
         violations += int(np.count_nonzero(viol > tolerance))
 

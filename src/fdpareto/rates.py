@@ -6,9 +6,17 @@ With Gaussian codebooks, the rate of the link into node i is
 
 with z = h_ji† Q_j h_ji the signal power delivered from the far node and
 G = h_ii† diag(Q_i) h_ii the node's own front-end leakage.  `_rate` is the
-only place this formula is written: `rate_pair` applies it to covariances,
-`single_link_max` to a silent node (G = 0), and the boundary sweep to whole
-(z, G) grids.  Rates are in bits per channel use.
+only place this formula is written: `rate_pairs` applies it to stacks of
+covariance pairs (and `rate_pair` to a stack of one), `single_link_max` to a
+silent node (G = 0), and the boundary sweep to whole (z, G) grids.  Rates
+are in bits per channel use.
+
+A covariance is valid when its shape is (m, m), its trace is within its
+budget P up to `POWER_SLACK * max(1, P)` (a relative slack, so the check
+stays above float round-off at large budgets), and it is PSD up to
+`PSD_TOL * max(1, ||Q||_F)` plus round-off.  `rate_pair` proves PSD with the
+package's own Jacobi solver; `rate_pairs` checks a whole stack with one
+LAPACK `eigvalsh` call and the same tolerance.
 """
 
 from __future__ import annotations
@@ -18,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numlin
-from .channel import ChannelSet, self_leakage
+from .channel import ChannelSet
 
-# Slack on trace(Q) <= P checks; headroom for covariances built from
-# computed beamforming weights.
+# Relative slack on trace(Q) <= P checks; headroom for covariances built
+# from computed beamforming weights.
 POWER_SLACK = 1e-9
 PSD_TOL = 1e-9
 
@@ -47,17 +55,56 @@ class RatePoint:
             raise ValueError("rates must be nonnegative")
 
 
+def _power_limit(p: float) -> float:
+    """Largest trace accepted under the power budget p."""
+    return p + POWER_SLACK * max(1.0, p)
+
+
+def _trace_message(name: str, tr: float, p: float) -> str:
+    return f"trace({name}) = {tr:.12g} exceeds the power budget {p:.12g}"
+
+
 def _validate_covariance(q, m: int, p: float, name: str) -> np.ndarray:
     q = np.asarray(q, dtype=np.complex128)
     if q.shape != (m, m):
         raise ValueError(f"{name} has shape {q.shape}, expected ({m}, {m})")
     tr = float(np.trace(q).real)
-    if tr > p + POWER_SLACK:
-        raise ValueError(f"trace({name}) = {tr:.12g} exceeds the power budget {p:.12g}")
-    scale = max(1.0, float(np.linalg.norm(q)))
+    if tr > _power_limit(p):
+        raise ValueError(_trace_message(name, tr, p))
+    scale = max(1.0, numlin.frobenius_norm(q))
     if not numlin.is_psd(q, PSD_TOL * scale):
         raise ValueError(f"{name} is not positive semidefinite")
     return q
+
+
+def _stack_norms(qs: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of an (N, m, m) stack.
+
+    The entries are divided by their largest modulus first, so no square
+    overflows; only a norm beyond the float range comes out inf.
+    """
+    big = np.max(np.abs(qs), axis=(1, 2))
+    unit = np.where(big > 0.0, big, 1.0)
+    scaled = qs / unit[:, None, None]
+    with np.errstate(over="ignore"):
+        return unit * np.sqrt(np.sum(scaled.real ** 2 + scaled.imag ** 2, axis=(1, 2)))
+
+
+def _covariance_faults(qs: np.ndarray, p: float) -> tuple[np.ndarray, ...]:
+    """(trace, over budget, non-finite, not PSD) of each matrix of a stack.
+
+    The same rules, in the same order, as `_validate_covariance` and
+    `numlin.is_psd`, with the smallest eigenvalue from one LAPACK call over
+    the (N, m, m) stack instead of Jacobi.
+    """
+    tr = np.trace(qs, axis1=1, axis2=2).real
+    over = tr > _power_limit(p)
+    finite = np.isfinite(qs).all(axis=(1, 2))
+    safe = np.where(finite[:, None, None], qs, 0.0)
+    norms = _stack_norms(safe)
+    lam_min = np.linalg.eigvalsh(safe)[:, 0]
+    not_psd = ~(lam_min >= -(PSD_TOL * np.maximum(1.0, norms) + numlin.ROUNDOFF * norms))
+    return tr, over, ~finite, finite & not_psd
 
 
 def _rate(z, leakage, sigma2: float, beta: float):
@@ -65,16 +112,83 @@ def _rate(z, leakage, sigma2: float, beta: float):
     return np.log2(1.0 + z / (sigma2 + beta * leakage))
 
 
+def _rates_of(ch: ChannelSet, q1s: np.ndarray, q2s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked rate pairs of (N, m, m) covariance stacks.
+
+    Each product is grouped as the 1-D `h† @ Q @ h` of a single pair, so the
+    stacked rates equal the per-pair ones bit for bit.
+    """
+    fe = ch.frontend
+
+    def signal(h, qs):
+        z = ((h.conj() @ qs)[:, None, :] @ h[:, None])[:, 0, 0].real
+        return np.where(z > 0.0, z, 0.0)
+
+    def leakage(h, qs):
+        return np.sum(np.abs(h) ** 2 * np.diagonal(qs, axis1=1, axis2=2).real, axis=1)
+
+    with np.errstate(all="ignore"):
+        r1 = _rate(signal(ch.h21, q2s), leakage(ch.h11, q1s), fe.sigma2, fe.beta)
+        r2 = _rate(signal(ch.h12, q1s), leakage(ch.h22, q2s), fe.sigma2, fe.beta)
+    return r1, r2
+
+
+def _rate_faults(r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(non-finite, negative) masks of rate pairs, as `RatePoint` rejects them."""
+    finite = np.isfinite(r1) & np.isfinite(r2)
+    return ~finite, finite & ((r1 < 0) | (r2 < 0))
+
+
+def _check_rates(r1: np.ndarray, r2: np.ndarray) -> None:
+    """Raise RatePoint's ValueError for the first invalid pair, row-major."""
+    bad_finite, bad_sign = _rate_faults(r1, r2)
+    bad = bad_finite | bad_sign
+    if bad.any():
+        first = int(np.argmax(bad))
+        if bad_finite.flat[first]:
+            raise ValueError("rates must be finite")
+        raise ValueError("rates must be nonnegative")
+
+
+def rate_pairs(ch: ChannelSet, q1s, q2s) -> tuple[np.ndarray, np.ndarray]:
+    """Rate pairs (r1, r2) of N covariance pairs given as (N, m, m) stacks.
+
+    Every pair is checked as `rate_pair` checks it, and the first invalid
+    pair raises `rate_pair`'s ValueError: Q1's trace, finiteness and PSD,
+    the same for Q2, and then the rates, in that order within a pair.
+    """
+    m = ch.m
+    q1s = np.asarray(q1s, dtype=np.complex128)
+    q2s = np.asarray(q2s, dtype=np.complex128)
+    for name, qs in (("Q1", q1s), ("Q2", q2s)):
+        if qs.ndim != 3 or qs.shape[1:] != (m, m):
+            raise ValueError(f"{name} stack has shape {qs.shape}, expected (N, {m}, {m})")
+    if q1s.shape[0] != q2s.shape[0]:
+        raise ValueError(f"{q1s.shape[0]} Q1 and {q2s.shape[0]} Q2 matrices")
+    tr1, *faults1 = _covariance_faults(q1s, ch.p1)
+    tr2, *faults2 = _covariance_faults(q2s, ch.p2)
+    r1, r2 = _rates_of(ch, q1s, q2s)
+    faults = np.stack([*faults1, *faults2, *_rate_faults(r1, r2)])
+    if faults.any():
+        k = int(np.argmax(faults.any(axis=0)))
+        messages = [_trace_message("Q1", float(tr1[k]), ch.p1),
+                    "matrix contains non-finite entries",
+                    "Q1 is not positive semidefinite",
+                    _trace_message("Q2", float(tr2[k]), ch.p2),
+                    "matrix contains non-finite entries",
+                    "Q2 is not positive semidefinite",
+                    "rates must be finite",
+                    "rates must be nonnegative"]
+        raise ValueError(messages[int(np.argmax(faults[:, k]))])
+    return r1, r2
+
+
 def rate_pair(ch: ChannelSet, q1, q2, label: str = "optimal") -> RatePoint:
     """Rate pair achieved by transmit covariances (Q1, Q2)."""
     q1 = _validate_covariance(q1, ch.m, ch.p1, "Q1")
     q2 = _validate_covariance(q2, ch.m, ch.p2, "Q2")
-    fe = ch.frontend
-    num1 = max(0.0, float(np.real(ch.h21.conj() @ q2 @ ch.h21)))
-    num2 = max(0.0, float(np.real(ch.h12.conj() @ q1 @ ch.h12)))
-    return RatePoint(r1=float(_rate(num1, self_leakage(ch.h11, q1), fe.sigma2, fe.beta)),
-                     r2=float(_rate(num2, self_leakage(ch.h22, q2), fe.sigma2, fe.beta)),
-                     label=label)
+    r1, r2 = _rates_of(ch, q1[None], q2[None])
+    return RatePoint(r1=float(r1[0]), r2=float(r2[0]), label=label)
 
 
 def single_link_max(ch: ChannelSet, direction: int) -> float:

@@ -4,7 +4,9 @@ These deliberately avoid the package's own solvers: feasible competitors are
 drawn by direct sampling, and the dual value is maximized on a dense 1-D
 grid with numpy's LAPACK eigensolver.  The scalar references for array
 kernels (`optimal_weights_reference`, `sweep_rate_point`,
-`pareto_filter_reference`) evaluate one point at a time.
+`pareto_filter_reference`, `rate_pair_reference`,
+`domination_oracle_reference`, `escape_distances_reference`) evaluate one
+point at a time.
 """
 
 import math
@@ -20,9 +22,10 @@ from fdpareto.beamform import (
     _loading_for_zero_eps,
     mrt_weights,
 )
+from fdpareto.channel import self_leakage
 from fdpareto.errors import InfeasibleError, NumericalError
-from fdpareto.pareto import node_problem
-from fdpareto.rates import RatePoint
+from fdpareto.pareto import OracleReport, grid_slack, node_problem
+from fdpareto.rates import RatePoint, _rate, _validate_covariance
 
 
 def sample_feasible_weights(rng, h_cross, p, z, n):
@@ -215,3 +218,68 @@ def optimal_weights_reference(prob):
 def min_leakage_reference(prob):
     """Minimal self-leakage at delivered power z, from the scalar reference."""
     return optimal_weights_reference(prob).leakage
+
+
+def rate_pair_reference(ch, q1, q2, label="optimal"):
+    """Rate pair of one covariance pair, each product on its own 1-D operands.
+
+    The scalar reference for `rates.rate_pairs`; the covariances are checked
+    by the Jacobi-based `_validate_covariance`.
+    """
+    q1 = _validate_covariance(q1, ch.m, ch.p1, "Q1")
+    q2 = _validate_covariance(q2, ch.m, ch.p2, "Q2")
+    fe = ch.frontend
+    num1 = max(0.0, float(np.real(ch.h21.conj() @ q2 @ ch.h21)))
+    num2 = max(0.0, float(np.real(ch.h12.conj() @ q1 @ ch.h12)))
+    return RatePoint(r1=float(_rate(num1, self_leakage(ch.h11, q1), fe.sigma2, fe.beta)),
+                     r2=float(_rate(num2, self_leakage(ch.h22, q2), fe.sigma2, fe.beta)),
+                     label=label)
+
+
+def sampled_rates_reference(ch, samples, seed):
+    """The oracle's sampled rate pairs, one covariance pair at a time."""
+    rng = np.random.default_rng(seed)
+    m = ch.m
+    rates = np.empty((samples, 2))
+    for k in range(samples):
+        qs = []
+        for p_budget in (ch.p1, ch.p2):
+            g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            q = g @ g.conj().T
+            q *= float(rng.uniform(0.0, 1.0)) * p_budget / float(np.trace(q).real)
+            qs.append(q)
+        pt = rate_pair_reference(ch, qs[0], qs[1], label="sampled")
+        rates[k] = (pt.r1, pt.r2)
+    return rates
+
+
+def escape_distances_reference(r1, r2, c1, c2):
+    """min over every curve point of max(r1 - c1, r2 - c2), by brute force."""
+    return np.maximum(r1[:, None] - c1[None, :], r2[:, None] - c2[None, :]).min(axis=1)
+
+
+def domination_oracle_reference(ch, curve, samples, seed, tolerance=1e-6):
+    """Per-sample domination oracle: the reference for the array pass."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    slack1, slack2 = grid_slack(curve)
+    c1 = curve.r1_array() + slack1
+    c2 = curve.r2_array() + slack2
+    rates = sampled_rates_reference(ch, samples, seed)
+
+    # escape distance per sample: min over curve points of max(d1, d2),
+    # vectorized in blocks of about 2^20 cells to bound the broadcast size
+    max_violation = -np.inf
+    violations = 0
+    rows = max(1, (1 << 20) // max(1, c1.size))
+    for start in range(0, samples, rows):
+        block = rates[start:start + rows]
+        d1 = block[:, None, 0] - c1[None, :]
+        d2 = block[:, None, 1] - c2[None, :]
+        viol = np.maximum(d1, d2, out=d1).min(axis=1)
+        max_violation = max(max_violation, float(viol.max()))
+        violations += int(np.count_nonzero(viol > tolerance))
+
+    return OracleReport(samples=samples, max_violation=max_violation,
+                        tolerance=tolerance, slack1=slack1, slack2=slack2,
+                        violations=violations)

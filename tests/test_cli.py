@@ -238,8 +238,38 @@ def test_extreme_finite_config_exits_1(tmp_path, capsys, command, fields):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("fdpareto: error:") and err.count("\n") == 1
-    # the loading solve runs under np.errstate and raises instead of warning
-    assert [str(w.message) for w in caught if w.filename.endswith("beamform.py")] == []
+    # overflowing sums raise or are rescaled instead of warning, in any module
+    assert _runtime_warnings(caught) == []
+
+
+def _runtime_warnings(caught):
+    return [f"{w.filename}: {w.message}" for w in caught
+            if issubclass(w.category, RuntimeWarning)]
+
+
+def test_extreme_budget_boundary_with_oracle_runs_without_warnings(tmp_path, capsys):
+    cfg = write_config(tmp_path, scenario=_scenario_with(p1=1e300), grid_n=4,
+                       samples=50, emit=["boundary", "oracle"])
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["boundary", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert _runtime_warnings(caught) == []
+    assert json.loads((out / "oracle.json").read_text())["passed"] is True
+
+
+@pytest.mark.parametrize("p1", [1e20, 1e300])
+def test_compare_zf_accepts_its_own_covariance_at_large_budgets(tmp_path, p1):
+    # the trace slack is relative: an absolute 1e-9 is below p1's round-off
+    cfg = write_config(tmp_path, scenario=_scenario_with(p1=p1, seed=1), grid_n=20)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["compare-zf", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _runtime_warnings(caught) == []
+    doc = json.loads((out / "zf_comparison.json").read_text())
+    assert doc["geometry"]["node1"]["zf"]["power"] == pytest.approx(p1, rel=1e-12)
 
 
 @pytest.mark.parametrize("entry", ["zf", "certificates"])

@@ -3,6 +3,8 @@
 np.linalg.eigh serves as the independent oracle for the Jacobi solver.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,3 +143,24 @@ def test_hermitianize_enforces_symmetry():
     h = numlin.hermitianize(a)
     assert np.allclose(h, h.conj().T)
     assert np.allclose(np.diag(h).imag, 0.0)
+
+
+class TestFrobeniusNorm:
+    def test_equals_numpy_in_range(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 5, 8):
+            a = random_hermitian(rng, n)
+            assert numlin.frobenius_norm(a) == float(np.linalg.norm(a))
+
+    def test_overflowing_squares_stay_finite_without_warning(self):
+        a = np.array([[1e300, 1e300j], [-1e300j, 3e299]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = numlin.frobenius_norm(a)
+            assert numlin.is_psd(np.diag([1e300, 0.0]), 0.0)
+            assert numlin.min_eigenvalue(a) == pytest.approx(np.linalg.eigvalsh(a)[0],
+                                                             rel=1e-12)
+        assert norm == pytest.approx(1e300 * np.sqrt(3.0 + 0.09), rel=1e-15)
+
+    def test_beyond_the_float_range_is_inf(self):
+        assert numlin.frobenius_norm(np.full((2, 2), 1e308)) == np.inf

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fdpareto import pareto
 from fdpareto.channel import ScenarioSpec, generate_scenario, ideal_frontend
 from fdpareto.cli import preset_config
-from fdpareto.rates import RatePoint, single_link_max
+from fdpareto.rates import RatePoint, rate_pairs, single_link_max
 from fdpareto.pareto import (
     BoundaryCurve,
     SweepGrid,
@@ -18,13 +18,20 @@ from fdpareto.pareto import (
     curve_to_csv,
     domination_oracle,
     equal_rate_point,
+    escape_distances,
     grid_slack,
     pareto_filter,
     tdma_boundary,
 )
 
 import oracles
-from oracles import pareto_filter_reference, sweep_rate_point
+from oracles import (
+    domination_oracle_reference,
+    escape_distances_reference,
+    pareto_filter_reference,
+    sampled_rates_reference,
+    sweep_rate_point,
+)
 
 
 def scenario(gamma_db=40.0, beta_db=-40.0, m=3, seed=7, **kw):
@@ -336,6 +343,81 @@ class TestDominationOracle:
             for p in curve.points])
         report = domination_oracle(ch, shrunk, samples=300, seed=1)
         assert not report.passed
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0),
+       beta_db=st.floats(-80.0, 0.0), p1=st.floats(0.05, 20.0),
+       p2=st.floats(0.05, 20.0), sigma2=st.sampled_from((1e-3, 1.0)),
+       symmetric=st.booleans(), seed=st.integers(0, 2**16),
+       n_grid=st.integers(2, 12), samples=st.integers(1, 60),
+       shrink=st.sampled_from((1.0, 0.5)))
+def test_oracle_equals_per_sample_reference(m, gamma_db, beta_db, p1, p2, sigma2,
+                                            symmetric, seed, n_grid, samples,
+                                            shrink):
+    # the stacked draws and rates, and the whole report, equal the per-sample
+    # loop's exactly; small blocks make the array pass cross block edges
+    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
+                                        p1=p1, p2=p2, sigma2=sigma2,
+                                        symmetric=symmetric, seed=seed))
+    q1s, q2s = pareto._sampled_covariances(np.random.default_rng(seed), ch, samples)
+    r1, r2 = rate_pairs(ch, q1s, q2s)
+    ref = sampled_rates_reference(ch, samples, seed)
+    assert r1.tolist() == ref[:, 0].tolist() and r2.tolist() == ref[:, 1].tolist()
+
+    curve = boundary(ch, SweepGrid.for_channel(ch, n_grid))
+    curve = BoundaryCurve(points=[  # a shrunken curve has violations to count
+        RatePoint(r1=shrink * p.r1, r2=shrink * p.r2) for p in curve.points])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pareto, "_ORACLE_BLOCK", 7)
+        report = domination_oracle(ch, curve, samples, seed)
+    assert report == domination_oracle_reference(ch, curve, samples, seed)
+
+
+def _staircase(r1, r2):
+    """A curve's shifted rates: r1 ascending and r2 descending."""
+    return np.sort(np.asarray(r1, dtype=float)), np.sort(np.asarray(r2, dtype=float))[::-1]
+
+
+@pytest.mark.parametrize("c1, c2", [
+    ([0.7], [0.4]),
+    ([0.2, 0.9], [1.5, 0.1]),
+    # r1 values below the slack's ulp: c1 repeats once the slack is added
+    (np.array([1e-20, 2e-20, 3e-20, 0.5]) + 1.0, [3.0, 2.0, 1.0, 0.5]),
+    ([0.0, 0.0, 1.0, 1.0, 2.0], [2.0, 2.0, 1.0, 1.0, 0.0]),
+], ids=["length-1", "length-2", "repeated-after-slack", "flat-steps"])
+def test_escape_bisection_equals_brute_force_on_edges(c1, c2):
+    c1, c2 = np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)
+    up, down = np.nextafter(c1, np.inf), np.nextafter(c2, -np.inf)
+    mids = (c1[:-1] + c1[1:]) / 2.0
+    r1 = np.concatenate([c1, up, c1, up, c1 - 0.1, c1 + 5.0, mids, [0.0, 10.0]])
+    r2 = np.concatenate([c2, c2, np.nextafter(c2, np.inf), down, c2 - 0.1, c2,
+                         c2[1:], [0.0, 10.0]])
+    got = escape_distances(r1, r2, c1, c2)
+    assert got.tolist() == escape_distances_reference(r1, r2, c1, c2).tolist()
+    assert np.all(got[:c1.size] == 0.0)  # points on the curve escape by 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(curve=st.lists(st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+                      min_size=1, max_size=40),
+       pairs=st.lists(st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0)),
+                      min_size=1, max_size=40),
+       slack=st.sampled_from((0.0, 1e-3, 1.0, 1e6)))
+def test_escape_bisection_equals_brute_force(curve, pairs, slack):
+    c1, c2 = _staircase(*zip(*curve))
+    c1, c2 = c1 + slack, c2 + slack
+    r1, r2 = (np.array(v) for v in zip(*pairs))
+    # add the curve's own points and their next floats
+    r1 = np.concatenate([r1, c1, np.nextafter(c1, np.inf)])
+    r2 = np.concatenate([r2, c2, c2])
+    assert escape_distances(r1, r2, c1, c2).tolist() == \
+        escape_distances_reference(r1, r2, c1, c2).tolist()
+
+
+def test_escape_distances_need_a_curve():
+    with pytest.raises(ValueError, match="empty curve"):
+        escape_distances(np.zeros(1), np.zeros(1), np.zeros(0), np.zeros(0))
 
 
 class TestCsvRoundTrip:

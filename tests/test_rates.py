@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fdpareto import numlin, rates
 from fdpareto.channel import ChannelSet, FrontEndModel
-from fdpareto.rates import RatePoint, rate_pair, single_link_max
+from fdpareto.rates import RatePoint, rate_pair, rate_pairs, single_link_max
 
 
 def make_channel(m=2, beta=1e-4, sigma2=1.0, p1=1.0, p2=1.0,
@@ -96,6 +97,108 @@ class TestRatePair:
             q1 = g @ g.conj().T
             q1 *= 0.9 * ch.p1 / np.trace(q1).real
             assert rate_pair(ch, q1, q2).r1 == pytest.approx(r1_ref, abs=1e-12)
+
+
+    @pytest.mark.parametrize("p", [1e-3, 0.5, 1.0])
+    def test_power_slack_is_absolute_at_small_budgets(self, p):
+        ch = make_channel(p1=p)
+        rate_pair(ch, np.diag([p + 0.5e-9, 0.0]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="exceeds the power budget"):
+            rate_pair(ch, np.diag([p + 2e-9, 0.0]), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("p", [1e7, 1e20, 1e300])
+    def test_power_slack_is_relative_at_large_budgets(self, p):
+        # an absolute 1e-9 lies below one ulp of p here
+        ch = make_channel(p1=p)
+        q1 = mrt_cov(ch.h12, p) * (1.0 + 1e-12)
+        rate_pair(ch, q1, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="exceeds the power budget"):
+            rate_pair(ch, q1 * (1.0 + 1e-6), np.zeros((2, 2)))
+
+
+def gram_stack(rng, n, m, rank=None, trace=None):
+    """n random Gram matrices g g† of the given rank (m when None) and trace."""
+    r = m if rank is None else rank
+    g = rng.standard_normal((n, m, r)) + 1j * rng.standard_normal((n, m, r))
+    q = g @ np.conj(np.swapaxes(g, 1, 2))
+    if trace is not None:
+        q *= (trace / np.trace(q, axis1=1, axis2=2).real)[:, None, None]
+    return q
+
+
+class TestRatePairs:
+    def test_equals_rate_pair_per_pair(self):
+        ch = make_channel(m=3, beta=1e-2)
+        rng = np.random.default_rng(5)
+        q1s = gram_stack(rng, 20, 3, trace=rng.uniform(0.0, 1.0, 20))
+        q2s = gram_stack(rng, 20, 3, rank=1, trace=rng.uniform(0.0, 1.0, 20))
+        r1, r2 = rate_pairs(ch, q1s, q2s)
+        pts = [rate_pair(ch, a, b) for a, b in zip(q1s, q2s)]
+        assert r1.tolist() == [p.r1 for p in pts]
+        assert r2.tolist() == [p.r2 for p in pts]
+
+    @pytest.mark.parametrize("spoil", [
+        lambda q1, q2: (np.diag([0.5, -0.2]), q2),
+        lambda q1, q2: (q1, np.diag([0.5, -0.2])),
+        lambda q1, q2: (1.1 * np.eye(2), q2),
+        lambda q1, q2: (q1, 1.1 * np.eye(2)),
+        lambda q1, q2: (q1, np.diag([np.nan, 0.1])),
+        lambda q1, q2: (np.diag([np.inf, 0.1]), q2),
+        # a PSD and a non-PSD fault in one pair: Q1's trace is checked first
+        lambda q1, q2: (np.diag([1.5, -0.2]), np.diag([0.5, -0.2])),
+    ], ids=["q1-not-psd", "q2-not-psd", "q1-over-budget", "q2-over-budget",
+            "q2-nan", "q1-inf", "first-check-wins"])
+    def test_spoiled_pair_raises_rate_pairs_message(self, spoil):
+        ch = make_channel()
+        rng = np.random.default_rng(6)
+        q1s = gram_stack(rng, 6, 2, trace=0.5)
+        q2s = gram_stack(rng, 6, 2, trace=0.5)
+        bad1, bad2 = spoil(q1s[3], q2s[3])
+        with pytest.raises(ValueError) as single:
+            rate_pair(ch, bad1, bad2)
+        q1s[3], q2s[3] = bad1, bad2
+        q1s[5] = np.diag([0.5, -0.2])  # a later fault does not mask it
+        with pytest.raises(ValueError) as stacked:
+            rate_pairs(ch, q1s, q2s)
+        assert str(stacked.value) == str(single.value)
+
+    def test_invalid_rates_raise_rate_point_message(self):
+        # a valid Q2 whose delivered power h21† Q2 h21 overflows
+        ch = ChannelSet(h11=np.array([1.0]), h12=np.array([1.0]), h21=np.array([1e10]),
+                        h22=np.array([1.0]), p1=1.0, p2=1e300,
+                        frontend=FrontEndModel(beta=1.0, sigma2=1.0))
+        q1s, q2s = np.zeros((2, 1, 1)), np.full((2, 1, 1), 1e300)
+        with pytest.raises(ValueError, match="rates must be finite"):
+            rate_pair(ch, q1s[0], q2s[0])
+        with pytest.raises(ValueError, match="rates must be finite"):
+            rate_pairs(ch, q1s, q2s)
+
+    def test_shape_checks(self):
+        ch = make_channel(m=2)
+        with pytest.raises(ValueError, match="Q2 stack has shape"):
+            rate_pairs(ch, np.zeros((3, 2, 2)), np.zeros((3, 3, 3)))
+        with pytest.raises(ValueError, match="3 Q1 and 2 Q2"):
+            rate_pairs(ch, np.zeros((3, 2, 2)), np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_stack_psd_check_agrees_with_jacobi(self, m):
+        # LAPACK on the stack and Jacobi per matrix, with the same tolerance
+        rng = np.random.default_rng(m)
+        stacks = [gram_stack(rng, 30, m), gram_stack(rng, 30, m, rank=1),
+                  1e8 * gram_stack(rng, 30, m, rank=max(1, m - 1))]
+        # shift the smallest eigenvalue to half and twice the tolerance below 0
+        base = gram_stack(rng, 30, m, rank=m - 1)
+        norms = np.linalg.norm(base, axis=(1, 2))
+        tol = rates.PSD_TOL * np.maximum(1.0, norms)
+        for factor in (0.5, 2.0):
+            stacks.append(base - (factor * tol)[:, None, None] * np.eye(m))
+        for qs in stacks:
+            not_psd = rates._covariance_faults(qs, np.inf)[-1]
+            jacobi = [not numlin.is_psd(q, rates.PSD_TOL * max(1.0, numlin.frobenius_norm(q)))
+                      for q in qs]
+            assert not_psd.tolist() == jacobi
+        assert not np.any(rates._covariance_faults(stacks[-2], np.inf)[-1])
+        assert np.all(rates._covariance_faults(stacks[-1], np.inf)[-1])
 
 
 class TestSingleLinkMax:
