@@ -17,9 +17,11 @@ from .beamform import (
 )
 from .certify import (
     Certificate,
+    CertificateCurve,
     KktReport,
     RankReductionTrace,
     SdpInstance,
+    certify_curve,
     dual_certificate,
     kkt_check,
     rank_reduce,
@@ -55,6 +57,7 @@ __all__ = [
     "BeamformerSolution",
     "BoundaryCurve",
     "Certificate",
+    "CertificateCurve",
     "ChannelSet",
     "DecoupledProblem",
     "DegenerateGeometryError",
@@ -69,6 +72,7 @@ __all__ = [
     "SdpInstance",
     "SweepGrid",
     "boundary",
+    "certify_curve",
     "covariance_of",
     "domination_oracle",
     "dual_certificate",

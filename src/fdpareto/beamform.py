@@ -228,6 +228,46 @@ def min_leakage(prob: DecoupledProblem) -> float:
     return optimal_weights(prob).leakage
 
 
+def _solve_curve(prob: DecoupledProblem, zs) -> tuple[np.ndarray, ...]:
+    """Clamped z, loading, weights and leakage for each z of an array, checked.
+
+    One masked `_solve` covers the whole array; the constraint checks are
+    `optimal_weights`' with its tolerances, written so that a NaN fails
+    them.  An extreme budget may overflow the leakage or the achieved powers
+    to inf: that happens silently here, every finite value keeps its bits,
+    and an inf achieved power fails its check like a NaN.
+    """
+    c = np.abs(prob.h_self) ** 2
+    h = prob.h_cross
+    p = prob.p
+    z = _clamped_z(np.asarray(zs, dtype=np.float64).reshape(-1), prob.z_max)
+    eps, w = _solve(c, h, p, prob.z_max, z)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        achieved_z = np.abs(w @ h.conj()) ** 2
+        achieved_power = np.linalg.norm(w, axis=1) ** 2
+        leakage = np.sum(c * np.abs(w) ** 2, axis=1)
+        bad_z = ~(np.abs(achieved_z - z) <= 1e-8 * np.maximum(1.0, z))
+        bad_power = ~(achieved_power <= p * (1.0 + 1e-8))
+        off_boundary = (eps > 0.0) & ~(np.abs(achieved_power - p) <= 1e-10 * max(1.0, p))
+    if bad_z.any():
+        k = np.argmax(bad_z)
+        raise NumericalError(
+            f"delivered-power constraint violated: |w†h|^2={achieved_z[k]:.12g}, z={z[k]:.12g}"
+        )
+    if bad_power.any():
+        raise NumericalError(
+            f"power constraint violated: ||w||^2={achieved_power[np.argmax(bad_power)]:.12g}, "
+            f"p={p:.12g}"
+        )
+    if off_boundary.any():
+        raise NumericalError(
+            "loaded solution is off the power boundary: "
+            f"||w||^2={achieved_power[np.argmax(off_boundary)]:.12g}"
+        )
+    return z, eps, w, leakage
+
+
 def leakage_curve(h_self, h_cross, p: float, zs) -> np.ndarray:
     """Minimal self-leakage G(z) for every delivered power z of an array.
 
@@ -236,37 +276,10 @@ def leakage_curve(h_self, h_cross, p: float, zs) -> np.ndarray:
     InfeasibleError for the first z outside [0, p*||h_cross||^2], and
     NumericalError if a loading search fails or any solution misses its
     delivered-power, power-budget or power-boundary constraint by more than
-    `optimal_weights` allows.
+    `optimal_weights` allows.  A leakage beyond the float range is inf.
     """
     prob = DecoupledProblem(h_self=h_self, h_cross=h_cross, p=p, z=0.0)
-    c = np.abs(prob.h_self) ** 2
-    h = prob.h_cross
-    z = _clamped_z(np.asarray(zs, dtype=np.float64).reshape(-1), prob.z_max)
-    eps, w = _solve(c, h, p, prob.z_max, z)
-
-    achieved_z = np.abs(w @ h.conj()) ** 2
-    achieved_power = np.linalg.norm(w, axis=1) ** 2
-    leakage = np.sum(c * np.abs(w) ** 2, axis=1)
-
-    bad = ~(np.abs(achieved_z - z) <= 1e-8 * np.maximum(1.0, z))
-    if bad.any():
-        k = np.argmax(bad)
-        raise NumericalError(
-            f"delivered-power constraint violated: |w†h|^2={achieved_z[k]:.12g}, z={z[k]:.12g}"
-        )
-    bad = ~(achieved_power <= p * (1.0 + 1e-8))
-    if bad.any():
-        raise NumericalError(
-            f"power constraint violated: ||w||^2={achieved_power[np.argmax(bad)]:.12g}, "
-            f"p={p:.12g}"
-        )
-    bad = (eps > 0.0) & ~(np.abs(achieved_power - p) <= 1e-10 * max(1.0, p))
-    if bad.any():
-        raise NumericalError(
-            "loaded solution is off the power boundary: "
-            f"||w||^2={achieved_power[np.argmax(bad)]:.12g}"
-        )
-    return leakage
+    return _solve_curve(prob, zs)[3]
 
 
 def low_z_condition_bound(h_self, h_cross, p: float) -> float:

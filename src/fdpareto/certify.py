@@ -5,23 +5,24 @@ The per-node leakage problem in SDP form is
     minimize    tr(C Q)
     subject to  tr(A Q) = z,   tr(Q) <= p,   Q >= 0,
 
-with C diagonal PSD and A = h_cross h_cross† of rank one.  Its Lagrange dual
-(in the sign convention that makes weak duality hold for the trace
-inequality) is
+with C = Diag(c) PSD and A = h h† of rank one.  Its Lagrange dual (in the
+sign convention that makes weak duality hold for the trace inequality) is
 
     maximize    lam1 * z + lam2 * p
-    subject to  Z = C - lam1*A - lam2*I >= 0,   lam2 <= 0,
+    subject to  Z = C - lam1*A - lam2*I >= 0,   lam2 <= 0.
 
-so for fixed lam1 the best lam2 is min(0, lambda_min(C - lam1*A)) and the
-dual value g(lam1) = lam1*z + p*min(0, lambda_min(C - lam1*A)) is concave in
-lam1.  dual_certificate maximizes g by golden section on an expanding
-bracket; the optimum never sits at lam1 < 0 because g(lam1) = lam1*z <= g(0)
-there.
-
-At z = p*tr(A) the supremum is approached only as lam1 -> inf, so the
-bracket expansion is capped at 2^27 times its initial scale; the cap
-balances the O(1/lam1) truncation of the dual value against double-precision
-cancellation in lam1*z + p*lambda_min, leaving both near 1e-8 relative.
+Like the primal optimum (the filter of `beamform` loaded by eps), the dual
+optimum is closed form: with s1 = h† (C + eps I)^{-1} h, lam1 = 1/s1 and
+lam2 = -eps.  Z = (C + eps I) - h h†/s1 is PSD by Cauchy-Schwarz and
+annihilates (C + eps I)^{-1} h, the direction of w, so the dual value
+z/s1 - eps*p equals the leakage.  Unloaded filters take s1 at its eps -> 0
+limit, infinite (lam1 = 0, zero leakage) when h reaches an antenna with
+c = 0; z = 0 takes the dual (0, 0).  At z = z_max the optimum is the MRT
+beam (eps -> inf) and the dual supremum is not attained: the certificate
+takes eps = 2^27 max(1, max c), with a gap of at most about 2^-27 of the
+primal, and evaluates lam1*z + lam2*p as p * sum(c_k |h_k|^2/(c_k + eps)) / s1
+to avoid its cancellation.  That Z has entries of size eps, so its smallest
+computed eigenvalue carries round-off of size eps * 1e-16 (report-only).
 
 rank_reduce turns any feasible PSD solution into a rank-one one without
 touching tr(A Q), tr(Q), or increasing tr(C Q): factor Q = V V†, pick a
@@ -36,17 +37,22 @@ indefinite.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import numlin
-from .beamform import DecoupledProblem, covariance_of, leakage_matrix, optimal_weights
+from .beamform import (
+    DecoupledProblem,
+    _solve_curve,
+    covariance_of,
+    leakage_matrix,
+    optimal_weights,
+)
 from .errors import NumericalError, OptimalityError
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_BRACKET_CAP_DOUBLINGS = 24
-_GOLDEN_MAX_ITERS = 200
+# The finite loading, in units of max(1, max c), that certifies the MRT point.
+_MRT_LOADING = 2.0**27
 _KKT_TOL = 1e-7
 # Gap gates: Slater holds strictly inside the z range, so the certificate is
 # sharp there; at the range endpoints conditioning degrades and the gate is
@@ -165,8 +171,36 @@ class RankReductionTrace:
         }
 
 
+@dataclass(frozen=True)
+class CertificateCurve:
+    """One node's solutions, certificates and KKT residuals, as arrays over z."""
+
+    epsilon: np.ndarray
+    primal: np.ndarray
+    lambda1: np.ndarray
+    lambda2: np.ndarray
+    dual_value: np.ndarray
+    gap: np.ndarray
+    slack_min_eig: np.ndarray
+    primal_target_residual: np.ndarray
+    power_excess: np.ndarray
+    q_min_eigenvalue: np.ndarray
+    complementarity_residual: np.ndarray
+
+    def certificates(self) -> list[Certificate]:
+        return [Certificate(*row) for row in zip(
+            self.lambda1.tolist(), self.lambda2.tolist(), self.dual_value.tolist(),
+            self.gap.tolist(), self.slack_min_eig.tolist())]
+
+    def kkt_reports(self) -> list[KktReport]:
+        return [KktReport(*row) for row in zip(
+            self.primal_target_residual.tolist(), self.power_excess.tolist(),
+            self.q_min_eigenvalue.tolist(), self.slack_min_eig.tolist(),
+            self.complementarity_residual.tolist())]
+
+
 def dual_value_at(inst: SdpInstance, lam1: float) -> float:
-    """g(lam1) = lam1*z + p*min(0, lambda_min(C - lam1*A))."""
+    """The dual function g(lam1) = lam1*z + p*min(0, lambda_min(C - lam1*A))."""
     lam_min = numlin.min_eigenvalue(inst.c - lam1 * inst.a)
     val = lam1 * inst.z + inst.p * min(0.0, lam_min)
     if not math.isfinite(val):
@@ -174,64 +208,62 @@ def dual_value_at(inst: SdpInstance, lam1: float) -> float:
     return val
 
 
-def dual_certificate(inst: SdpInstance, primal_value: float) -> Certificate:
-    """Maximize the dual by golden section on an expanding lambda1 bracket.
+def _kkt_residuals(a, z, p, q, slack):
+    """The five KKT residuals of KktReport for Hermitian stacks q, slack (n, m, m)."""
+    with np.errstate(all="ignore"):
+        return (
+            np.abs(np.einsum("ij,nji->n", a, q).real - z),
+            np.maximum(0.0, np.einsum("nii->n", q).real - p),
+            np.linalg.eigvalsh(q)[:, 0],
+            np.linalg.eigvalsh(slack)[:, 0],
+            np.abs(np.einsum("nij,nji->n", q, slack).real),
+        )
 
-    Reports the gap primal_value - dual_value; by weak duality the gap of a
-    feasible primal point is nonnegative up to round-off, and strong duality
-    makes it vanish at the optimum.
+
+def _certify(c, h, p: float, z, eps, w) -> CertificateCurve:
+    """Certificates of weights w (n, m) solved at loadings eps; NumericalError if not finite."""
+    a_abs2 = np.abs(h) ** 2
+    at_max = np.isinf(eps)
+    load = np.where(at_max, max(1.0, float(np.max(c))) * _MRT_LOADING, eps)
+    with np.errstate(all="ignore"):
+        # inf where load = c_k = 0 < |h_k|^2 (the eps -> 0 limit), 0 where h_k = 0
+        terms = np.where(a_abs2 == 0.0, 0.0, a_abs2 / (c + load[:, None]))
+        s1 = terms.sum(axis=1)
+        lam1 = np.where(z == 0.0, 0.0, 1.0 / s1)
+        lam2 = np.where(load > 0.0, -load, 0.0)
+        dual = lam1 * z + lam2 * p
+        dual[at_max] = p * (c * terms[at_max]).sum(axis=1) / s1[at_max]
+        primal = np.sum(c * np.abs(w) ** 2, axis=1)
+        a = np.outer(h, h.conj())
+        slack = np.diag(c) - lam1[:, None, None] * a - lam2[:, None, None] * np.eye(c.size)
+    kkt = _kkt_residuals(a, z, p, w[:, :, None] * w.conj()[:, None, :], slack)
+    bad = ~np.isfinite([lam1, lam2, dual, primal, *kkt]).all(axis=0)
+    if bad.any():
+        raise NumericalError(f"certificate not finite at z={z[np.argmax(bad)]:.12g}")
+    return CertificateCurve(epsilon=eps, primal=primal, lambda1=lam1, lambda2=lam2,
+                            dual_value=dual, gap=primal - dual,
+                            slack_min_eig=kkt[3], primal_target_residual=kkt[0],
+                            power_excess=kkt[1], q_min_eigenvalue=kkt[2],
+                            complementarity_residual=kkt[4])
+
+
+def certify_curve(h_self, h_cross, p: float, zs) -> CertificateCurve:
+    """Solve every z of one node as `leakage_curve` does, and certify each one."""
+    prob = DecoupledProblem(h_self=h_self, h_cross=h_cross, p=p, z=0.0)
+    z, eps, w, _ = _solve_curve(prob, zs)
+    return _certify(np.abs(prob.h_self) ** 2, prob.h_cross, prob.p, z, eps, w)
+
+
+def dual_certificate(inst: SdpInstance, primal_value: float) -> Certificate:
+    """The optimal dual of an instance and its gap to primal_value.
+
+    The gap of a feasible primal point is nonnegative up to round-off (weak
+    duality) and vanishes at the optimum (strong duality).
     """
     if primal_value < 0:
         raise ValueError("primal_value must be nonnegative")
-    tr_a = float(np.trace(inst.a).real)
-    best_x, best_val = 0.0, dual_value_at(inst, 0.0)
-
-    if tr_a > 0.0:
-        scale = max(1.0, float(np.max(np.real(np.diag(inst.c))))) / tr_a
-        cap = scale * 2.0**_BRACKET_CAP_DOUBLINGS
-        # Expand until g turns downward (or the endpoint cap is reached).
-        xs = [0.0, scale]
-        vals = [best_val, dual_value_at(inst, scale)]
-        while vals[-1] > vals[-2] and xs[-1] < cap:
-            xs.append(min(2.0 * xs[-1], cap))
-            vals.append(dual_value_at(inst, xs[-1]))
-        if vals[-1] > best_val:
-            best_x, best_val = xs[-1], vals[-1]
-        lo = xs[-3] if len(xs) >= 3 else 0.0
-        hi = xs[-1]
-
-        a, b = lo, hi
-        c_pt = b - _GOLDEN * (b - a)
-        d_pt = a + _GOLDEN * (b - a)
-        fc = dual_value_at(inst, c_pt)
-        fd = dual_value_at(inst, d_pt)
-        for _ in range(_GOLDEN_MAX_ITERS):
-            if fc > best_val:
-                best_x, best_val = c_pt, fc
-            if fd > best_val:
-                best_x, best_val = d_pt, fd
-            if (b - a) <= 1e-12 * max(abs(b), 1e-15):
-                break
-            if fc < fd:
-                a, c_pt, fc = c_pt, d_pt, fd
-                d_pt = a + _GOLDEN * (b - a)
-                fd = dual_value_at(inst, d_pt)
-            else:
-                b, d_pt, fd = d_pt, c_pt, fc
-                c_pt = b - _GOLDEN * (b - a)
-                fc = dual_value_at(inst, c_pt)
-
-    lam1 = best_x
-    lam_min_b = numlin.min_eigenvalue(inst.c - lam1 * inst.a)
-    lam2 = min(0.0, lam_min_b)
-    dual_value = lam1 * inst.z + inst.p * lam2
-    return Certificate(
-        lambda1=lam1,
-        lambda2=lam2,
-        dual_value=dual_value,
-        gap=primal_value - dual_value,
-        slack_min_eig=max(0.0, lam_min_b),
-    )
+    cert = certify_instance(inst)[2]
+    return replace(cert, gap=primal_value - cert.dual_value)
 
 
 def kkt_check(inst: SdpInstance, q, cert: Certificate) -> KktReport:
@@ -240,13 +272,8 @@ def kkt_check(inst: SdpInstance, q, cert: Certificate) -> KktReport:
     if q.shape != inst.c.shape:
         raise ValueError("q dimension does not match the instance")
     slack = inst.c - cert.lambda1 * inst.a - cert.lambda2 * np.eye(inst.dim)
-    return KktReport(
-        primal_target_residual=abs(float(np.trace(inst.a @ q).real) - inst.z),
-        power_excess=max(0.0, float(np.trace(q).real) - inst.p),
-        q_min_eigenvalue=numlin.min_eigenvalue(q),
-        slack_min_eigenvalue=numlin.min_eigenvalue(slack),
-        complementarity_residual=abs(float(np.trace(q @ slack).real)),
-    )
+    residuals = _kkt_residuals(inst.a, inst.z, inst.p, q[None], slack[None])
+    return KktReport(*(float(r[0]) for r in residuals))
 
 
 def _herm_to_vec(m: np.ndarray) -> np.ndarray:
@@ -332,7 +359,7 @@ def rank_reduce(inst: SdpInstance, q, rank_tol: float = 1e-9) -> RankReductionTr
 
 
 def certify_instance(inst: SdpInstance):
-    """Solve one instance in closed form and certify it.
+    """Solve one instance in closed form and certify it: `certify_curve` at one z.
 
     Returns (q, solution, certificate, kkt_report) without gating on the gap;
     solve_sdp_via_reduction adds the gap assertion.
@@ -340,10 +367,9 @@ def certify_instance(inst: SdpInstance):
     h_self, h_cross = inst.channels()
     sol = optimal_weights(DecoupledProblem(h_self=h_self, h_cross=h_cross,
                                            p=inst.p, z=inst.z))
-    q = covariance_of(sol.w)
-    cert = dual_certificate(inst, sol.leakage)
-    report = kkt_check(inst, q, cert)
-    return q, sol, cert, report
+    curve = _certify(np.abs(h_self) ** 2, h_cross, inst.p, np.array([inst.z]),
+                     np.array([sol.epsilon]), sol.w[None, :])
+    return covariance_of(sol.w), sol, curve.certificates()[0], curve.kkt_reports()[0]
 
 
 def gap_tolerance(inst: SdpInstance) -> float:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,8 +33,7 @@ from .certify import (
     GAP_TOL_ENDPOINT,
     GAP_TOL_INTERIOR,
     SdpInstance,
-    certify_instance,
-    gap_tolerance,
+    certify_curve,
     rank_reduce,
 )
 from .channel import ChannelSet, ScenarioSpec, generate_scenario, ideal_frontend, require_int
@@ -263,30 +263,30 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
     max_kkt = 0.0
     failed = False
     for node, zs in ((1, grid.z1_values()), (2, grid.z2_values())):
-        records = []
-        for idx, z in enumerate(zs):
-            prob = node_problem(ch, node, float(z))
-            inst = SdpInstance.from_channels(prob.h_self, prob.h_cross,
-                                             z=float(z), p=prob.p)
-            _, sol, cert, report = certify_instance(inst)
-            tol = gap_tolerance(inst)
-            endpoint = idx == 0 or idx == len(zs) - 1
-            rel = abs(cert.gap) / max(1.0, sol.leakage)
-            key = "endpoint" if endpoint else "interior"
-            max_rel[key] = max(max_rel[key], rel)
-            kkt = report.to_dict()
-            max_kkt = max(max_kkt, kkt["primal_target_residual"],
-                          kkt["power_excess"], -min(0.0, kkt["q_min_eigenvalue"]),
-                          -min(0.0, kkt["slack_min_eigenvalue"]),
-                          kkt["complementarity_residual"])
-            ok = rel <= tol
-            failed = failed or not ok
-            records.append({
-                "z": float(z), "endpoint": endpoint,
-                "primal": sol.leakage, "epsilon": sol.epsilon,
-                "certificate": cert.to_dict(), "gap_rel": rel,
-                "gap_tol": tol, "gap_ok": ok, "kkt": kkt,
-            })
+        prob = node_problem(ch, node, 0.0)
+        curve = certify_curve(prob.h_self, prob.h_cross, prob.p, zs)
+        rel = np.abs(curve.gap) / np.maximum(1.0, curve.primal)
+        endpoint = np.zeros(len(zs), dtype=bool)
+        endpoint[[0, -1]] = True
+        tol = np.where(endpoint, GAP_TOL_ENDPOINT, GAP_TOL_INTERIOR)
+        ok = rel <= tol
+        failed = failed or not ok.all()
+        max_rel["interior"] = max(max_rel["interior"], float(np.max(rel[1:-1], initial=0.0)))
+        max_rel["endpoint"] = max(max_rel["endpoint"], float(max(rel[0], rel[-1])))
+        max_kkt = max(max_kkt, float(np.max([
+            curve.primal_target_residual, curve.power_excess,
+            -np.minimum(0.0, curve.q_min_eigenvalue), -np.minimum(0.0, curve.slack_min_eig),
+            curve.complementarity_residual])))
+        records = [{
+            "z": z, "endpoint": end,
+            # the MRT beam at z_max is the eps -> inf limit: no finite loading
+            "primal": primal, "epsilon": None if math.isinf(eps) else eps,
+            "certificate": cert.to_dict(), "gap_rel": r,
+            "gap_tol": t, "gap_ok": good, "kkt": kkt.to_dict(),
+        } for z, end, primal, eps, cert, r, t, good, kkt in zip(
+            zs.tolist(), endpoint.tolist(), curve.primal.tolist(), curve.epsilon.tolist(),
+            curve.certificates(), rel.tolist(), tol.tolist(), ok.tolist(),
+            curve.kkt_reports())]
         demo_z = float(zs[len(zs) // 2])
         nodes[f"node{node}"] = {
             "certificates": records,

@@ -6,13 +6,15 @@ grid with numpy's LAPACK eigensolver.  The scalar references for array
 kernels (`optimal_weights_reference`, `sweep_rate_point`,
 `pareto_filter_reference`, `rate_pair_reference`,
 `domination_oracle_reference`, `escape_distances_reference`) evaluate one
-point at a time.
+point at a time, and `dual_certificate_reference` maximizes the dual
+numerically where the package uses its closed form.
 """
 
 import math
 
 import numpy as np
 
+from fdpareto import numlin
 from fdpareto.beamform import (
     _EPS_BISECT_REL,
     _MAX_DOUBLINGS,
@@ -22,6 +24,7 @@ from fdpareto.beamform import (
     _loading_for_zero_eps,
     mrt_weights,
 )
+from fdpareto.certify import Certificate, dual_value_at
 from fdpareto.channel import self_leakage
 from fdpareto.errors import InfeasibleError, NumericalError
 from fdpareto.pareto import OracleReport, grid_slack, node_problem
@@ -82,6 +85,73 @@ def dual_value_on_grid(c_mat, a_mat, z, p, lam_grid):
         lam_min = np.linalg.eigvalsh(c_mat - lam * a_mat)[0]
         best = max(best, lam * z + p * min(0.0, lam_min))
     return best
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_BRACKET_CAP_DOUBLINGS = 24
+_GOLDEN_MAX_ITERS = 200
+
+
+def dual_certificate_reference(inst, primal_value):
+    """Maximize the dual by golden section on an expanding lambda1 bracket.
+
+    The reference for the closed-form certificate.  g(lam1) = lam1*z +
+    p*min(0, lambda_min(C - lam1*A)) is concave, and its optimum never sits
+    at lam1 < 0 because g(lam1) = lam1*z <= g(0) there.  At z = p*tr(A) the
+    supremum is approached only as lam1 -> inf, so the bracket expansion is
+    capped at 2^24 times its initial scale.
+    """
+    if primal_value < 0:
+        raise ValueError("primal_value must be nonnegative")
+    tr_a = float(np.trace(inst.a).real)
+    best_x, best_val = 0.0, dual_value_at(inst, 0.0)
+
+    if tr_a > 0.0:
+        scale = max(1.0, float(np.max(np.real(np.diag(inst.c))))) / tr_a
+        cap = scale * 2.0**_BRACKET_CAP_DOUBLINGS
+        # Expand until g turns downward (or the endpoint cap is reached).
+        xs = [0.0, scale]
+        vals = [best_val, dual_value_at(inst, scale)]
+        while vals[-1] > vals[-2] and xs[-1] < cap:
+            xs.append(min(2.0 * xs[-1], cap))
+            vals.append(dual_value_at(inst, xs[-1]))
+        if vals[-1] > best_val:
+            best_x, best_val = xs[-1], vals[-1]
+        lo = xs[-3] if len(xs) >= 3 else 0.0
+        hi = xs[-1]
+
+        a, b = lo, hi
+        c_pt = b - _GOLDEN * (b - a)
+        d_pt = a + _GOLDEN * (b - a)
+        fc = dual_value_at(inst, c_pt)
+        fd = dual_value_at(inst, d_pt)
+        for _ in range(_GOLDEN_MAX_ITERS):
+            if fc > best_val:
+                best_x, best_val = c_pt, fc
+            if fd > best_val:
+                best_x, best_val = d_pt, fd
+            if (b - a) <= 1e-12 * max(abs(b), 1e-15):
+                break
+            if fc < fd:
+                a, c_pt, fc = c_pt, d_pt, fd
+                d_pt = a + _GOLDEN * (b - a)
+                fd = dual_value_at(inst, d_pt)
+            else:
+                b, d_pt, fd = d_pt, c_pt, fc
+                c_pt = b - _GOLDEN * (b - a)
+                fc = dual_value_at(inst, c_pt)
+
+    lam1 = best_x
+    lam_min_b = numlin.min_eigenvalue(inst.c - lam1 * inst.a)
+    lam2 = min(0.0, lam_min_b)
+    dual_value = lam1 * inst.z + inst.p * lam2
+    return Certificate(
+        lambda1=lam1,
+        lambda2=lam2,
+        dual_value=dual_value,
+        gap=primal_value - dual_value,
+        slack_min_eig=max(0.0, lam_min_b),
+    )
 
 
 def pareto_filter_reference(points):

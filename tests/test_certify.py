@@ -1,17 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdpareto import numlin
 from fdpareto.beamform import mrt_weights
 from fdpareto.certify import (
+    GAP_TOL_ENDPOINT,
     SdpInstance,
+    certify_curve,
     certify_instance,
     dual_certificate,
     kkt_check,
     rank_reduce,
     solve_sdp_via_reduction,
 )
-from oracles import dual_value_on_grid, sample_feasible_weights
+from fdpareto.channel import ScenarioSpec, generate_scenario
+from fdpareto.pareto import node_problem
+from oracles import (
+    dual_certificate_reference,
+    dual_value_on_grid,
+    sample_feasible_weights,
+)
 
 HAND = dict(h_self=np.array([1.0, 2.0]), h_cross=np.array([1.0, 1.0]))
 
@@ -116,6 +126,40 @@ class TestDualCertificate:
     def test_rejects_negative_primal(self):
         with pytest.raises(ValueError):
             dual_certificate(hand_instance(), primal_value=-1.0)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0),
+       beta_db=st.floats(-80.0, 0.0), p1=st.floats(0.05, 20.0),
+       p2=st.floats(0.05, 20.0), symmetric=st.booleans(),
+       seed=st.integers(0, 2**16), node=st.sampled_from((1, 2)),
+       zero_self=st.integers(0, 7),
+       fracs=st.lists(st.floats(0.0, 1.0), max_size=3))
+def test_closed_form_matches_golden_section(m, gamma_db, beta_db, p1, p2, symmetric,
+                                            seed, node, zero_self, fracs):
+    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
+                                        p1=p1, p2=p2, symmetric=symmetric, seed=seed))
+    prob = node_problem(ch, node, 0.0)
+    h_self = prob.h_self.copy()
+    h_self[:min(zero_self, m - 1)] = 0.0  # singular C: the eps -> 0 limit of s1
+    z_max = prob.z_max
+    edges = [0.0, 1e-300, 1e-9 * z_max, z_max * (1.0 - 1e-9), np.nextafter(z_max, 0.0), z_max]
+    zs = np.array(edges + [f * z_max for f in fracs])
+    curve = certify_curve(h_self, prob.h_cross, prob.p, zs)
+    assert (curve.lambda2 <= 0.0).all()
+    for z, primal, gap, lam1, lam2 in zip(zs, curve.primal, curve.gap,
+                                          curve.lambda1, curve.lambda2):
+        inst = SdpInstance.from_channels(h_self, prob.h_cross, z=float(z), p=prob.p)
+        ref = dual_certificate_reference(inst, float(primal))
+        scale = max(1.0, primal)
+        if z < z_max:
+            # Beside 1e-13 of the primal, allow the rounding of lam1*z + lam2*p:
+            # just below z_max both terms dwarf the primal, and the reference
+            # carries the same rounding in its own dual value.
+            rounding = (m + 4) * np.finfo(np.float64).eps * (lam1 * z - lam2 * prob.p)
+            assert abs(gap) <= abs(ref.gap) + 1e-13 * scale + rounding
+        else:
+            assert abs(gap) <= GAP_TOL_ENDPOINT * scale
 
 
 class TestKktCheck:

@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdpareto.cli import RunConfig, main, preset_config
 from fdpareto.channel import ScenarioSpec
@@ -143,17 +151,13 @@ class TestCertifyCommand:
     def test_gap_failure_exits_2(self, tmp_path, monkeypatch):
         # a certificate that cannot close the gap must trip the nonzero exit
         import fdpareto.cli as cli_mod
-        from fdpareto.certify import Certificate, certify_instance
+        from fdpareto.certify import certify_curve
 
-        def broken(inst):
-            q, sol, cert, report = certify_instance(inst)
-            bad = Certificate(lambda1=cert.lambda1, lambda2=cert.lambda2,
-                              dual_value=cert.dual_value - 1.0,
-                              gap=cert.gap + 1.0,
-                              slack_min_eig=cert.slack_min_eig)
-            return q, sol, bad, report
+        def broken(*args):
+            curve = certify_curve(*args)
+            return replace(curve, dual_value=curve.dual_value - 1.0, gap=curve.gap + 1.0)
 
-        monkeypatch.setattr(cli_mod, "certify_instance", broken)
+        monkeypatch.setattr(cli_mod, "certify_curve", broken)
         cfg = write_config(tmp_path, grid_n=5)
         out = tmp_path / "out"
         assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
@@ -229,7 +233,8 @@ def test_malformed_config_exits_1(tmp_path, capsys, config):
     ("boundary", {"gamma_db": 3000.0}),
     ("certify", {"gamma_db": 3000.0}),
     ("certify", {"p1": 1e300}),
-], ids=["boundary-gamma3000", "certify-gamma3000", "certify-p1-1e300"])
+    ("certify", {"p1": 1e308}),
+], ids=["boundary-gamma3000", "certify-gamma3000", "certify-p1-1e300", "certify-p1-1e308"])
 def test_extreme_finite_config_exits_1(tmp_path, capsys, command, fields):
     # finite values whose filter sums or dual objective leave the float range
     cfg = write_config(tmp_path, scenario=_scenario_with(**fields), grid_n=4)
@@ -257,6 +262,57 @@ def test_extreme_budget_boundary_with_oracle_runs_without_warnings(tmp_path, cap
     assert capsys.readouterr().err == ""
     assert _runtime_warnings(caught) == []
     assert json.loads((out / "oracle.json").read_text())["passed"] is True
+
+
+def test_boundary_with_oracle_at_p1_1e308_runs_without_warnings(tmp_path, capsys):
+    # the leakage sum overflows to inf for node 1; that must stay silent
+    cfg = write_config(tmp_path, scenario=_scenario_with(p1=1e308), grid_n=4,
+                       samples=50, emit=["boundary", "oracle"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["boundary", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert _runtime_warnings(caught) == []
+
+
+def _finite_number(text):
+    value = float(text)  # "1e999" parses to inf
+    if not math.isfinite(value):
+        raise AssertionError(f"non-finite JSON number {text}")
+    return value
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0),
+       beta_db=st.floats(-80.0, 0.0), p1=st.floats(0.01, 100.0),
+       p2=st.floats(0.01, 100.0), sigma2=st.sampled_from((1e-3, 1.0)),
+       symmetric=st.booleans(), seed=st.integers(0, 2**16),
+       grid_n=st.integers(2, 12))
+def test_certify_cli_properties(m, gamma_db, beta_db, p1, p2, sigma2, symmetric,
+                                seed, grid_n):
+    scenario = {"m": m, "gamma_db": gamma_db, "beta_db": beta_db, "p1": p1, "p2": p2,
+                "sigma2": sigma2, "symmetric": symmetric, "seed": seed}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = tmp / "config.json"
+        cfg.write_text(json.dumps({"scenario": scenario, "grid_n": grid_n}))
+        codes, outputs = [], []
+        for run in ("a", "b"):
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("always")
+                codes.append(main(["certify", "--config", str(cfg),
+                                   "--out", str(tmp / run)]))
+            assert _runtime_warnings(caught) == []
+            outputs.append(read_all_bytes(tmp / run))
+    assert codes[0] == codes[1] and codes[0] in (0, 1, 2)
+    assert outputs[0] == outputs[1]
+    if "certificates.json" in outputs[0]:
+        doc = json.loads(outputs[0]["certificates.json"], parse_float=_finite_number,
+                         parse_constant=_finite_number)
+        if codes[0] == 0:
+            assert all(record["gap_ok"] for node in doc["nodes"].values()
+                       for record in node["certificates"])
 
 
 @pytest.mark.parametrize("p1", [1e20, 1e300])
