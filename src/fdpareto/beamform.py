@@ -169,6 +169,11 @@ def _solve(c: np.ndarray, h: np.ndarray, p: float, z_max: float,
         # Low-z condition: the unloaded solution already fits the power budget.
         load = np.full(z.shape, _loading_for_zero_eps(c))
         loaded = _power_at(c, habs2, z, load) > p
+        if not c.any():
+            # C = 0: the filter's power z/||h||^2 does not depend on the
+            # loading, so every z below z_max fits unloaded (leakage 0), even
+            # where that power rounds one ulp above p.
+            loaded &= z == z_max
         # Cauchy-Schwarz leaves a single feasible point at z_max: full-power
         # weights along the cross channel (the eps -> inf limit of the closed form).
         at_max = loaded & (z == z_max)

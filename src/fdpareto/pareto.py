@@ -14,12 +14,23 @@ the Pareto boundary to grid resolution.  G_i is evaluated once per grid value
 (n1 + n2 solves, not n1 * n2), as one array solve per node
 (`beamform.leakage_curve`) over that node's whole z grid.
 
-The rate grid stays in arrays from the formula to the filter: it is
-validated as a whole, the non-dominated cells are selected by an
-O(N log N) array sort (`pareto_indices`), and `RatePoint`s are built for
-the survivors only.  Survivors whose rates, at the 12 significant digits of
-the CSV, are dominated by another survivor's are dropped, so the written
-curve is strictly monotone.
+The rate grid is doubly monotone: G_i is nondecreasing, so along a row
+(z2 rising) r1 rises and r2 falls, and down a column (z1 rising) r1 falls
+and r2 rises.  The filter uses this before it sorts (the maxima problem of
+Kung, Luccio & Preparata, JACM 1975, with the sieve of Bentley, Clarkson &
+Levine, Algorithmica 1993).  The maxima of a strided sub-grid form a
+staircase, and every cell that a staircase point strictly dominates is
+dropped, a block of rows at a time.  The few cells left go through the
+O(N log N) array sort (`pareto_indices`) in index order, so the result is
+exactly that of sorting the whole grid, ties and duplicates included.
+Survivors whose rates, at the 12 significant digits of the CSV, are
+dominated by another survivor's are dropped too, so the written curve is
+strictly monotone.
+
+A `BoundaryCurve` holds its points as arrays.  `RatePoint`s are built only
+at the API edges (`BoundaryCurve(points=...)`, `.points` and
+`equal_rate_point`).  A boundary keeps the CSV text of its rates from the
+filter, so each rate is formatted once.
 
 The module also provides the half-duplex TDMA segment, the equal-rate point,
 and a random-covariance domination oracle that checks no sampled achievable
@@ -33,6 +44,7 @@ distance is found by a bisection along the curve's staircase
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -43,9 +55,15 @@ from .channel import ChannelSet
 from .rates import RatePoint, _check_rates, _rate, rate_pairs, single_link_max
 
 CSV_HEADER = "r1,r2,z1,z2,label"
-_FMT = ".12g"
+# printf-style: the same text as format(v, ".12g"), at two thirds of its cost.
+_FMT = "%.12g"
 # Oracle samples per array pass; bounds its stacks to a few MB at m = 8.
 _ORACLE_BLOCK = 4096
+# Every _SIEVE_STRIDE-th row and column of the rate grid (and the last ones)
+# form the sub-grid whose maxima sieve it; _SIEVE_ROWS rows are sieved per
+# array pass, which bounds the scratch arrays to a few MB.
+_SIEVE_STRIDE = 8
+_SIEVE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -76,17 +94,65 @@ class SweepGrid:
         return np.linspace(0.0, self.z2_max, self.n2)
 
 
-@dataclass(frozen=True)
-class BoundaryCurve:
-    """Pareto-filtered rate points sorted by r1 ascending."""
+def _frozen(values) -> np.ndarray:
+    a = np.array(values, dtype=np.float64)
+    a.flags.writeable = False
+    return a
 
-    points: list[RatePoint]
+
+class BoundaryCurve:
+    """Rate points held as arrays; Pareto curves run r1 ascending.
+
+    `r1`, `r2`, `z1` and `z2` are read-only float64 arrays of one length,
+    with NaN in `z1` or `z2` marking a point that has no sweep coordinate
+    (a TDMA point); `labels` holds each point's label.
+    `BoundaryCurve(points=...)` builds a curve from RatePoints, and
+    `.point(k)` and `.points` give them back.  A curve made by `boundary`
+    also keeps the CSV text of its rates, the strings its filter compared,
+    for `curve_to_csv`.
+    """
+
+    __slots__ = ("r1", "r2", "z1", "z2", "labels", "_rate_text")
+
+    def __init__(self, points: Iterable[RatePoint] = ()):
+        points = list(points)
+        nan = float("nan")
+        self._set([p.r1 for p in points], [p.r2 for p in points],
+                  [nan if p.z1 is None else p.z1 for p in points],
+                  [nan if p.z2 is None else p.z2 for p in points],
+                  tuple(p.label for p in points))
+
+    @classmethod
+    def _of(cls, r1, r2, z1, z2, labels: tuple[str, ...],
+            rate_text: tuple[list[str], list[str]] | None = None) -> "BoundaryCurve":
+        curve = cls.__new__(cls)
+        curve._set(r1, r2, z1, z2, labels, rate_text)
+        return curve
+
+    def _set(self, r1, r2, z1, z2, labels, rate_text=None) -> None:
+        self.r1, self.r2, self.z1, self.z2 = (_frozen(v) for v in (r1, r2, z1, z2))
+        self.labels = labels
+        self._rate_text = rate_text
+
+    def __len__(self) -> int:
+        return self.r1.size
+
+    def point(self, k: int) -> RatePoint:
+        """Point k as a RatePoint, with None where z is NaN."""
+        z1, z2 = float(self.z1[k]), float(self.z2[k])
+        return RatePoint(r1=float(self.r1[k]), r2=float(self.r2[k]),
+                         z1=None if z1 != z1 else z1, z2=None if z2 != z2 else z2,
+                         label=self.labels[k])
+
+    @property
+    def points(self) -> list[RatePoint]:
+        return [self.point(k) for k in range(len(self))]
 
     def r1_array(self) -> np.ndarray:
-        return np.array([p.r1 for p in self.points])
+        return self.r1
 
     def r2_array(self) -> np.ndarray:
-        return np.array([p.r2 for p in self.points])
+        return self.r2
 
 
 def node_problem(ch: ChannelSet, node: int, z: float) -> DecoupledProblem:
@@ -115,6 +181,45 @@ def pareto_indices(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return order[s2 > best_before][::-1]
 
 
+def grid_pareto_indices(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """`pareto_indices(r1.ravel(), r2.ravel())` of a doubly monotone rate grid.
+
+    r1 and r2 are (n1, n2) grids with r1 nondecreasing and r2 nonincreasing
+    along each row, and the reverse down each column.  The maxima of the
+    sub-grid of every `_SIEVE_STRIDE`-th row and column (and the last) form
+    a staircase, r1 strictly ascending and r2 strictly descending.  For a
+    cell (a, b), the first staircase point (s1, s2) with s1 >= a has the
+    largest s2 of all those that could dominate it, so the cell is strictly
+    dominated exactly when s2 >= b and (s2 > b or s1 > a).  Those cells are
+    dropped, `_SIEVE_ROWS` rows at a time; an exact duplicate of a staircase
+    point is kept.  A strictly dominated cell is never maximal, and its
+    dominator sorts before it, so dropping it changes no other cell's
+    verdict; the stable sort of what is left, in index order, returns the
+    same indices as the sort of the whole grid.
+    """
+    n1, n2 = r1.shape
+    rows = np.append(np.arange(0, n1 - 1, _SIEVE_STRIDE), n1 - 1)
+    cols = np.append(np.arange(0, n2 - 1, _SIEVE_STRIDE), n2 - 1)
+    sub1 = r1[np.ix_(rows, cols)].ravel()
+    sub2 = r2[np.ix_(rows, cols)].ravel()
+    stair = pareto_indices(sub1, sub2)
+    s1 = sub1[stair]
+    # One point past the staircase's end, which dominates nothing.
+    s1_at = np.append(s1, -np.inf)
+    s2_at = np.append(sub2[stair], -np.inf)
+
+    candidates = []
+    for start in range(0, n1, _SIEVE_ROWS):
+        a = r1[start:start + _SIEVE_ROWS].ravel()
+        b = r2[start:start + _SIEVE_ROWS].ravel()
+        k = np.searchsorted(s1, a)
+        top = s2_at[k]
+        dominated = (top >= b) & ((top > b) | (s1_at[k] > a))
+        candidates.append(np.flatnonzero(~dominated) + start * n2)
+    kept = np.concatenate(candidates)
+    return kept[pareto_indices(r1.ravel()[kept], r2.ravel()[kept])]
+
+
 def pareto_filter(points: list[RatePoint]) -> list[RatePoint]:
     """Maximal subset under componentwise domination, r1 ascending.
 
@@ -128,9 +233,10 @@ def pareto_filter(points: list[RatePoint]) -> list[RatePoint]:
     return [points[k] for k in pareto_indices(r1, r2)]
 
 
-def _as_written(x: np.ndarray) -> np.ndarray:
-    """The values as `curve_to_csv` writes and `curve_from_csv` reads them."""
-    return np.array([float(format(v, _FMT)) for v in x.tolist()])
+def _as_written(x: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The CSV text of each value, and the values `curve_from_csv` reads back."""
+    text = [_FMT % v for v in x.tolist()]
+    return text, np.array([float(s) for s in text])
 
 
 def boundary(ch: ChannelSet, grid: SweepGrid) -> BoundaryCurve:
@@ -145,19 +251,19 @@ def boundary(ch: ChannelSet, grid: SweepGrid) -> BoundaryCurve:
     r1 = _rate(z2s[None, :], leak1[:, None], sigma2, beta)
     r2 = _rate(z1s[:, None], leak2[None, :], sigma2, beta)
     _check_rates(r1, r2)
-    keep = pareto_indices(r1.ravel(), r2.ravel())
+    keep = grid_pareto_indices(r1, r2)
+    r1, r2 = r1.ravel()[keep], r2.ravel()[keep]
     # Along a flat stretch of the boundary, neighbouring maximal points can
     # differ only below the digits the CSV keeps; filter once more on the
     # rates as written, so the file stays strictly monotone.
-    keep = keep[pareto_indices(_as_written(r1.ravel()[keep]),
-                               _as_written(r2.ravel()[keep]))]
-    rows, cols = np.divmod(keep, grid.n2)
-    points = [
-        RatePoint(r1=a, r2=b, z1=z1, z2=z2, label="optimal")
-        for a, b, z1, z2 in zip(r1.ravel()[keep].tolist(), r2.ravel()[keep].tolist(),
-                                z1s[rows].tolist(), z2s[cols].tolist())
-    ]
-    return BoundaryCurve(points=points)
+    text1, written1 = _as_written(r1)
+    text2, written2 = _as_written(r2)
+    final = pareto_indices(written1, written2)
+    rows, cols = np.divmod(keep[final], grid.n2)
+    at = final.tolist()
+    return BoundaryCurve._of(r1[final], r2[final], z1s[rows], z2s[cols],
+                             ("optimal",) * len(at),
+                             ([text1[k] for k in at], [text2[k] for k in at]))
 
 
 def tdma_boundary(ch: ChannelSet, n: int) -> BoundaryCurve:
@@ -172,9 +278,9 @@ def tdma_boundary(ch: ChannelSet, n: int) -> BoundaryCurve:
     r1_max = single_link_max(ch, 1)
     r2_max = single_link_max(ch, 2)
     ts = np.linspace(0.0, 1.0, n)
-    points = [RatePoint(r1=float(t * r1_max), r2=float((1.0 - t) * r2_max),
-                        label="tdma") for t in ts]
-    return BoundaryCurve(points=points)
+    no_z = np.full(n, np.nan)
+    return BoundaryCurve._of(ts * r1_max, (1.0 - ts) * r2_max, no_z, no_z,
+                             ("tdma",) * n)
 
 
 def equal_rate_point(curve: BoundaryCurve) -> RatePoint:
@@ -183,36 +289,38 @@ def equal_rate_point(curve: BoundaryCurve) -> RatePoint:
     Linear interpolation between the bracketing points; when the curve does
     not cross the diagonal, the point maximizing min(r1, r2).
     """
-    pts = curve.points
-    if not pts:
+    n = len(curve)
+    if n == 0:
         raise ValueError("empty curve")
-    diffs = [p.r1 - p.r2 for p in pts]
-    for k in range(len(pts) - 1):
-        d0, d1 = diffs[k], diffs[k + 1]
-        if d0 == 0.0:
-            return pts[k]
-        if d0 < 0.0 <= d1:
-            t = d0 / (d0 - d1)
-            a, b = pts[k], pts[k + 1]
-            z1 = a.z1 + t * (b.z1 - a.z1) if a.z1 is not None and b.z1 is not None else None
-            z2 = a.z2 + t * (b.z2 - a.z2) if a.z2 is not None and b.z2 is not None else None
-            return RatePoint(r1=a.r1 + t * (b.r1 - a.r1),
-                             r2=a.r2 + t * (b.r2 - a.r2),
-                             z1=z1, z2=z2, label=pts[k].label)
+    diffs = curve.r1 - curve.r2
+    # the first k that lies on the diagonal or starts a crossing
+    d0, d1 = diffs[:-1], diffs[1:]
+    hits = np.flatnonzero((d0 == 0.0) | ((d0 < 0.0) & (0.0 <= d1)))
+    if hits.size:
+        k = int(hits[0])
+        if diffs[k] == 0.0:
+            return curve.point(k)
+        d0, d1 = float(diffs[k]), float(diffs[k + 1])
+        t = d0 / (d0 - d1)
+        a, b = curve.point(k), curve.point(k + 1)
+        z1 = a.z1 + t * (b.z1 - a.z1) if a.z1 is not None and b.z1 is not None else None
+        z2 = a.z2 + t * (b.z2 - a.z2) if a.z2 is not None and b.z2 is not None else None
+        return RatePoint(r1=a.r1 + t * (b.r1 - a.r1), r2=a.r2 + t * (b.r2 - a.r2),
+                         z1=z1, z2=z2, label=a.label)
     if diffs[-1] == 0.0:
-        return pts[-1]
-    return max(pts, key=lambda p: min(p.r1, p.r2))
+        return curve.point(n - 1)
+    return curve.point(int(np.argmax(np.minimum(curve.r1, curve.r2))))
 
 
 def interpolated_r2(curve: BoundaryCurve, r1: np.ndarray | float) -> np.ndarray | float:
     """Piecewise-linear r2 of the curve at given r1 (clamped at the ends)."""
-    return np.interp(r1, curve.r1_array(), curve.r2_array())
+    return np.interp(r1, curve.r1, curve.r2)
 
 
 def interpolated_r1(curve: BoundaryCurve, r2: np.ndarray | float) -> np.ndarray | float:
     """Piecewise-linear r1 of the curve at given r2 (clamped at the ends)."""
     # r2 decreases along the curve; np.interp needs ascending abscissae
-    return np.interp(r2, curve.r2_array()[::-1], curve.r1_array()[::-1])
+    return np.interp(r2, curve.r2[::-1], curve.r1[::-1])
 
 
 def grid_slack(curve: BoundaryCurve) -> tuple[float, float]:
@@ -221,12 +329,10 @@ def grid_slack(curve: BoundaryCurve) -> tuple[float, float]:
     A finite sweep can miss the true boundary by up to the local spacing;
     containment and domination checks widen their tolerance by this much.
     """
-    r1 = curve.r1_array()
-    r2 = curve.r2_array()
-    if r1.size < 2:
+    if len(curve) < 2:
         return 0.0, 0.0
-    return (float(np.max(np.abs(np.diff(r1)))) / 2.0,
-            float(np.max(np.abs(np.diff(r2)))) / 2.0)
+    return (float(np.max(np.abs(np.diff(curve.r1)))) / 2.0,
+            float(np.max(np.abs(np.diff(curve.r2)))) / 2.0)
 
 
 def curve_dominates(upper: BoundaryCurve, lower: BoundaryCurve,
@@ -239,13 +345,11 @@ def curve_dominates(upper: BoundaryCurve, lower: BoundaryCurve,
     s1_u, s2_u = grid_slack(upper)
     s1_l, s2_l = grid_slack(lower)
     tol = slack + s2_u + s2_l
-    r1_l = lower.r1_array()
-    r2_l = lower.r2_array()
     # beyond upper's r1 reach, only the r1 slack can excuse the overhang
-    r1_reach = upper.r1_array()[-1] + s1_u + s1_l + slack
-    if np.any(r1_l > r1_reach):
+    r1_reach = upper.r1[-1] + s1_u + s1_l + slack
+    if np.any(lower.r1 > r1_reach):
         return False
-    return bool(np.all(interpolated_r2(upper, r1_l) >= r2_l - tol))
+    return bool(np.all(interpolated_r2(upper, lower.r1) >= lower.r2 - tol))
 
 
 @dataclass(frozen=True)
@@ -346,8 +450,8 @@ def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     slack1, slack2 = grid_slack(curve)
-    c1 = curve.r1_array() + slack1
-    c2 = curve.r2_array() + slack2
+    c1 = curve.r1 + slack1
+    c2 = curve.r2 + slack2
 
     max_violation = -np.inf
     violations = 0
@@ -363,30 +467,42 @@ def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
                         violations=violations)
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else format(x, _FMT)
+def _texts(x: np.ndarray) -> list[str]:
+    """The CSV field of each value: its `.12g` text, or "" for NaN (no z).
+
+    Each distinct value (by bit pattern, so -0.0 keeps its sign) is
+    formatted once; a curve's z values repeat along its grid rows and
+    columns.
+    """
+    distinct, at = np.unique(x.view(np.int64), return_inverse=True)
+    texts = ["" if v != v else _FMT % v for v in distinct.view(np.float64).tolist()]
+    return [texts[k] for k in at.tolist()]
 
 
 def curve_to_csv(curve: BoundaryCurve) -> str:
     """Render a curve as CSV with 12-significant-digit fields."""
-    lines = [CSV_HEADER]
-    for p in curve.points:
-        lines.append(",".join([_fmt(p.r1), _fmt(p.r2), _fmt(p.z1), _fmt(p.z2),
-                               p.label]))
-    return "\n".join(lines) + "\n"
+    if curve._rate_text is not None:
+        text1, text2 = curve._rate_text
+    else:
+        text1, text2 = _texts(curve.r1), _texts(curve.r2)
+    rows = map(",".join, zip(text1, text2, _texts(curve.z1), _texts(curve.z2),
+                             curve.labels))
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def curve_from_csv(text: str) -> BoundaryCurve:
-    """Parse a curve written by curve_to_csv."""
+    """Parse a curve written by curve_to_csv; an empty z field reads as NaN."""
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"expected header {CSV_HEADER!r}")
-    points = []
-    for ln in lines[1:]:
-        r1, r2, z1, z2, label = ln.split(",")
-        points.append(RatePoint(r1=float(r1), r2=float(r2),
-                                z1=float(z1) if z1 else None,
-                                z2=float(z2) if z2 else None,
-                                label=label))
-    return BoundaryCurve(points=points)
-
+    fields = [ln.split(",") for ln in lines[1:]]
+    for row in fields:
+        if len(row) != 5:
+            raise ValueError(f"expected 5 fields, got {len(row)}: {','.join(row)!r}")
+    r1, r2, z1, z2, labels = zip(*fields) if fields else ((),) * 5
+    r1 = np.array([float(v) for v in r1], dtype=np.float64)
+    r2 = np.array([float(v) for v in r2], dtype=np.float64)
+    _check_rates(r1, r2)
+    nan = float("nan")
+    return BoundaryCurve._of(r1, r2, [float(v) if v else nan for v in z1],
+                             [float(v) if v else nan for v in z2], labels)

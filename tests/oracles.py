@@ -5,7 +5,8 @@ drawn by direct sampling, and the dual value is maximized on a dense 1-D
 grid with numpy's LAPACK eigensolver.  The scalar references for array
 kernels (`optimal_weights_reference`, `sweep_rate_point`,
 `pareto_filter_reference`, `rate_pair_reference`,
-`domination_oracle_reference`, `escape_distances_reference`) evaluate one
+`domination_oracle_reference`, `escape_distances_reference`,
+`curve_to_csv_reference`, `equal_rate_point_reference`) evaluate one
 point at a time, and `dual_certificate_reference` maximizes the dual
 numerically where the package uses its closed form.
 """
@@ -27,7 +28,7 @@ from fdpareto.beamform import (
 from fdpareto.certify import Certificate, dual_value_at
 from fdpareto.channel import self_leakage
 from fdpareto.errors import InfeasibleError, NumericalError
-from fdpareto.pareto import OracleReport, grid_slack, node_problem
+from fdpareto.pareto import CSV_HEADER, OracleReport, grid_slack, node_problem
 from fdpareto.rates import RatePoint, _rate, _validate_covariance
 
 
@@ -171,6 +172,48 @@ def pareto_filter_reference(points):
     return kept
 
 
+def _fmt(x):
+    return "" if x is None else format(x, ".12g")
+
+
+def curve_to_csv_reference(points):
+    """RatePoint-list CSV renderer, kept as the reference for `curve_to_csv`.
+
+    Every field is formatted per point, in order.
+    """
+    lines = [CSV_HEADER]
+    for p in points:
+        lines.append(",".join([_fmt(p.r1), _fmt(p.r2), _fmt(p.z1), _fmt(p.z2),
+                               p.label]))
+    return "\n".join(lines) + "\n"
+
+
+def equal_rate_point_reference(points):
+    """RatePoint-list equal-rate point, the reference for `equal_rate_point`.
+
+    Linear interpolation between the first bracketing pair of points; when
+    the curve does not cross the diagonal, the point maximizing min(r1, r2).
+    """
+    if not points:
+        raise ValueError("empty curve")
+    diffs = [p.r1 - p.r2 for p in points]
+    for k in range(len(points) - 1):
+        d0, d1 = diffs[k], diffs[k + 1]
+        if d0 == 0.0:
+            return points[k]
+        if d0 < 0.0 <= d1:
+            t = d0 / (d0 - d1)
+            a, b = points[k], points[k + 1]
+            z1 = a.z1 + t * (b.z1 - a.z1) if a.z1 is not None and b.z1 is not None else None
+            z2 = a.z2 + t * (b.z2 - a.z2) if a.z2 is not None and b.z2 is not None else None
+            return RatePoint(r1=a.r1 + t * (b.r1 - a.r1),
+                             r2=a.r2 + t * (b.r2 - a.r2),
+                             z1=z1, z2=z2, label=points[k].label)
+    if diffs[-1] == 0.0:
+        return points[-1]
+    return max(points, key=lambda p: min(p.r1, p.r2))
+
+
 def sweep_rate_point(ch, z1, z2):
     """Rate pair on the sweep surface at (z1, z2), one scalar cell.
 
@@ -234,8 +277,10 @@ def optimal_weights_reference(prob):
         return np.sqrt(z) * (h / (c + load)) / s1
 
     # Low-z condition: the unloaded solution already fits the power budget.
+    # With C = 0 the power z/||h||^2 does not depend on the loading: every
+    # z below z_max fits unloaded, even where it rounds one ulp above p.
     delta = _loading_for_zero_eps(c)
-    if power_at(delta) <= p:
+    if power_at(delta) <= p or (not c.any() and z < z_max):
         epsilon = 0.0
         w = weights_at(delta)
     elif z == z_max:

@@ -183,7 +183,7 @@ def _bits(a):
        beta_db=st.floats(-80.0, 0.0), p1=st.floats(0.05, 20.0),
        p2=st.floats(0.05, 20.0), symmetric=st.booleans(),
        seed=st.integers(0, 2**16), node=st.sampled_from((1, 2)),
-       zero_self=st.integers(0, 7),
+       zero_self=st.integers(0, 8),
        fracs=st.lists(st.floats(0.0, 1.0), max_size=12))
 def test_array_kernel_matches_scalar_reference(m, gamma_db, beta_db, p1, p2,
                                                symmetric, seed, node, zero_self,
@@ -195,7 +195,7 @@ def test_array_kernel_matches_scalar_reference(m, gamma_db, beta_db, p1, p2,
                                         seed=seed))
     prob = node_problem(ch, node, 0.0)
     h_self = prob.h_self.copy()
-    h_self[:min(zero_self, m - 1)] = 0.0  # singular C: the regularized eps=0 path
+    h_self[:zero_self] = 0.0  # singular C, or C = 0: the regularized eps=0 path
     z_max = prob.z_max
     bound = low_z_condition_bound(h_self, prob.h_cross, prob.p)
     edges = [0.0, z_max, np.nextafter(z_max, 0.0), bound,
@@ -260,11 +260,18 @@ class TestLeakageCurve:
         assert _bits(leakage_curve(h_self, h_cross, 1.0, zs)) == _bits(np.array([
             min_leakage_reference(DecoupledProblem(h_self, h_cross, 1.0, z))
             for z in zs]))
-        # one ulp below z_max the unloaded power rounds above p, and the
-        # loading search drives s1 = ||h||^2 / eps past the float range: the
-        # kernel raises where the scalar search bisects on NaN powers
-        with pytest.raises(NumericalError, match="not finite"):
-            leakage_curve(h_self, h_cross, 1.0, [np.nextafter(z_max, 0.0)])
+        # the power z/||h||^2 does not depend on the loading, so one ulp below
+        # z_max is unloaded too, even where that power rounds above p
+        assert leakage_curve(h_self, h_cross, 1.0, [np.nextafter(z_max, 0.0)]).tolist() == [0.0]
+
+    def test_zero_self_channel_one_ulp_below_z_max(self):
+        # node 1 of m = 2, gamma 0 dB, seed 1: there too the unloaded power
+        # rounds one ulp above p, where no loading can lower it
+        h_cross = node_problem(generate_scenario(
+            ScenarioSpec(m=2, gamma_db=0.0, beta_db=-40.0, seed=1)), 1, 0.0).h_cross
+        z_max = DecoupledProblem(np.zeros(2), h_cross, 1.0, 0.0).z_max
+        assert leakage_curve(np.zeros(2), h_cross, 1.0,
+                             [np.nextafter(z_max, 0.0)]).tolist() == [0.0]
 
     def test_non_finite_power_raises_without_warning(self):
         # |h_self|^2 = 1e300: s1^2 underflows to 0 and the power is not finite

@@ -133,7 +133,7 @@ class TestDualCertificate:
        beta_db=st.floats(-80.0, 0.0), p1=st.floats(0.05, 20.0),
        p2=st.floats(0.05, 20.0), symmetric=st.booleans(),
        seed=st.integers(0, 2**16), node=st.sampled_from((1, 2)),
-       zero_self=st.integers(0, 7),
+       zero_self=st.integers(0, 8),
        fracs=st.lists(st.floats(0.0, 1.0), max_size=3))
 def test_closed_form_matches_golden_section(m, gamma_db, beta_db, p1, p2, symmetric,
                                             seed, node, zero_self, fracs):
@@ -141,7 +141,7 @@ def test_closed_form_matches_golden_section(m, gamma_db, beta_db, p1, p2, symmet
                                         p1=p1, p2=p2, symmetric=symmetric, seed=seed))
     prob = node_problem(ch, node, 0.0)
     h_self = prob.h_self.copy()
-    h_self[:min(zero_self, m - 1)] = 0.0  # singular C: the eps -> 0 limit of s1
+    h_self[:zero_self] = 0.0  # singular C, or C = 0: the eps -> 0 limit of s1
     z_max = prob.z_max
     edges = [0.0, 1e-300, 1e-9 * z_max, z_max * (1.0 - 1e-9), np.nextafter(z_max, 0.0), z_max]
     zs = np.array(edges + [f * z_max for f in fracs])

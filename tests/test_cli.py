@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdpareto.cli import RunConfig, main, preset_config
@@ -282,37 +282,88 @@ def _finite_number(text):
     return value
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0),
-       beta_db=st.floats(-80.0, 0.0), p1=st.floats(0.01, 100.0),
-       p2=st.floats(0.01, 100.0), sigma2=st.sampled_from((1e-3, 1.0)),
-       symmetric=st.booleans(), seed=st.integers(0, 2**16),
-       grid_n=st.integers(2, 12))
-def test_certify_cli_properties(m, gamma_db, beta_db, p1, p2, sigma2, symmetric,
-                                seed, grid_n):
-    scenario = {"m": m, "gamma_db": gamma_db, "beta_db": beta_db, "p1": p1, "p2": p2,
-                "sigma2": sigma2, "symmetric": symmetric, "seed": seed}
+def _run_twice(command, config):
+    """Exit codes and written bytes of two in-process runs, checking warnings."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         cfg = tmp / "config.json"
-        cfg.write_text(json.dumps({"scenario": scenario, "grid_n": grid_n}))
+        cfg.write_text(json.dumps(config))
         codes, outputs = [], []
         for run in ("a", "b"):
             with warnings.catch_warnings(record=True) as caught, \
                     contextlib.redirect_stderr(io.StringIO()):
                 warnings.simplefilter("always")
-                codes.append(main(["certify", "--config", str(cfg),
-                                   "--out", str(tmp / run)]))
+                codes.append(main([command, "--config", str(cfg), "--out", str(tmp / run)]))
             assert _runtime_warnings(caught) == []
-            outputs.append(read_all_bytes(tmp / run))
+            outputs.append(read_all_bytes(tmp / run) if (tmp / run).is_dir() else {})
     assert codes[0] == codes[1] and codes[0] in (0, 1, 2)
     assert outputs[0] == outputs[1]
-    if "certificates.json" in outputs[0]:
-        doc = json.loads(outputs[0]["certificates.json"], parse_float=_finite_number,
-                         parse_constant=_finite_number)
-        if codes[0] == 0:
-            assert all(record["gap_ok"] for node in doc["nodes"].values()
-                       for record in node["certificates"])
+    return codes[0], outputs[0]
+
+
+def _json_docs(outputs):
+    """Every JSON artefact, parsed with each number required to be finite."""
+    return {name: json.loads(data, parse_float=_finite_number,
+                             parse_constant=_finite_number)
+            for name, data in outputs.items() if name.endswith(".json")}
+
+
+def _assert_strictly_monotone(text):
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    r1 = [float(row[0]) for row in rows]
+    r2 = [float(row[1]) for row in rows]
+    assert rows and all(b > a for a, b in zip(r1, r1[1:]))
+    assert all(b < a for a, b in zip(r2, r2[1:]))
+
+
+# The north-star config space at CLI-test sizes.
+_scenarios = st.fixed_dictionaries({
+    "m": st.integers(1, 8), "gamma_db": st.floats(0.0, 120.0),
+    "beta_db": st.floats(-80.0, 0.0), "p1": st.floats(0.01, 100.0),
+    "p2": st.floats(0.01, 100.0), "sigma2": st.sampled_from((1e-3, 1.0)),
+    "symmetric": st.booleans(), "seed": st.integers(0, 2**16)})
+_grid_n = st.integers(2, 12)
+
+
+def _m1_scenario(gamma_db, p1):
+    return {"m": 1, "gamma_db": gamma_db, "beta_db": -40.0, "p1": p1, "p2": 100.0,
+            "sigma2": 1e-3, "symmetric": True, "seed": 0}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(scenario=_scenarios, grid_n=_grid_n)
+def test_certify_cli_properties(scenario, grid_n):
+    code, outputs = _run_twice("certify", {"scenario": scenario, "grid_n": grid_n})
+    docs = _json_docs(outputs)
+    if code == 0:
+        assert all(record["gap_ok"] for node in docs["certificates.json"]["nodes"].values()
+                   for record in node["certificates"])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(scenario=_scenarios, grid_n=_grid_n, samples=st.integers(1, 50))
+# m = 1 configs whose oracle.json says passed: false at exit 0, a false
+# alarm of the coarse grid
+@example(scenario=_m1_scenario(0.0, p1=0.01), grid_n=5, samples=50)
+@example(scenario=_m1_scenario(20.0, p1=1.0), grid_n=12, samples=50)
+def test_boundary_cli_properties(scenario, grid_n, samples):
+    code, outputs = _run_twice("boundary", {"scenario": scenario, "grid_n": grid_n,
+                                            "samples": samples, "emit": ["oracle"]})
+    docs = _json_docs(outputs)
+    if code == 0:
+        assert docs["oracle.json"]["samples"] == samples
+        for name in ("boundary.csv", "tdma.csv"):
+            _assert_strictly_monotone(outputs[name].decode())
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(scenario=_scenarios, grid_n=_grid_n)
+def test_compare_zf_cli_properties(scenario, grid_n):
+    code, outputs = _run_twice("compare-zf", {"scenario": scenario, "grid_n": grid_n})
+    docs = _json_docs(outputs)
+    if code == 0:
+        doc = docs["zf_comparison.json"]
+        assert ("rate_gap" in doc) != ("zf_error" in doc)
 
 
 @pytest.mark.parametrize("p1", [1e20, 1e300])

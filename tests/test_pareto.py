@@ -19,14 +19,18 @@ from fdpareto.pareto import (
     domination_oracle,
     equal_rate_point,
     escape_distances,
+    grid_pareto_indices,
     grid_slack,
     pareto_filter,
+    pareto_indices,
     tdma_boundary,
 )
 
 import oracles
 from oracles import (
+    curve_to_csv_reference,
     domination_oracle_reference,
+    equal_rate_point_reference,
     escape_distances_reference,
     pareto_filter_reference,
     sampled_rates_reference,
@@ -121,6 +125,58 @@ def test_pareto_filter_matches_reference(pairs):
     ref = pareto_filter_reference(points)
     assert len(out) == len(ref)
     assert all(a is b for a, b in zip(out, ref))
+
+
+def _doubly_monotone_grid(rng, n1, n2, levels, signed_zeros):
+    """Random (r1, r2) grids ordered like a rate grid, with heavy ties.
+
+    r1 is nondecreasing along rows and nonincreasing down columns, r2 the
+    reverse; running maxima of draws from a few levels leave long constant
+    stretches, constant rows and columns and exact duplicate cells.
+    """
+    def ordered(along_rows_up):
+        m = rng.integers(0, levels, size=(n1, n2)).astype(float) / 2.0
+        if along_rows_up:  # rows rise, columns fall
+            m = np.maximum.accumulate(m, axis=1)
+            return np.maximum.accumulate(m[::-1], axis=0)[::-1]
+        m = np.maximum.accumulate(m[:, ::-1], axis=1)[:, ::-1]
+        return np.maximum.accumulate(m, axis=0)
+
+    r1, r2 = ordered(True), ordered(False)
+    if signed_zeros:  # -0.0 equals 0.0, so the order is kept
+        for r in (r1, r2):
+            r[(r == 0.0) & (rng.random(r.shape) < 0.5)] = -0.0
+    return np.ascontiguousarray(r1), np.ascontiguousarray(r2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n1=st.one_of(st.integers(2, 20), st.integers(2, 150)),
+       n2=st.one_of(st.integers(2, 20), st.integers(2, 150)),
+       levels=st.sampled_from((1, 2, 3, 5, 50, 10**6)),
+       signed_zeros=st.booleans(), monotone=st.booleans(),
+       block_rows=st.sampled_from((1, 3, 64)), seed=st.integers(0, 2**32 - 1))
+def test_sieve_matches_full_sort(n1, n2, levels, signed_zeros, monotone, block_rows,
+                                 seed):
+    # grids smaller than the stride, sizes off its multiples, one or many
+    # row blocks; the sieve is exact on any grid, monotone or not
+    rng = np.random.default_rng(seed)
+    if monotone:
+        r1, r2 = _doubly_monotone_grid(rng, n1, n2, levels, signed_zeros)
+    else:
+        r1, r2 = (rng.integers(0, levels, size=(n1, n2)) / 2.0 for _ in range(2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pareto, "_SIEVE_ROWS", block_rows)
+        got = grid_pareto_indices(r1, r2)
+    assert np.array_equal(got, pareto_indices(r1.ravel(), r2.ravel()))
+
+
+@pytest.mark.parametrize("r1, r2", [
+    (np.zeros((3, 2)), np.zeros((3, 2))),  # every cell a duplicate of the first
+    (np.array([[0.0, -0.0], [-0.0, 0.0]]), np.array([[-0.0, 0.0], [0.0, -0.0]])),
+    (np.tile([0.0, 1.0, 1.0, 2.0], (9, 1)), np.tile([[3.0], [3.0], [4.0]], (3, 4))),
+], ids=["constant", "signed-zeros", "constant-rows-and-columns"])
+def test_sieve_keeps_first_duplicate(r1, r2):
+    assert np.array_equal(grid_pareto_indices(r1, r2), pareto_indices(r1.ravel(), r2.ravel()))
 
 
 class TestBoundary:
@@ -266,6 +322,48 @@ def test_written_curve_stays_strictly_monotone():
     ref = reference_boundary_points(ch, grid)
     assert set(curve.points) < set(ref)
     assert curve.points[0] == ref[0] and curve.points[-1].r1 == ref[-1].r1
+
+
+@pytest.mark.parametrize("make_channel, n1, n2", [
+    (lambda: scenario(m=1), 60, 60),
+    (lambda: scenario(m=3, p1=1.0, p2=4.0, symmetric=False), 47, 71),
+    (lambda: ideal_frontend(scenario()), 41, 41),
+    (_fig4_channel, 200, 200),
+], ids=["m1", "m3-asymmetric", "ideal-frontend", "fig4"])
+def test_csv_equals_point_list_renderer(make_channel, n1, n2):
+    # the rate text kept from the filter renders as each point formatted anew
+    ch = make_channel()
+    curve = boundary(ch, SweepGrid.for_channel(ch, n1, n2))
+    assert curve_to_csv(curve) == curve_to_csv_reference(curve.points)
+    seg = tdma_boundary(ch, n1)
+    assert curve_to_csv(seg) == curve_to_csv_reference(seg.points)
+    assert equal_rate_point(curve) == equal_rate_point_reference(curve.points)
+    assert equal_rate_point(seg) == equal_rate_point_reference(seg.points)
+
+
+_coordinate = st.one_of(st.none(), st.floats(0.0, 5.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rates=st.lists(st.tuples(st.sampled_from((0.0, 0.5, 1.0, 2.0)) | st.floats(0.0, 3.0),
+                                st.sampled_from((0.0, 0.5, 1.0, 2.0)) | st.floats(0.0, 3.0)),
+                      min_size=1, max_size=12),
+       zs=st.lists(st.tuples(_coordinate, _coordinate), min_size=12, max_size=12),
+       staircase=st.booleans())
+@example(rates=[(0.0, 2.0), (2.0, 0.0)], zs=[(0.0, 1.0), (1.0, 0.0)] + [(None, None)] * 10,
+         staircase=True)  # crosses between two points
+@example(rates=[(0.1, 3.0), (0.2, 2.5)], zs=[(None, None)] * 12, staircase=True)  # above
+@example(rates=[(1.5, 0.5), (2.0, 0.2)], zs=[(None, None)] * 12, staircase=True)  # below
+@example(rates=[(0.0, 2.0), (1.0, 1.0)], zs=[(None, 1.0)] * 12, staircase=True)  # ends on it
+def test_equal_rate_point_matches_point_list(rates, zs, staircase):
+    # crossing the diagonal, touching it, or staying off it on either side
+    if staircase:
+        rates = list(zip(sorted(a for a, _ in rates), sorted((b for _, b in rates),
+                                                             reverse=True)))
+    points = [RatePoint(r1=a, r2=b, z1=z1, z2=z2, label=f"p{k}")
+              for k, ((a, b), (z1, z2)) in enumerate(zip(rates, zs))]
+    assert equal_rate_point(BoundaryCurve(points=points)) == \
+        equal_rate_point_reference(points)
 
 
 class TestTdmaBoundary:
@@ -433,6 +531,19 @@ class TestCsvRoundTrip:
         text = curve_to_csv(seg)
         parsed = curve_from_csv(text)
         assert parsed.points[0].z1 is None
+        assert curve_to_csv(parsed) == text
+
+    def test_empty_z_fields_roundtrip(self):
+        # empty z fields read as NaN and write back empty, beside filled ones
+        points = [RatePoint(r1=0.0, r2=2.0, z1=None, z2=0.5, label="a"),
+                  RatePoint(r1=1.0, r2=1.0, z1=-0.0, z2=None, label="b"),
+                  RatePoint(r1=2.0, r2=0.0, label="tdma")]
+        text = curve_to_csv(BoundaryCurve(points=points))
+        assert text == curve_to_csv_reference(points)
+        assert text.splitlines()[1:] == ["0,2,,0.5,a", "1,1,-0,,b", "2,0,,,tdma"]
+        parsed = curve_from_csv(text)
+        assert np.isnan(parsed.z1[[0, 2]]).all() and np.isnan(parsed.z2[1:]).all()
+        assert parsed.points == points
         assert curve_to_csv(parsed) == text
 
     def test_header_enforced(self):
