@@ -52,7 +52,11 @@ CASES = {
     "preset_fig4": (["boundary", "--preset", "fig4"], _config(3)),
     "preset_fig6": (["boundary", "--preset", "fig6"], _config(3)),
     "compare_zf_m3": (["compare-zf"], _config(3)),
+    "certify_m1": (["certify"], _config(1)),
     "certify_m3": (["certify"], _config(3)),
+    "certify_m8_asym": (["certify"],
+                        _config(8, gamma_db=90.0, beta_db=-60.0, p1=2.0, p2=0.5,
+                                symmetric=False, seed=11)),
 }
 
 
