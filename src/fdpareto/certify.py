@@ -53,7 +53,7 @@ from .errors import NumericalError, OptimalityError
 
 # The finite loading, in units of max(1, max c), that certifies the MRT point.
 _MRT_LOADING = 2.0**27
-_KKT_TOL = 1e-7
+KKT_TOL = 1e-7
 # Gap gates: Slater holds strictly inside the z range, so the certificate is
 # sharp there; at the range endpoints conditioning degrades and the gate is
 # relaxed one order.
@@ -134,16 +134,12 @@ class KktReport:
     q_min_eigenvalue: float
     slack_min_eigenvalue: float
     complementarity_residual: float
-    tol: float = _KKT_TOL
+    tol: float = KKT_TOL
 
     def checks(self) -> dict[str, bool]:
-        return {
-            "primal_target": self.primal_target_residual <= self.tol,
-            "power": self.power_excess <= self.tol,
-            "q_psd": self.q_min_eigenvalue >= -self.tol,
-            "slack_psd": self.slack_min_eigenvalue >= -self.tol,
-            "complementarity": self.complementarity_residual <= self.tol,
-        }
+        return kkt_checks(self.primal_target_residual, self.power_excess,
+                          self.q_min_eigenvalue, self.slack_min_eigenvalue,
+                          self.complementarity_residual, self.tol)
 
     @property
     def passed(self) -> bool:
@@ -151,6 +147,18 @@ class KktReport:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "passed": self.passed}
+
+
+def kkt_checks(primal_target_residual, power_excess, q_min_eigenvalue,
+               slack_min_eigenvalue, complementarity_residual, tol=KKT_TOL) -> dict:
+    """The KktReport checks of residuals at tol: bools for floats, boolean arrays for arrays."""
+    return {
+        "primal_target": primal_target_residual <= tol,
+        "power": power_excess <= tol,
+        "q_psd": q_min_eigenvalue >= -tol,
+        "slack_psd": slack_min_eigenvalue >= -tol,
+        "complementarity": complementarity_residual <= tol,
+    }
 
 
 @dataclass(frozen=True)
@@ -191,6 +199,13 @@ class CertificateCurve:
         return [Certificate(*row) for row in zip(
             self.lambda1.tolist(), self.lambda2.tolist(), self.dual_value.tolist(),
             self.gap.tolist(), self.slack_min_eig.tolist())]
+
+    def kkt_passed(self) -> np.ndarray:
+        """KktReport.passed at every z, from the same checks."""
+        checks = kkt_checks(self.primal_target_residual, self.power_excess,
+                            self.q_min_eigenvalue, self.slack_min_eig,
+                            self.complementarity_residual)
+        return np.logical_and.reduce(list(checks.values()))
 
     def kkt_reports(self) -> list[KktReport]:
         return [KktReport(*row) for row in zip(

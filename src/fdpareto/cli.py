@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,6 +31,8 @@ from .beamform import covariance_of, optimal_weights, zf_weights
 from .certify import (
     GAP_TOL_ENDPOINT,
     GAP_TOL_INTERIOR,
+    KKT_TOL,
+    CertificateCurve,
     SdpInstance,
     certify_curve,
     rank_reduce,
@@ -254,11 +255,82 @@ def _rank_demo(ch: ChannelSet, node: int, z: float, seed: int) -> dict:
     }
 
 
+# One record of nodes.nodeN.certificates as json.dumps(indent=2, sort_keys=True)
+# writes it: keys sorted, at that list's depth, one %s per JSON token.
+_CERTIFICATE_RECORD = """\
+        {
+          "certificate": {
+            "dual_value": %s,
+            "gap": %s,
+            "lambda1": %s,
+            "lambda2": %s,
+            "slack_min_eig": %s
+          },
+          "endpoint": %s,
+          "epsilon": %s,
+          "gap_ok": %s,
+          "gap_rel": %s,
+          "gap_tol": %s,
+          "kkt": {
+            "complementarity_residual": %s,
+            "passed": %s,
+            "power_excess": %s,
+            "primal_target_residual": %s,
+            "q_min_eigenvalue": %s,
+            "slack_min_eigenvalue": %s,
+            "tol": %s
+          },
+          "primal": %s,
+          "z": %s
+        }"""
+# json's tokens for the floats whose repr is not valid JSON
+_NONFINITE_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_RECORDS_PLACEHOLDER = "<certificates of %s>"
+
+
+def _float_tokens(values: np.ndarray) -> list[str]:
+    """The JSON token json.dumps writes for each element of a float array."""
+    return [_NONFINITE_TOKENS.get(t, t) for t in map(float.__repr__, values.tolist())]
+
+
+def _bool_tokens(values: np.ndarray) -> list[str]:
+    return np.where(values, "true", "false").tolist()
+
+
+def _certificate_records(curve: CertificateCurve, zs, endpoint, rel, tol, ok) -> str:
+    """One node's "certificates" list, as _json_text writes it in the document."""
+    eps = _float_tokens(curve.epsilon)
+    # the MRT beam at z_max is the eps -> inf limit: no finite loading
+    for i in np.flatnonzero(np.isinf(curve.epsilon)).tolist():
+        eps[i] = "null"
+    slack = _float_tokens(curve.slack_min_eig)
+    columns = (
+        _float_tokens(curve.dual_value), _float_tokens(curve.gap),
+        _float_tokens(curve.lambda1), _float_tokens(curve.lambda2), slack,
+        _bool_tokens(endpoint), eps, _bool_tokens(ok), _float_tokens(rel), _float_tokens(tol),
+        _float_tokens(curve.complementarity_residual), _bool_tokens(curve.kkt_passed()),
+        _float_tokens(curve.power_excess), _float_tokens(curve.primal_target_residual),
+        _float_tokens(curve.q_min_eigenvalue), slack, [float.__repr__(KKT_TOL)] * len(zs),
+        _float_tokens(curve.primal), _float_tokens(zs),
+    )
+    return "[\n%s\n      ]" % ",\n".join(_CERTIFICATE_RECORD % row for row in zip(*columns))
+
+
+def _splice(text: str, placeholder: str, rendered: str) -> str:
+    """Put `rendered` in place of the JSON string `placeholder`, which must occur once."""
+    token = json.dumps(placeholder)
+    count = text.count(token)
+    if count != 1:
+        raise AssertionError(f"placeholder {token} occurs {count} times")
+    return text.replace(token, rendered)
+
+
 def cmd_certify(config: RunConfig, out_dir: Path) -> int:
     """Certificate sweep over the z grid for both nodes; exit 2 on any gap."""
     ch = generate_scenario(config.scenario)
     grid = SweepGrid.for_channel(ch, config.grid_n)
     nodes: dict[str, dict] = {}
+    records: dict[str, str] = {}
     max_rel = {"interior": 0.0, "endpoint": 0.0}
     max_kkt = 0.0
     failed = False
@@ -277,19 +349,11 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
             curve.primal_target_residual, curve.power_excess,
             -np.minimum(0.0, curve.q_min_eigenvalue), -np.minimum(0.0, curve.slack_min_eig),
             curve.complementarity_residual])))
-        records = [{
-            "z": z, "endpoint": end,
-            # the MRT beam at z_max is the eps -> inf limit: no finite loading
-            "primal": primal, "epsilon": None if math.isinf(eps) else eps,
-            "certificate": cert.to_dict(), "gap_rel": r,
-            "gap_tol": t, "gap_ok": good, "kkt": kkt.to_dict(),
-        } for z, end, primal, eps, cert, r, t, good, kkt in zip(
-            zs.tolist(), endpoint.tolist(), curve.primal.tolist(), curve.epsilon.tolist(),
-            curve.certificates(), rel.tolist(), tol.tolist(), ok.tolist(),
-            curve.kkt_reports())]
+        key = f"node{node}"
+        records[key] = _certificate_records(curve, zs, endpoint, rel, tol, ok)
         demo_z = float(zs[len(zs) // 2])
-        nodes[f"node{node}"] = {
-            "certificates": records,
+        nodes[key] = {
+            "certificates": _RECORDS_PLACEHOLDER % key,
             "rank_demo": _rank_demo(ch, node, demo_z, seed=config.scenario.seed),
         }
     doc = {
@@ -302,7 +366,10 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
         },
         "metadata": _metadata(config, None, {}),
     }
-    (out_dir / "certificates.json").write_text(_json_text(doc))
+    text = _json_text(doc)
+    for key, rendered in records.items():
+        text = _splice(text, _RECORDS_PLACEHOLDER % key, rendered)
+    (out_dir / "certificates.json").write_text(text)
     return 2 if failed else 0
 
 

@@ -6,11 +6,13 @@ grid with numpy's LAPACK eigensolver.  The scalar references for array
 kernels (`optimal_weights_reference`, `sweep_rate_point`,
 `pareto_filter_reference`, `rate_pair_reference`,
 `domination_oracle_reference`, `escape_distances_reference`,
-`curve_to_csv_reference`, `equal_rate_point_reference`) evaluate one
-point at a time, and `dual_certificate_reference` maximizes the dual
-numerically where the package uses its closed form.
+`curve_to_csv_reference`, `equal_rate_point_reference`,
+`certificate_records_reference`) evaluate one point at a time, and
+`dual_certificate_reference` maximizes the dual numerically where the
+package uses its closed form.
 """
 
+import json
 import math
 
 import numpy as np
@@ -153,6 +155,26 @@ def dual_certificate_reference(inst, primal_value):
         gap=primal_value - dual_value,
         slack_min_eig=max(0.0, lam_min_b),
     )
+
+
+def certificate_records_reference(curve, zs, endpoint, rel, tol, ok):
+    """One node's certificates list of certificates.json, one dict per record.
+
+    The reference for the CLI's column-wise renderer: json.dumps(indent=2,
+    sort_keys=True) of the records, indented to their depth in the document
+    (nodes.nodeN.certificates).
+    """
+    records = [{
+        "z": z, "endpoint": end,
+        # the MRT beam at z_max is the eps -> inf limit: no finite loading
+        "primal": primal, "epsilon": None if math.isinf(eps) else eps,
+        "certificate": cert.to_dict(), "gap_rel": r,
+        "gap_tol": t, "gap_ok": good, "kkt": kkt.to_dict(),
+    } for z, end, primal, eps, cert, r, t, good, kkt in zip(
+        zs.tolist(), endpoint.tolist(), curve.primal.tolist(), curve.epsilon.tolist(),
+        curve.certificates(), rel.tolist(), tol.tolist(), ok.tolist(),
+        curve.kkt_reports())]
+    return json.dumps(records, indent=2, sort_keys=True).replace("\n", "\n" + " " * 6)
 
 
 def pareto_filter_reference(points):

@@ -7,13 +7,23 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fdpareto.cli import RunConfig, main, preset_config
-from fdpareto.channel import ScenarioSpec
-from fdpareto.pareto import curve_from_csv, curve_to_csv
+from fdpareto.certify import GAP_TOL_ENDPOINT, GAP_TOL_INTERIOR, certify_curve
+from fdpareto.channel import ScenarioSpec, generate_scenario
+from fdpareto.cli import (
+    RunConfig,
+    _certificate_records,
+    _float_tokens,
+    _splice,
+    main,
+    preset_config,
+)
+from fdpareto.pareto import curve_from_csv, curve_to_csv, node_problem
+from oracles import certificate_records_reference
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -338,6 +348,58 @@ def test_certify_cli_properties(scenario, grid_n):
     if code == 0:
         assert all(record["gap_ok"] for node in docs["certificates.json"]["nodes"].values()
                    for record in node["certificates"])
+
+
+# Values whose JSON token differs from a plain decimal, or that json spells itself.
+_SPECIAL_FLOATS = (-0.0, 5e-324, 1e-7, 1e16, 1e22, math.nan, math.inf, -math.inf)
+_CURVE_FIELDS = ("epsilon", "primal", "lambda1", "lambda2", "dual_value", "gap",
+                 "slack_min_eig", "primal_target_residual", "power_excess",
+                 "q_min_eigenvalue", "complementarity_residual")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0), beta_db=st.floats(-80.0, 0.0),
+       p1=st.floats(0.01, 100.0), p2=st.floats(0.01, 100.0), symmetric=st.booleans(),
+       seed=st.integers(0, 2**16), node=st.sampled_from((1, 2)), n=st.integers(2, 30),
+       near_ends=st.booleans(),
+       poison=st.lists(st.tuples(st.sampled_from(_CURVE_FIELDS + ("rel",)),
+                                 st.integers(0, 2**16), st.sampled_from(_SPECIAL_FLOATS)),
+                       max_size=3))
+def test_certificate_records_match_json_dumps(m, gamma_db, beta_db, p1, p2, symmetric,
+                                              seed, node, n, near_ends, poison):
+    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
+                                        p1=p1, p2=p2, symmetric=symmetric, seed=seed))
+    prob = node_problem(ch, node, 0.0)
+    zs = np.linspace(0.0, prob.z_max, n)
+    if near_ends:
+        zs = np.concatenate([[0.0, 1e-300], zs[1:-1], [np.nextafter(prob.z_max, 0.0),
+                                                       prob.z_max]])
+    curve = certify_curve(prob.h_self, prob.h_cross, prob.p, zs)
+    rel = np.abs(curve.gap) / np.maximum(1.0, curve.primal)
+    columns = {name: getattr(curve, name).copy() for name in _CURVE_FIELDS}
+    columns["rel"] = rel
+    for name, index, value in poison:
+        columns[name][index % len(zs)] = value
+    rel = columns.pop("rel")
+    curve = replace(curve, **columns)
+    endpoint = np.zeros(len(zs), dtype=bool)
+    endpoint[[0, -1]] = True
+    tol = np.where(endpoint, GAP_TOL_ENDPOINT, GAP_TOL_INTERIOR)
+    ok = rel <= tol
+    args = (curve, zs, endpoint, rel, tol, ok)
+    assert _certificate_records(*args) == certificate_records_reference(*args)
+
+
+@pytest.mark.parametrize("x", _SPECIAL_FLOATS)
+def test_float_tokens_match_json_dumps(x):
+    assert _float_tokens(np.array([x])) == [json.dumps(x)]
+
+
+def test_splice_needs_exactly_one_placeholder():
+    assert _splice('{"a": "<x>"}', "<x>", "[]") == '{"a": []}'
+    for text in ('{"a": 1}', '{"a": "<x>", "b": "<x>"}'):
+        with pytest.raises(AssertionError):
+            _splice(text, "<x>", "[]")
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
