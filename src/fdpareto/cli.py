@@ -40,6 +40,7 @@ from .certify import (
 from .channel import ChannelSet, ScenarioSpec, generate_scenario, ideal_frontend, require_int
 from .errors import DegenerateGeometryError, NumericalError
 from .pareto import (
+    ORACLE_TOL,
     SweepGrid,
     boundary,
     curve_to_csv,
@@ -140,7 +141,7 @@ def _metadata(config: RunConfig, preset: str | None, extra: dict) -> dict:
         "tolerances": {
             "gap_interior": GAP_TOL_INTERIOR,
             "gap_endpoint": GAP_TOL_ENDPOINT,
-            "oracle": 1e-6,
+            "oracle": ORACLE_TOL,
         },
         "version": __version__,
     }

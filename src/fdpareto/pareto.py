@@ -34,10 +34,10 @@ filter, so each rate is formatted once.
 
 The module also provides the half-duplex TDMA segment, the equal-rate point,
 and a random-covariance domination oracle that checks no sampled achievable
-pair escapes a computed curve.  The oracle's random draws run one sample at
-a time, in a fixed order; everything after them runs on arrays.  The Gram
-matrices, their scaling, the rate pairs and their checks form one stacked
-pass per block of samples (`rates.rate_pairs`).  Each pair's escape
+pair escapes a computed curve.  The oracle draws every uniform fraction in
+one call, then one normal array per block of samples; the Gram matrices,
+their scaling, the rate pairs and their checks form one stacked pass per
+block (`rates.rate_pairs`).  Each pair's escape
 distance is found by a bisection along the curve's staircase
 (`escape_distances`), not by comparing it with every curve point.
 """
@@ -57,6 +57,9 @@ from .rates import RatePoint, _check_rates, _rate, rate_pairs, single_link_max
 CSV_HEADER = "r1,r2,z1,z2,label"
 # printf-style: the same text as format(v, ".12g"), at two thirds of its cost.
 _FMT = "%.12g"
+# A sample escapes the curve by more than this (past the grid slack) to
+# count as an oracle violation.
+ORACLE_TOL = 1e-6
 # Oracle samples per array pass; bounds its stacks to a few MB at m = 8.
 _ORACLE_BLOCK = 4096
 # Every _SIEVE_STRIDE-th row and column of the rate grid (and the last ones)
@@ -372,24 +375,16 @@ class OracleReport:
 
 
 def _sampled_covariances(rng: np.random.Generator, ch: ChannelSet,
-                         n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n random covariance pairs, as one (n, m, m) stack per node.
+                         u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One random covariance pair per row of u, as one (n, m, m) stack per node.
 
-    Per pair and node, in this order: a (2, m, m) normal draw g (real and
-    imaginary parts) and a uniform fraction u; the covariance is the Gram
-    matrix g g† scaled to trace u * P.  Only the draws run per pair; the
-    arithmetic runs on the whole stack.
+    u is an (n, 2) array of uniform fractions, one per pair and node.  One
+    normal draw of shape (n, 2, 2, m, m) gives, per pair and node, the real
+    and imaginary parts of g; the covariance is the Gram matrix g g† scaled
+    to trace u * P.
     """
     m = ch.m
-    g = np.empty((n, 2, 2, m, m))
-    u = np.empty((n, 2))
-    fracs = u.reshape(-1)
-    # rng.random() is rng.uniform(0.0, 1.0): the same draw at a third of the
-    # call overhead.
-    normal, uniform = rng.standard_normal, rng.random
-    for k, draw in enumerate(g.reshape(2 * n, 2, m, m)):
-        normal(out=draw)
-        fracs[k] = uniform()
+    g = rng.standard_normal((len(u), 2, 2, m, m))
     g = g[:, :, 0] + 1j * g[:, :, 1]
     q = g @ np.conj(np.swapaxes(g, -1, -2))
     q *= (u * np.array([ch.p1, ch.p2]) / np.trace(q, axis1=-2, axis2=-1).real)[..., None, None]
@@ -429,7 +424,7 @@ def escape_distances(r1: np.ndarray, r2: np.ndarray, c1: np.ndarray,
 
 
 def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
-                      seed: int, tolerance: float = 1e-6) -> OracleReport:
+                      seed: int, tolerance: float = ORACLE_TOL) -> OracleReport:
     """Check random achievable rate pairs against a computed curve.
 
     Draws random PSD covariance pairs (Gram matrices scaled to a uniform
@@ -439,10 +434,12 @@ def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
     max(r1 - c1 - slack1, r2 - c2 - slack2); a positive value beyond
     `tolerance` counts as a violation.
 
-    Only the random draws run per sample, in a fixed order: for each sample
-    and each node, a (2, m, m) normal draw and then a uniform fraction.
-    Blocks of `_ORACLE_BLOCK` samples then go through one array pass: the
-    Gram matrices, their scaling, `rates.rate_pairs` (which checks every
+    The draws come from one generator in a fixed order: first every uniform
+    fraction, as one (samples, 2) array, then the normals, one
+    (n, 2, 2, m, m) array per block of `_ORACLE_BLOCK` samples.  A generator
+    fills an array element by element from one stream, so the report does
+    not depend on the block size.  Each block goes through one array pass:
+    the Gram matrices, their scaling, `rates.rate_pairs` (which checks every
     covariance's trace and PSD and every rate) and `escape_distances`, a
     bisection along the curve's staircase.
     """
@@ -453,10 +450,11 @@ def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
     c1 = curve.r1 + slack1
     c2 = curve.r2 + slack2
 
+    fracs = rng.random((samples, 2))
     max_violation = -np.inf
     violations = 0
     for start in range(0, samples, _ORACLE_BLOCK):
-        q1s, q2s = _sampled_covariances(rng, ch, min(_ORACLE_BLOCK, samples - start))
+        q1s, q2s = _sampled_covariances(rng, ch, fracs[start:start + _ORACLE_BLOCK])
         r1, r2 = rate_pairs(ch, q1s, q2s)
         viol = escape_distances(r1, r2, c1, c2)
         max_violation = max(max_violation, float(viol.max()))

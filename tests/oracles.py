@@ -30,7 +30,7 @@ from fdpareto.beamform import (
 from fdpareto.certify import Certificate, dual_value_at
 from fdpareto.channel import self_leakage
 from fdpareto.errors import InfeasibleError, NumericalError
-from fdpareto.pareto import CSV_HEADER, OracleReport, grid_slack, node_problem
+from fdpareto.pareto import CSV_HEADER, ORACLE_TOL, OracleReport, grid_slack, node_problem
 from fdpareto.rates import RatePoint, _rate, _validate_covariance
 
 
@@ -374,16 +374,23 @@ def rate_pair_reference(ch, q1, q2, label="optimal"):
 
 
 def sampled_rates_reference(ch, samples, seed):
-    """The oracle's sampled rate pairs, one covariance pair at a time."""
+    """The oracle's sampled rate pairs, one covariance pair at a time.
+
+    The draws follow the oracle's order: every uniform fraction first, then
+    per sample and node one (2, m, m) normal draw (real part, then imaginary
+    part).
+    """
     rng = np.random.default_rng(seed)
     m = ch.m
+    fracs = rng.uniform(0.0, 1.0, size=(samples, 2))
     rates = np.empty((samples, 2))
     for k in range(samples):
         qs = []
-        for p_budget in (ch.p1, ch.p2):
-            g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        for frac, p_budget in zip(fracs[k].tolist(), (ch.p1, ch.p2)):
+            re, im = rng.standard_normal((2, m, m))
+            g = re + 1j * im
             q = g @ g.conj().T
-            q *= float(rng.uniform(0.0, 1.0)) * p_budget / float(np.trace(q).real)
+            q *= frac * p_budget / float(np.trace(q).real)
             qs.append(q)
         pt = rate_pair_reference(ch, qs[0], qs[1], label="sampled")
         rates[k] = (pt.r1, pt.r2)
@@ -395,7 +402,7 @@ def escape_distances_reference(r1, r2, c1, c2):
     return np.maximum(r1[:, None] - c1[None, :], r2[:, None] - c2[None, :]).min(axis=1)
 
 
-def domination_oracle_reference(ch, curve, samples, seed, tolerance=1e-6):
+def domination_oracle_reference(ch, curve, samples, seed, tolerance=ORACLE_TOL):
     """Per-sample domination oracle: the reference for the array pass."""
     if samples < 1:
         raise ValueError("need at least one sample")

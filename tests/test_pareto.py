@@ -458,7 +458,8 @@ def test_oracle_equals_per_sample_reference(m, gamma_db, beta_db, p1, p2, sigma2
     ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
                                         p1=p1, p2=p2, sigma2=sigma2,
                                         symmetric=symmetric, seed=seed))
-    q1s, q2s = pareto._sampled_covariances(np.random.default_rng(seed), ch, samples)
+    rng = np.random.default_rng(seed)
+    q1s, q2s = pareto._sampled_covariances(rng, ch, rng.random((samples, 2)))
     r1, r2 = rate_pairs(ch, q1s, q2s)
     ref = sampled_rates_reference(ch, samples, seed)
     assert r1.tolist() == ref[:, 0].tolist() and r2.tolist() == ref[:, 1].tolist()
@@ -470,6 +471,36 @@ def test_oracle_equals_per_sample_reference(m, gamma_db, beta_db, p1, p2, sigma2
         patch.setattr(pareto, "_ORACLE_BLOCK", 7)
         report = domination_oracle(ch, curve, samples, seed)
     assert report == domination_oracle_reference(ch, curve, samples, seed)
+
+
+@pytest.mark.parametrize("samples, blocks", [
+    (1, (1, 7, 4096)), (13, (1, 7, 4096)), (100, (1, 7, 4096)),
+    (4099, (7, 4096)),  # past one default block; blocks of 1 take seconds here
+])
+def test_oracle_report_does_not_depend_on_block_size(samples, blocks, monkeypatch):
+    # the uniforms are drawn before any normals, and a generator fills an
+    # array from one stream, so any block size draws the same numbers
+    ch = scenario(gamma_db=20.0, beta_db=-40.0)
+    curve = boundary(ch, SweepGrid.for_channel(ch, 41))
+    shrunk = BoundaryCurve(points=[  # a shrunken curve has violations to count
+        RatePoint(r1=0.3 * p.r1, r2=0.3 * p.r2) for p in curve.points])
+    for c in (curve, shrunk):
+        reports = []
+        for block in blocks:
+            monkeypatch.setattr(pareto, "_ORACLE_BLOCK", block)
+            reports.append(domination_oracle(ch, c, samples, seed=5))
+        assert all(r == reports[0] for r in reports)
+    assert reports[0].violations > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_oracle_passes_at_sweep_large_shape(seed):
+    # the benchmark's sweep-large job: m = 3, 40 dB, -40 dB, grid 1000 and
+    # 10k oracle samples seeded like the scenario
+    ch = scenario(gamma_db=40.0, beta_db=-40.0, m=3, seed=seed)
+    curve = boundary(ch, SweepGrid.for_channel(ch, 1000))
+    report = domination_oracle(ch, curve, samples=10000, seed=seed)
+    assert report.passed and report.violations == 0, report.to_dict()
 
 
 def _staircase(r1, r2):
