@@ -37,9 +37,9 @@ and a random-covariance domination oracle that checks no sampled achievable
 pair escapes a computed curve.  The oracle draws every uniform fraction in
 one call, then one normal array per block of samples; the Gram matrices,
 their scaling, the rate pairs and their checks form one stacked pass per
-block (`rates.rate_pairs`).  Each pair's escape
-distance is found by a bisection along the curve's staircase
-(`escape_distances`), not by comparing it with every curve point.
+block (`rates.rate_pairs`).  Each pair's escape distance is found by a
+bisection along the curve's staircase (`escape_distances`), not by
+comparing it with every curve point.
 """
 
 from __future__ import annotations
