@@ -15,8 +15,11 @@ A covariance is valid when its shape is (m, m), its trace is within its
 budget P up to `POWER_SLACK * max(1, P)` (a relative slack, so the check
 stays above float round-off at large budgets), and it is PSD up to
 `PSD_TOL * max(1, ||Q||_F)` plus round-off.  `rate_pair` proves PSD with the
-package's own Jacobi solver; `rate_pairs` checks a whole stack with one
-LAPACK `eigvalsh` call and the same tolerance.
+package's own Jacobi solver.  `rate_pairs` certifies a whole stack with one
+LAPACK Cholesky factorisation of every matrix shifted by half that
+tolerance, and evaluates the smallest eigenvalues (one LAPACK `eigvalsh`
+call over the stack) only when some matrix is not certified; the verdicts
+are those of the eigenvalue rule either way (`_covariance_faults`).
 """
 
 from __future__ import annotations
@@ -77,34 +80,72 @@ def _validate_covariance(q, m: int, p: float, name: str) -> np.ndarray:
     return q
 
 
-def _stack_norms(qs: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of an (N, m, m) stack.
+def _scaled_stack(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(unit, scaled, norm) of each matrix of an (N, m, m) stack.
 
-    The entries are divided by their largest modulus first, so no square
-    overflows; only a norm beyond the float range comes out inf.
+    unit is the largest modulus of the matrix's entries (1 for a zero
+    matrix), scaled the matrix divided by it, so no square overflows, and
+    norm its Frobenius norm, inf only beyond the float range.
     """
     big = np.max(np.abs(qs), axis=(1, 2))
     unit = np.where(big > 0.0, big, 1.0)
     scaled = qs / unit[:, None, None]
     with np.errstate(over="ignore"):
-        return unit * np.sqrt(np.sum(scaled.real ** 2 + scaled.imag ** 2, axis=(1, 2)))
+        norms = unit * np.sqrt(np.sum(scaled.real ** 2 + scaled.imag ** 2, axis=(1, 2)))
+    return unit, scaled, norms
 
 
 def _covariance_faults(qs: np.ndarray, p: float) -> tuple[np.ndarray, ...]:
     """(trace, over budget, non-finite, not PSD) of each matrix of a stack.
 
     The same rules, in the same order, as `_validate_covariance` and
-    `numlin.is_psd`, with the smallest eigenvalue from one LAPACK call over
-    the (N, m, m) stack instead of Jacobi.
+    `numlin.is_psd`: a finite Q is PSD when lambda_min(Q) >= -tol, with
+    tol = PSD_TOL * max(1, ||Q||_F) + ROUNDOFF * ||Q||_F.
+
+    One batched Cholesky of every Q + (tol/2) I, each matrix and its shift
+    divided by the matrix's largest modulus, certifies the stack first.
+    Cholesky is backward stable, so a factor exists only if
+    lambda_min(Q) >= -tol/2 - O(m u ||Q||), u the unit round-off, and
+    `eigvalsh` computes lambda_min(Q) to within O(m u ||Q||).  tol/2 is at
+    least 5e-10 ||Q||_F, over 10^4 times either round-off for m <= 8, so
+    every certified matrix is one the eigenvalue rule accepts.  When some
+    matrix is not certified, the rule itself decides for the whole stack,
+    with its smallest eigenvalues from one LAPACK `eigvalsh` call, so the
+    verdicts are always those of the rule.  Both LAPACK routines read the
+    lower triangle and the real part of the diagonal.
     """
     tr = np.trace(qs, axis1=1, axis2=2).real
     over = tr > _power_limit(p)
     finite = np.isfinite(qs).all(axis=(1, 2))
     safe = np.where(finite[:, None, None], qs, 0.0)
-    norms = _stack_norms(safe)
-    lam_min = np.linalg.eigvalsh(safe)[:, 0]
-    not_psd = ~(lam_min >= -(PSD_TOL * np.maximum(1.0, norms) + numlin.ROUNDOFF * norms))
+    unit, scaled, norms = _scaled_stack(safe)
+    tol = PSD_TOL * np.maximum(1.0, norms) + numlin.ROUNDOFF * norms
+    with np.errstate(over="ignore"):
+        shift = 0.5 * tol / unit
+    if _cholesky_certifies(scaled, shift):
+        not_psd = np.zeros(len(qs), dtype=bool)
+    else:
+        lam_min = np.linalg.eigvalsh(safe)[:, 0]
+        not_psd = ~(lam_min >= -tol)
     return tr, over, ~finite, finite & not_psd
+
+
+def _cholesky_certifies(scaled: np.ndarray, shift: np.ndarray) -> bool:
+    """True when scaled[k] + shift[k] I has a Cholesky factor for every k.
+
+    The shift is added to `scaled` in place.  A shift that is not finite
+    certifies nothing.  The entries must be finite: the factorisation does
+    not raise on NaN.
+    """
+    if not np.isfinite(shift).all():
+        return False
+    diag = np.arange(scaled.shape[-1])
+    scaled[:, diag, diag] += shift[:, None]
+    try:
+        np.linalg.cholesky(scaled)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _rate(z, leakage, sigma2: float, beta: float):

@@ -5,6 +5,7 @@ drawn by direct sampling, and the dual value is maximized on a dense 1-D
 grid with numpy's LAPACK eigensolver.  The scalar references for array
 kernels (`optimal_weights_reference`, `sweep_rate_point`,
 `pareto_filter_reference`, `rate_pair_reference`,
+`covariance_faults_reference`,
 `domination_oracle_reference`, `escape_distances_reference`,
 `curve_to_csv_reference`, `equal_rate_point_reference`,
 `certificate_records_reference`) evaluate one point at a time, and
@@ -31,7 +32,7 @@ from fdpareto.certify import Certificate, dual_value_at
 from fdpareto.channel import self_leakage
 from fdpareto.errors import InfeasibleError, NumericalError
 from fdpareto.pareto import CSV_HEADER, ORACLE_TOL, OracleReport, grid_slack, node_problem
-from fdpareto.rates import RatePoint, _rate, _validate_covariance
+from fdpareto.rates import PSD_TOL, RatePoint, _power_limit, _rate, _validate_covariance
 
 
 def sample_feasible_weights(rng, h_cross, p, z, n):
@@ -371,6 +372,29 @@ def rate_pair_reference(ch, q1, q2, label="optimal"):
     return RatePoint(r1=float(_rate(num1, self_leakage(ch.h11, q1), fe.sigma2, fe.beta)),
                      r2=float(_rate(num2, self_leakage(ch.h22, q2), fe.sigma2, fe.beta)),
                      label=label)
+
+
+def covariance_faults_reference(qs, p):
+    """(trace, over budget, non-finite, not PSD) of each matrix of a stack.
+
+    The reference for `rates._covariance_faults`: the eigenvalue rule
+    alone, with every smallest eigenvalue from one LAPACK `eigvalsh` call
+    over the stack.  A finite Q is PSD when
+    lambda_min(Q) >= -(PSD_TOL * max(1, ||Q||_F) + ROUNDOFF * ||Q||_F), the
+    norm taken after dividing by the largest modulus so no square overflows.
+    """
+    tr = np.trace(qs, axis1=1, axis2=2).real
+    over = tr > _power_limit(p)
+    finite = np.isfinite(qs).all(axis=(1, 2))
+    safe = np.where(finite[:, None, None], qs, 0.0)
+    big = np.max(np.abs(safe), axis=(1, 2))
+    unit = np.where(big > 0.0, big, 1.0)
+    scaled = safe / unit[:, None, None]
+    with np.errstate(over="ignore"):
+        norms = unit * np.sqrt(np.sum(scaled.real ** 2 + scaled.imag ** 2, axis=(1, 2)))
+    lam_min = np.linalg.eigvalsh(safe)[:, 0]
+    not_psd = ~(lam_min >= -(PSD_TOL * np.maximum(1.0, norms) + numlin.ROUNDOFF * norms))
+    return tr, over, ~finite, finite & not_psd
 
 
 def sampled_rates_reference(ch, samples, seed):

@@ -1,9 +1,17 @@
+import warnings
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdpareto import numlin, rates
-from fdpareto.channel import ChannelSet, FrontEndModel
+from fdpareto.channel import ChannelSet, FrontEndModel, ScenarioSpec, generate_scenario
+from fdpareto.pareto import SweepGrid, boundary, domination_oracle
 from fdpareto.rates import RatePoint, rate_pair, rate_pairs, single_link_max
+
+from oracles import covariance_faults_reference
 
 
 def make_channel(m=2, beta=1e-4, sigma2=1.0, p1=1.0, p2=1.0,
@@ -199,6 +207,197 @@ class TestRatePairs:
             assert not_psd.tolist() == jacobi
         assert not np.any(rates._covariance_faults(stacks[-2], np.inf)[-1])
         assert np.all(rates._covariance_faults(stacks[-1], np.inf)[-1])
+
+
+@contextmanager
+def eigvalsh_calls():
+    """The shapes passed to `np.linalg.eigvalsh` inside the block, in order."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rates.np.linalg, "eigvalsh", counted)
+        yield calls
+
+
+def checked_faults(qs, p):
+    """`_covariance_faults` of a stack and the number of `eigvalsh` calls it made.
+
+    Every output must equal the eigenvalue rule's (`covariance_faults_reference`).
+    """
+    with eigvalsh_calls() as calls:
+        got = rates._covariance_faults(qs, p)
+    for have, want in zip(got, covariance_faults_reference(qs, p), strict=True):
+        np.testing.assert_array_equal(have, want)
+    return got, len(calls)
+
+
+def rate_pairs_outcome(ch, q1s, q2s):
+    """`rate_pairs`' rates, or the message of the ValueError it raises.
+
+    Must equal the outcome with the eigenvalue rule in place of the
+    certificate.
+    """
+    def outcome():
+        try:
+            r1, r2 = rate_pairs(ch, q1s, q2s)
+        except ValueError as err:
+            return str(err)
+        return r1.tolist(), r2.tolist()
+
+    got = outcome()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rates, "_covariance_faults", covariance_faults_reference)
+        assert outcome() == got
+    return got
+
+
+def shifted_to(q, factor):
+    """q - c I with lambda_min moved to -factor * tol of the eigenvalue rule."""
+    m = q.shape[0]
+    norm = numlin.frobenius_norm(q)
+    tol = rates.PSD_TOL * max(1.0, norm) + numlin.ROUNDOFF * norm
+    return q - (np.linalg.eigvalsh(q)[0] + factor * tol) * np.eye(m)
+
+
+# lambda_min at -factor * tol: certified below 0.5, rejected by the rule
+# beyond 1, and the two edges themselves; None leaves the Gram matrix as drawn
+_KINDS = [None, 0.0, 0.49, 0.5, 0.51, 0.99, 1.0, 1.01, 2.0, "nan", "inf"]
+
+
+@st.composite
+def covariance_stacks(draw):
+    """An (n, m, m) stack mixing Gram matrices of any rank and scale,
+    matrices moved to the edges of the PSD rule, and non-finite ones."""
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    qs = []
+    for _ in range(draw(st.integers(1, 6))):
+        q = gram_stack(rng, 1, m, rank=draw(st.integers(1, m)))[0]
+        q *= 10.0 ** draw(st.integers(-300, 300)) / np.max(np.abs(q))
+        kind = draw(st.sampled_from(_KINDS))
+        if kind in ("nan", "inf"):
+            q[rng.integers(m), rng.integers(m)] = np.nan if kind == "nan" else -np.inf
+        elif kind is not None:
+            q = shifted_to(q, kind)
+        qs.append(q)
+    qs = np.array(qs)
+    p = draw(st.sampled_from([np.inf, 0.5, 1.0, 2.0])) * abs(float(np.trace(qs[0]).real))
+    return qs, p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(covariance_stacks())
+def test_covariance_faults_equal_eigenvalue_rule(case):
+    qs, p = case
+    checked_faults(qs, p)
+
+
+class TestCovarianceCertificate:
+    """Named edges of the Cholesky certificate, each also through rate_pairs."""
+
+    def test_one_indefinite_matrix_among_gram_matrices(self):
+        ch = make_channel(m=3)
+        rng = np.random.default_rng(11)
+        q1s = gram_stack(rng, 4096, 3, trace=rng.uniform(0.0, 1.0, 4096))
+        q2s = gram_stack(rng, 4096, 3, trace=rng.uniform(0.0, 1.0, 4096))
+        q1s[1234] = np.diag([0.5, -0.2, 0.1])
+        q2s[3000] = 1.1 * np.eye(3)  # a later fault does not mask it
+        (_, _, _, not_psd), calls = checked_faults(q1s, ch.p1)
+        assert np.flatnonzero(not_psd).tolist() == [1234]
+        assert calls == 1  # the whole stack falls back to the rule
+        assert rate_pairs_outcome(ch, q1s, q2s) == "Q1 is not positive semidefinite"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rows(self, bad):
+        ch = make_channel(m=3)
+        rng = np.random.default_rng(12)
+        q1s = gram_stack(rng, 8, 3, trace=0.5)
+        q2s = gram_stack(rng, 8, 3, trace=0.5)
+        q2s[2, 0, 1] = bad  # an upper entry, which neither LAPACK routine reads
+        q2s[5, 2, 2] = bad
+        (_, _, non_finite, not_psd), calls = checked_faults(q2s, ch.p2)
+        assert np.flatnonzero(non_finite).tolist() == [2, 5]
+        assert not not_psd.any() and calls == 0
+        assert rate_pairs_outcome(ch, q1s, q2s) == "matrix contains non-finite entries"
+
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_all_zero_matrices_of_a_silent_node(self, m):
+        ch = make_channel(m=m)
+        zeros = np.zeros((5, m, m))
+        (_, _, _, not_psd), calls = checked_faults(zeros, ch.p1)
+        assert not not_psd.any() and calls == 0
+        rng = np.random.default_rng(m)
+        q2s = gram_stack(rng, 5, m, trace=0.5)
+        r1, r2 = rate_pairs_outcome(ch, zeros, q2s)
+        assert r2 == [0.0] * 5
+        assert r1 == [rate_pair(ch, zeros[0], q).r1 for q in q2s]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("p", [1e-12, 1.0, 1e12])
+    def test_rank_one_beamformer_covariances(self, m, p):
+        ch = make_channel(m=m, p1=p, p2=p)
+        rng = np.random.default_rng(m)
+        w = rng.standard_normal((64, m)) + 1j * rng.standard_normal((64, m))
+        w *= np.sqrt(p * rng.uniform(0.0, 1.0, 64) / np.sum(np.abs(w) ** 2, axis=1))[:, None]
+        qs = w[:, :, None] * w[:, None, :].conj()
+        (_, over, _, not_psd), calls = checked_faults(qs, p)
+        assert not over.any() and not not_psd.any() and calls == 0
+        r1, r2 = rate_pairs_outcome(ch, qs, qs[::-1])
+        pts = [rate_pair(ch, a, b) for a, b in zip(qs, qs[::-1])]
+        assert (r1, r2) == ([pt.r1 for pt in pts], [pt.r2 for pt in pts])
+
+    def test_budget_of_1e308_raises_no_warning(self):
+        ch = make_channel(m=3, p1=1e308)
+        rng = np.random.default_rng(13)
+        q1s = gram_stack(rng, 64, 3, trace=1e308 * rng.uniform(0.0, 1.0, 64))
+        q2s = gram_stack(rng, 64, 3, trace=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (_, over, _, not_psd), calls = checked_faults(q1s, ch.p1)
+            assert not over.any() and not not_psd.any() and calls == 0
+            rate_pairs_outcome(ch, q1s, q2s)
+
+    def test_norm_beyond_float_range_falls_back_to_the_rule(self):
+        # ||Q||_F overflows, so tol and the scaled shift are inf and certify nothing
+        qs = np.array([[[1.0, 1.5e308], [1.5e308, 1.0]], np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, calls = checked_faults(qs, 1.0)
+        assert calls == 1
+
+    def test_non_hermitian_input_is_read_from_its_lower_triangle(self):
+        ch = make_channel(m=3)
+        rng = np.random.default_rng(14)
+        psd = gram_stack(rng, 4, 3, trace=0.5)
+        junk = 5.0 * (rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))
+        lower_psd = np.tril(psd) + np.triu(junk, 1) + 0.3j * np.eye(3)
+        (_, _, _, not_psd), calls = checked_faults(lower_psd, np.inf)
+        assert not not_psd.any() and calls == 0
+        # an indefinite lower triangle under an upper triangle of zeros
+        lower_bad = lower_psd.copy()
+        lower_bad[1] = np.tril(np.array([[0.1, 0.0, 0.0], [0.3, 0.1, 0.0], [0.0, 0.0, 0.1]]))
+        (_, _, _, not_psd), calls = checked_faults(lower_bad, np.inf)
+        assert not_psd.tolist() == [False, True, False, False] and calls == 1
+        q2s = gram_stack(rng, 4, 3, trace=0.5)
+        r1, _ = rate_pairs_outcome(ch, lower_psd, q2s)
+        assert len(r1) == 4
+        assert rate_pairs_outcome(ch, lower_bad, q2s) == "Q1 is not positive semidefinite"
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_oracle_samples_are_certified_without_eigvalsh(m):
+    # the oracle's Gram matrices must never reach the eigenvalue fallback
+    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=40.0, beta_db=-40.0, seed=m))
+    curve = boundary(ch, SweepGrid.for_channel(ch, 100))
+    with eigvalsh_calls() as calls:
+        report = domination_oracle(ch, curve, samples=5000, seed=m)
+    assert report.passed
+    assert calls == []
 
 
 class TestSingleLinkMax:
