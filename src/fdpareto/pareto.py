@@ -442,10 +442,11 @@ def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
     the Gram matrices, their scaling, `rates.rate_pairs` (which checks every
     covariance's trace and PSD and every rate) and `escape_distances`, a
     bisection along the curve's staircase.  The PSD check is one batched
-    Cholesky of every covariance shifted by half the PSD tolerance; a Gram
+    Cholesky of every covariance shifted by half the PSD tolerance.  A Gram
     matrix is PSD up to round-off, far inside that margin, so the samples
-    never need the eigenvalue fallback that decides otherwise, and the
-    verdicts are those of the eigenvalue rule (`rates._covariance_faults`).
+    never reach the eigenvalue rule that decides a stack with an
+    uncertified matrix; the verdicts equal that rule's either way
+    (`rates._covariance_faults`).
     """
     if samples < 1:
         raise ValueError("need at least one sample")
