@@ -35,9 +35,10 @@ filter, so each rate is formatted once.
 The module also provides the half-duplex TDMA segment, the equal-rate point,
 and a random-covariance domination oracle that checks no sampled achievable
 pair escapes a computed curve.  The oracle draws every uniform fraction in
-one call, then one normal array per block of samples; the Gram matrices,
-their scaling, the rate pairs and their checks form one stacked pass per
-block (`rates.rate_pairs`).  Each pair's escape distance is found by a
+one call, then one normal array per block of samples.  Its covariances are
+Gram matrices Q = s g g†, PSD by construction, and each block is rated from
+the factors g in one array pass (`_sampled_rates`), forming no m x m
+matrix.  Each pair's escape distance is found by a
 bisection along the curve's staircase (`escape_distances`), not by
 comparing it with every curve point.
 """
@@ -52,7 +53,8 @@ import numpy as np
 # min_leakage stays importable here for callers of the scalar solve.
 from .beamform import DecoupledProblem, leakage_curve, min_leakage  # noqa: F401
 from .channel import ChannelSet
-from .rates import RatePoint, _check_rates, _rate, rate_pairs, single_link_max
+from .rates import (RatePoint, _check_rates, _power_limit, _rate, _trace_message,
+                    single_link_max)
 
 CSV_HEADER = "r1,r2,z1,z2,label"
 # printf-style: the same text as format(v, ".12g"), at two thirds of its cost.
@@ -374,21 +376,55 @@ class OracleReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def _sampled_covariances(rng: np.random.Generator, ch: ChannelSet,
-                         u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One random covariance pair per row of u, as one (n, m, m) stack per node.
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    """x[..., 0] + x[..., 1] + ... left to right: one order for a stack and a row."""
+    total = x[..., 0]
+    for k in range(1, x.shape[-1]):
+        total = total + x[..., k]
+    return total
 
-    u is an (n, 2) array of uniform fractions, one per pair and node.  One
-    normal draw of shape (n, 2, 2, m, m) gives, per pair and node, the real
-    and imaginary parts of g; the covariance is the Gram matrix g g† scaled
-    to trace u * P.
+
+def _check_traces(tr: np.ndarray, ch: ChannelSet) -> None:
+    """Raise `rate_pair`'s ValueError for the first (n, 2) trace over budget, Q1 first."""
+    budgets = (ch.p1, ch.p2)
+    over = tr > [_power_limit(p) for p in budgets]
+    if over.any():
+        k, node = divmod(int(np.argmax(over)), 2)
+        raise ValueError(_trace_message(f"Q{node + 1}", float(tr[k, node]), budgets[node]))
+
+
+def _sampled_rates(rng: np.random.Generator, ch: ChannelSet,
+                   u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rate pairs of random covariance pairs, one per row of u, from their factors.
+
+    u holds uniform fractions, one per pair and node.  One normal draw of
+    shape (n, 2, 2, m, m) gives, per pair and node, the real and imaginary
+    parts of g, and Q = s g g† with s = u * P / ||g||_F^2 (trace u * P).
+    Node i's Q delivers s ||g† h||^2 over its cross channel h and leaks
+    sum_k c_k (s ||g_k||^2), c = |h_self|^2 and g_k row k of g.  Traces are
+    checked, then rates; every sum is a `_running_sum`.
     """
     m = ch.m
-    g = rng.standard_normal((len(u), 2, 2, m, m))
-    g = g[:, :, 0] + 1j * g[:, :, 1]
-    q = g @ np.conj(np.swapaxes(g, -1, -2))
-    q *= (u * np.array([ch.p1, ch.p2]) / np.trace(q, axis1=-2, axis2=-1).real)[..., None, None]
-    return q[:, 0], q[:, 1]
+    draws = rng.standard_normal((len(u), 2, 2, m, m))
+    re, im = draws[:, :, 0], draws[:, :, 1]
+    cross = np.array([ch.h12, ch.h21])[:, :, None]  # (node, k, 1)
+    hr, hi = cross.real, cross.imag
+    c = np.abs(np.array([ch.h11, ch.h22])) ** 2
+    sigma2, beta = ch.frontend.sigma2, ch.frontend.beta
+    with np.errstate(all="ignore"):
+        rows = _running_sum(re * re + im * im)
+        fro = _running_sum(rows)
+        s = u * np.array([ch.p1, ch.p2]) / fro
+        _check_traces(s * fro, ch)
+        # (g† h)_j = a_j + i b_j, summed over k, the second-to-last axis
+        a = _running_sum(np.swapaxes(re * hr + im * hi, -1, -2))
+        b = _running_sum(np.swapaxes(re * hi - im * hr, -1, -2))
+        delivered = s * _running_sum(a * a + b * b)
+        leakage = _running_sum(c * (s[..., None] * rows))
+        r1 = _rate(delivered[:, 1], leakage[:, 0], sigma2, beta)
+        r2 = _rate(delivered[:, 0], leakage[:, 1], sigma2, beta)
+    _check_rates(r1, r2)
+    return r1, r2
 
 
 def escape_distances(r1: np.ndarray, r2: np.ndarray, c1: np.ndarray,
@@ -438,15 +474,9 @@ def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
     fraction, as one (samples, 2) array, then the normals, one
     (n, 2, 2, m, m) array per block of `_ORACLE_BLOCK` samples.  A generator
     fills an array element by element from one stream, so the report does
-    not depend on the block size.  Each block goes through one array pass:
-    the Gram matrices, their scaling, `rates.rate_pairs` (which checks every
-    covariance's trace and PSD and every rate) and `escape_distances`, a
-    bisection along the curve's staircase.  The PSD check is one batched
-    Cholesky of every covariance shifted by half the PSD tolerance.  A Gram
-    matrix is PSD up to round-off, far inside that margin, so the samples
-    never reach the eigenvalue rule that decides a stack with an
-    uncertified matrix; the verdicts equal that rule's either way
-    (`rates._covariance_faults`).
+    not depend on the block size.  Each block is one array pass:
+    `_sampled_rates` rates and checks every pair from its Gram factors, and
+    `escape_distances` bisects along the curve's staircase.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -459,8 +489,7 @@ def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
     max_violation = -np.inf
     violations = 0
     for start in range(0, samples, _ORACLE_BLOCK):
-        q1s, q2s = _sampled_covariances(rng, ch, fracs[start:start + _ORACLE_BLOCK])
-        r1, r2 = rate_pairs(ch, q1s, q2s)
+        r1, r2 = _sampled_rates(rng, ch, fracs[start:start + _ORACLE_BLOCK])
         viol = escape_distances(r1, r2, c1, c2)
         max_violation = max(max_violation, float(viol.max()))
         violations += int(np.count_nonzero(viol > tolerance))

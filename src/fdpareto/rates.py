@@ -6,20 +6,18 @@ With Gaussian codebooks, the rate of the link into node i is
 
 with z = h_ji† Q_j h_ji the signal power delivered from the far node and
 G = h_ii† diag(Q_i) h_ii the node's own front-end leakage.  `_rate` is the
-only place this formula is written: `rate_pairs` applies it to stacks of
-covariance pairs (and `rate_pair` to a stack of one), `single_link_max` to a
-silent node (G = 0), and the boundary sweep to whole (z, G) grids.  Rates
-are in bits per channel use.
+only place this formula is written: `rate_pairs` applies it to covariance
+stacks, `single_link_max` to a silent node (G = 0), the boundary sweep to
+whole (z, G) grids, and the oracle to its samples' Gram factors.  Rates are
+in bits per channel use.
 
 A covariance is valid when its shape is (m, m), its trace is within its
 budget P up to `POWER_SLACK * max(1, P)` (a relative slack, so the check
 stays above float round-off at large budgets), and it is PSD up to
-`PSD_TOL * max(1, ||Q||_F)` plus round-off.  `rate_pair` proves PSD with the
-package's own Jacobi solver.  `rate_pairs` certifies a whole stack with one
-LAPACK Cholesky factorisation of every matrix shifted by half that
-tolerance, and evaluates the smallest eigenvalues (one LAPACK `eigvalsh`
-call over the stack) only when some matrix is not certified; the verdicts
-are those of the eigenvalue rule either way (`_covariance_faults`).
+`PSD_TOL * max(1, ||Q||_F)` plus round-off.  There is one PSD rule for
+explicit covariances: `rate_pair` is `rate_pairs` of one pair, and
+`_covariance_faults` certifies a stack with one batched Cholesky, falling
+back to the eigenvalue rule itself only when some matrix is not certified.
 """
 
 from __future__ import annotations
@@ -67,75 +65,43 @@ def _trace_message(name: str, tr: float, p: float) -> str:
     return f"trace({name}) = {tr:.12g} exceeds the power budget {p:.12g}"
 
 
-def _validate_covariance(q, m: int, p: float, name: str) -> np.ndarray:
-    q = np.asarray(q, dtype=np.complex128)
-    if q.shape != (m, m):
-        raise ValueError(f"{name} has shape {q.shape}, expected ({m}, {m})")
-    tr = float(np.trace(q).real)
-    if tr > _power_limit(p):
-        raise ValueError(_trace_message(name, tr, p))
-    scale = max(1.0, numlin.frobenius_norm(q))
-    if not numlin.is_psd(q, PSD_TOL * scale):
-        raise ValueError(f"{name} is not positive semidefinite")
-    return q
-
-
-def _scaled_stack(qs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(unit, scaled, norm) of each matrix of an (N, m, m) stack.
-
-    unit is the largest modulus of the matrix's entries (1 for a zero
-    matrix), scaled the matrix divided by it, so no square overflows, and
-    norm its Frobenius norm, inf only beyond the float range.
-    """
-    big = np.max(np.abs(qs), axis=(1, 2))
-    unit = np.where(big > 0.0, big, 1.0)
-    scaled = qs / unit[:, None, None]
-    with np.errstate(over="ignore"):
-        norms = unit * np.sqrt(np.sum(scaled.real ** 2 + scaled.imag ** 2, axis=(1, 2)))
-    return unit, scaled, norms
-
-
 def _covariance_faults(qs: np.ndarray, p: float) -> tuple[np.ndarray, ...]:
     """(trace, over budget, non-finite, not PSD) of each matrix of a stack.
 
-    The same rules, in the same order, as `_validate_covariance` and
-    `numlin.is_psd`: a finite Q is PSD when lambda_min(Q) >= -tol, with
-    tol = PSD_TOL * max(1, ||Q||_F) + ROUNDOFF * ||Q||_F.
+    A finite Q is PSD when lambda_min(Q) >= -tol, with
+    tol = PSD_TOL * max(1, ||Q||_F) + ROUNDOFF * ||Q||_F (`numlin.is_psd`),
+    both sides taken in units of Q's largest modulus b, where
+    ||Q / b||_F <= m, so tol cannot overflow: lambda_min(Q / b) >=
+    -(PSD_TOL * max(1 / b, ||Q / b||_F) + ROUNDOFF * ||Q / b||_F).
 
-    One batched Cholesky of every Q + (tol/2) I, each matrix and its shift
-    divided by the matrix's largest modulus, certifies the stack first.
-    Cholesky is backward stable, so a factor exists only if
-    lambda_min(Q) >= -tol/2 - O(m u ||Q||), u the unit round-off, and
-    `eigvalsh` computes lambda_min(Q) to within O(m u ||Q||).  tol/2 is at
-    least 5e-10 ||Q||_F, over 10^4 times either round-off for m <= 8, so
-    every certified matrix is one the eigenvalue rule accepts.  When some
-    matrix is not certified, the rule itself decides for the whole stack,
-    with its smallest eigenvalues from one LAPACK `eigvalsh` call, so the
-    verdicts are always those of the rule.  Both LAPACK routines read the
-    lower triangle and the real part of the diagonal.
+    One batched Cholesky of every Q / b + (tol/2) I certifies the stack
+    first.  It is backward stable, so a factor exists only if lambda_min >=
+    -tol/2 - O(m u), u the unit round-off; tol/2 >= 5e-10 is over 10^4 times
+    that and `eigvalsh`'s error for m <= 8, so the rule accepts every
+    certified matrix.  Otherwise the rule decides for the whole stack (one
+    `eigvalsh` call).  Both read the lower triangle and the real diagonal.
     """
     tr = np.trace(qs, axis1=1, axis2=2).real
     over = tr > _power_limit(p)
     finite = np.isfinite(qs).all(axis=(1, 2))
     safe = np.where(finite[:, None, None], qs, 0.0)
-    unit, scaled, norms = _scaled_stack(safe)
-    tol = PSD_TOL * np.maximum(1.0, norms) + numlin.ROUNDOFF * norms
-    with np.errstate(over="ignore"):
-        shift = 0.5 * tol / unit
-    if _cholesky_certifies(scaled, shift):
+    big = np.max(np.abs(safe), axis=(1, 2))
+    unit = np.where(big > 0.0, big, 1.0)[:, None, None]  # 1 for a zero matrix
+    scaled = safe / unit
+    norms = np.sqrt(np.sum(scaled.real ** 2 + scaled.imag ** 2, axis=(1, 2)))
+    with np.errstate(over="ignore"):  # 1 / b is inf only where every |lambda| < PSD_TOL
+        tol = PSD_TOL * np.maximum(1.0 / unit[:, 0, 0], norms) + numlin.ROUNDOFF * norms
+    if _cholesky_certifies(scaled, 0.5 * tol):
         not_psd = np.zeros(len(qs), dtype=bool)
     else:
-        lam_min = np.linalg.eigvalsh(safe)[:, 0]
-        not_psd = ~(lam_min >= -tol)
+        not_psd = ~(np.linalg.eigvalsh(safe / unit)[:, 0] >= -tol)
     return tr, over, ~finite, finite & not_psd
 
 
 def _cholesky_certifies(scaled: np.ndarray, shift: np.ndarray) -> bool:
-    """True when scaled[k] + shift[k] I has a Cholesky factor for every k.
+    """True when every scaled[k] + shift[k] I (added in place) has a Cholesky factor.
 
-    The shift is added to `scaled` in place.  A shift that is not finite
-    certifies nothing.  The entries must be finite: the factorisation does
-    not raise on NaN.
+    A non-finite shift certifies nothing; NaN entries would not raise.
     """
     if not np.isfinite(shift).all():
         return False
@@ -194,9 +160,9 @@ def _check_rates(r1: np.ndarray, r2: np.ndarray) -> None:
 def rate_pairs(ch: ChannelSet, q1s, q2s) -> tuple[np.ndarray, np.ndarray]:
     """Rate pairs (r1, r2) of N covariance pairs given as (N, m, m) stacks.
 
-    Every pair is checked as `rate_pair` checks it, and the first invalid
-    pair raises `rate_pair`'s ValueError: Q1's trace, finiteness and PSD,
-    the same for Q2, and then the rates, in that order within a pair.
+    The first invalid pair raises a ValueError: Q1's trace, finiteness and
+    PSD, the same for Q2, and then the rates (`RatePoint`'s messages), in
+    that order within a pair.
     """
     m = ch.m
     q1s = np.asarray(q1s, dtype=np.complex128)
@@ -225,10 +191,12 @@ def rate_pairs(ch: ChannelSet, q1s, q2s) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rate_pair(ch: ChannelSet, q1, q2, label: str = "optimal") -> RatePoint:
-    """Rate pair achieved by transmit covariances (Q1, Q2)."""
-    q1 = _validate_covariance(q1, ch.m, ch.p1, "Q1")
-    q2 = _validate_covariance(q2, ch.m, ch.p2, "Q2")
-    r1, r2 = _rates_of(ch, q1[None], q2[None])
+    """Rate pair achieved by transmit covariances (Q1, Q2): `rate_pairs` of one pair."""
+    q1, q2 = np.asarray(q1, dtype=np.complex128), np.asarray(q2, dtype=np.complex128)
+    for name, q in (("Q1", q1), ("Q2", q2)):
+        if q.shape != (ch.m, ch.m):
+            raise ValueError(f"{name} has shape {q.shape}, expected ({ch.m}, {ch.m})")
+    r1, r2 = rate_pairs(ch, q1[None], q2[None])
     return RatePoint(r1=float(r1[0]), r2=float(r2[0]), label=label)
 
 

@@ -5,7 +5,7 @@ drawn by direct sampling, and the dual value is maximized on a dense 1-D
 grid with numpy's LAPACK eigensolver.  The scalar references for array
 kernels (`optimal_weights_reference`, `sweep_rate_point`,
 `pareto_filter_reference`, `rate_pair_reference`,
-`covariance_faults_reference`,
+`covariance_faults_reference`, `sampled_rates_reference`,
 `domination_oracle_reference`, `escape_distances_reference`,
 `curve_to_csv_reference`, `equal_rate_point_reference`,
 `certificate_records_reference`) evaluate one point at a time, and
@@ -32,7 +32,7 @@ from fdpareto.certify import Certificate, dual_value_at
 from fdpareto.channel import self_leakage
 from fdpareto.errors import InfeasibleError, NumericalError
 from fdpareto.pareto import CSV_HEADER, ORACLE_TOL, OracleReport, grid_slack, node_problem
-from fdpareto.rates import PSD_TOL, RatePoint, _power_limit, _rate, _validate_covariance
+from fdpareto.rates import PSD_TOL, RatePoint, _power_limit, _rate, _trace_message
 
 
 def sample_feasible_weights(rng, h_cross, p, z, n):
@@ -358,14 +358,32 @@ def min_leakage_reference(prob):
     return optimal_weights_reference(prob).leakage
 
 
+def validate_covariance(q, m, p, name):
+    """One covariance checked by the package's Jacobi solver (`numlin.is_psd`).
+
+    Shape, then trace within `_power_limit(p)`, then finiteness and PSD up to
+    PSD_TOL * max(1, ||Q||_F) plus round-off; raises `rate_pair`'s ValueError.
+    """
+    q = np.asarray(q, dtype=np.complex128)
+    if q.shape != (m, m):
+        raise ValueError(f"{name} has shape {q.shape}, expected ({m}, {m})")
+    tr = float(np.trace(q).real)
+    if tr > _power_limit(p):
+        raise ValueError(_trace_message(name, tr, p))
+    scale = max(1.0, numlin.frobenius_norm(q))
+    if not numlin.is_psd(q, PSD_TOL * scale):
+        raise ValueError(f"{name} is not positive semidefinite")
+    return q
+
+
 def rate_pair_reference(ch, q1, q2, label="optimal"):
     """Rate pair of one covariance pair, each product on its own 1-D operands.
 
     The scalar reference for `rates.rate_pairs`; the covariances are checked
-    by the Jacobi-based `_validate_covariance`.
+    by the Jacobi-based `validate_covariance`.
     """
-    q1 = _validate_covariance(q1, ch.m, ch.p1, "Q1")
-    q2 = _validate_covariance(q2, ch.m, ch.p2, "Q2")
+    q1 = validate_covariance(q1, ch.m, ch.p1, "Q1")
+    q2 = validate_covariance(q2, ch.m, ch.p2, "Q2")
     fe = ch.frontend
     num1 = max(0.0, float(np.real(ch.h21.conj() @ q2 @ ch.h21)))
     num2 = max(0.0, float(np.real(ch.h12.conj() @ q1 @ ch.h12)))
@@ -379,9 +397,10 @@ def covariance_faults_reference(qs, p):
 
     The reference for `rates._covariance_faults`: the eigenvalue rule
     alone, with every smallest eigenvalue from one LAPACK `eigvalsh` call
-    over the stack.  A finite Q is PSD when
-    lambda_min(Q) >= -(PSD_TOL * max(1, ||Q||_F) + ROUNDOFF * ||Q||_F), the
-    norm taken after dividing by the largest modulus so no square overflows.
+    over the stack.  A finite Q is PSD when, in units of its largest
+    modulus b (1 for a zero matrix),
+    lambda_min(Q / b) >= -(PSD_TOL * max(1 / b, ||Q / b||_F)
+    + ROUNDOFF * ||Q / b||_F).
     """
     tr = np.trace(qs, axis1=1, axis2=2).real
     over = tr > _power_limit(p)
@@ -390,33 +409,74 @@ def covariance_faults_reference(qs, p):
     big = np.max(np.abs(safe), axis=(1, 2))
     unit = np.where(big > 0.0, big, 1.0)
     scaled = safe / unit[:, None, None]
+    norms = np.sqrt(np.sum(scaled.real ** 2 + scaled.imag ** 2, axis=(1, 2)))
     with np.errstate(over="ignore"):
-        norms = unit * np.sqrt(np.sum(scaled.real ** 2 + scaled.imag ** 2, axis=(1, 2)))
-    lam_min = np.linalg.eigvalsh(safe)[:, 0]
-    not_psd = ~(lam_min >= -(PSD_TOL * np.maximum(1.0, norms) + numlin.ROUNDOFF * norms))
-    return tr, over, ~finite, finite & not_psd
+        tol = PSD_TOL * np.maximum(1.0 / unit, norms) + numlin.ROUNDOFF * norms
+    lam_min = np.linalg.eigvalsh(scaled)[:, 0]
+    return tr, over, ~finite, finite & ~(lam_min >= -tol)
+
+
+def sampled_covariances(rng, ch, u):
+    """The oracle's random covariance pairs as full matrices, one per row of u.
+
+    The same draws as `pareto._sampled_rates`: one normal array of shape
+    (n, 2, 2, m, m) gives, per pair and node, the real and imaginary parts
+    of g, and the covariance is the Gram matrix g g† scaled to trace u * P.
+    Returns one (n, m, m) stack per node.
+    """
+    m = ch.m
+    g = rng.standard_normal((len(u), 2, 2, m, m))
+    g = g[:, :, 0] + 1j * g[:, :, 1]
+    q = g @ np.conj(np.swapaxes(g, -1, -2))
+    q *= (u * np.array([ch.p1, ch.p2]) / np.trace(q, axis1=-2, axis2=-1).real)[..., None, None]
+    return q[:, 0], q[:, 1]
+
+
+def _left_sum(values):
+    """values[0] + values[1] + ..., added left to right."""
+    total = values[0]
+    for v in values[1:]:
+        total = total + v
+    return total
 
 
 def sampled_rates_reference(ch, samples, seed):
-    """The oracle's sampled rate pairs, one covariance pair at a time.
+    """The oracle's sampled rate pairs, one sample and one float at a time.
 
     The draws follow the oracle's order: every uniform fraction first, then
     per sample and node one (2, m, m) normal draw (real part, then imaginary
-    part).
+    part) of the factor g of Q = s g g†, s = frac * P / ||g||_F^2.  Each
+    covariance is rated from g by the factored arithmetic, in scalar floats:
+    the power it delivers, s ||g† h||^2, and its leakage,
+    sum_k c_k (s ||g_k||^2), every sum left to right.
     """
     rng = np.random.default_rng(seed)
     m = ch.m
+    fe = ch.frontend
     fracs = rng.uniform(0.0, 1.0, size=(samples, 2))
+    nodes = (("Q1", ch.p1, ch.h12, ch.h11), ("Q2", ch.p2, ch.h21, ch.h22))
     rates = np.empty((samples, 2))
     for k in range(samples):
-        qs = []
-        for frac, p_budget in zip(fracs[k].tolist(), (ch.p1, ch.p2)):
-            re, im = rng.standard_normal((2, m, m))
-            g = re + 1j * im
-            q = g @ g.conj().T
-            q *= frac * p_budget / float(np.trace(q).real)
-            qs.append(q)
-        pt = rate_pair_reference(ch, qs[0], qs[1], label="sampled")
+        delivered, leakage = [], []
+        for frac, (name, p_budget, h, h_self) in zip(fracs[k].tolist(), nodes):
+            re, im = rng.standard_normal((2, m, m)).tolist()
+            hr, hi = h.real.tolist(), h.imag.tolist()
+            c = (np.abs(h_self) ** 2).tolist()
+            rows = [_left_sum([re[i][j] * re[i][j] + im[i][j] * im[i][j] for j in range(m)])
+                    for i in range(m)]
+            s = frac * p_budget / _left_sum(rows)
+            tr = s * _left_sum(rows)
+            if tr > _power_limit(p_budget):
+                raise ValueError(_trace_message(name, tr, p_budget))
+            a = [_left_sum([re[i][j] * hr[i] + im[i][j] * hi[i] for i in range(m)])
+                 for j in range(m)]
+            b = [_left_sum([re[i][j] * hi[i] - im[i][j] * hr[i] for i in range(m)])
+                 for j in range(m)]
+            delivered.append(s * _left_sum([a[j] * a[j] + b[j] * b[j] for j in range(m)]))
+            leakage.append(_left_sum([c[i] * (s * rows[i]) for i in range(m)]))
+        pt = RatePoint(r1=float(_rate(delivered[1], leakage[0], fe.sigma2, fe.beta)),
+                       r2=float(_rate(delivered[0], leakage[1], fe.sigma2, fe.beta)),
+                       label="sampled")
         rates[k] = (pt.r1, pt.r2)
     return rates
 

@@ -33,6 +33,7 @@ from oracles import (
     equal_rate_point_reference,
     escape_distances_reference,
     pareto_filter_reference,
+    sampled_covariances,
     sampled_rates_reference,
     sweep_rate_point,
 )
@@ -459,8 +460,7 @@ def test_oracle_equals_per_sample_reference(m, gamma_db, beta_db, p1, p2, sigma2
                                         p1=p1, p2=p2, sigma2=sigma2,
                                         symmetric=symmetric, seed=seed))
     rng = np.random.default_rng(seed)
-    q1s, q2s = pareto._sampled_covariances(rng, ch, rng.random((samples, 2)))
-    r1, r2 = rate_pairs(ch, q1s, q2s)
+    r1, r2 = pareto._sampled_rates(rng, ch, rng.random((samples, 2)))
     ref = sampled_rates_reference(ch, samples, seed)
     assert r1.tolist() == ref[:, 0].tolist() and r2.tolist() == ref[:, 1].tolist()
 
@@ -471,6 +471,62 @@ def test_oracle_equals_per_sample_reference(m, gamma_db, beta_db, p1, p2, sigma2
         patch.setattr(pareto, "_ORACLE_BLOCK", 7)
         report = domination_oracle(ch, curve, samples, seed)
     assert report == domination_oracle_reference(ch, curve, samples, seed)
+
+
+def factored_rate_bound(ch, q1s, q2s, r1, r2):
+    """How far the factored rates may lie from `rate_pairs`' of the full matrices.
+
+    Every operation rounds with relative error at most u = 2^-53; gamma_n is
+    n u / (1 - n u).  Take one covariance Q = s g g† of an m-antenna node,
+    with cross channel h, so the delivered power is z = s ||g† h||^2 and
+    Z = tr(Q) ||h||^2 >= s (sum_k |h_k| ||g_k||)^2 bounds every term of its
+    sums.  The full path (Gram product, trace and scaling, then h† Q h)
+    computes z to within gamma_{5m+15} Z, and the factored path (the row
+    norms, ||g||_F^2, s, the 2m-term sums of g† h, their squares) to within
+    gamma_{11m+5} Z.  The leakage G is a sum of nonnegative terms c_k Q_kk,
+    which each path computes to within gamma_{4m+9} G.  So x = z / D, with
+    D = sigma2 + beta G, differs between the paths by at most
+    gamma_{16m+24} (Z / D + x), and r = log2(1 + x) by that over
+    (1 + x) ln 2, plus one rounding of 1 + x on each side (2u (1 + x)) and
+    up to 4 ulps of log2 on each side (16 u r).
+    """
+    m = ch.m
+    u = 2.0 ** -53
+    n = 16 * m + 24
+    gamma = n * u / (1.0 - n * u)
+    fe = ch.frontend
+
+    def bound(r, q_sender, h, q_own, h_own):
+        z_scale = np.trace(q_sender, axis1=1, axis2=2).real * np.sum(np.abs(h) ** 2)
+        leak = np.sum(np.abs(h_own) ** 2 * np.diagonal(q_own, axis1=1, axis2=2).real, axis=1)
+        one_plus_x = np.exp2(r)
+        x = one_plus_x - 1.0
+        rel = gamma * (z_scale / (fe.sigma2 + fe.beta * leak) + x) / one_plus_x
+        return (rel + 4.0 * u) / np.log(2.0) + 16.0 * u * r
+
+    return bound(r1, q2s, ch.h21, q1s, ch.h11), bound(r2, q1s, ch.h12, q2s, ch.h22)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0),
+       beta_db=st.floats(-80.0, 0.0), p1=st.floats(0.05, 20.0),
+       p2=st.floats(0.05, 20.0), sigma2=st.sampled_from((1e-3, 1.0)),
+       symmetric=st.booleans(), seed=st.integers(0, 2**16),
+       samples=st.integers(1, 200))
+def test_factored_rates_match_full_covariance_rates(m, gamma_db, beta_db, p1, p2, sigma2,
+                                                    symmetric, seed, samples):
+    # the same draws, rated from the factors and from the full Gram matrices
+    # (with their trace and PSD checks), agree to the round-off bound
+    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
+                                        p1=p1, p2=p2, sigma2=sigma2,
+                                        symmetric=symmetric, seed=seed))
+    rng = np.random.default_rng(seed)
+    r1, r2 = pareto._sampled_rates(rng, ch, rng.random((samples, 2)))
+    rng = np.random.default_rng(seed)
+    q1s, q2s = sampled_covariances(rng, ch, rng.random((samples, 2)))
+    f1, f2 = rate_pairs(ch, q1s, q2s)
+    b1, b2 = factored_rate_bound(ch, q1s, q2s, f1, f2)
+    assert np.all(np.abs(r1 - f1) <= b1) and np.all(np.abs(r2 - f2) <= b2)
 
 
 @pytest.mark.parametrize("samples, blocks", [

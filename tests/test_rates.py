@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdpareto import numlin, rates
+from fdpareto import numlin, pareto, rates
 from fdpareto.channel import ChannelSet, FrontEndModel, ScenarioSpec, generate_scenario
 from fdpareto.pareto import SweepGrid, boundary, domination_oracle
 from fdpareto.rates import RatePoint, rate_pair, rate_pairs, single_link_max
 
-from oracles import covariance_faults_reference
+from oracles import covariance_faults_reference, rate_pair_reference
+
+# Finite entries, but ||Q||_F overflows; eigenvalues +-1.5e308, trace 2.
+OVERFLOWING_NORM = np.array([[1.0, 1.5e308], [1.5e308, 1.0]])
 
 
 def make_channel(m=2, beta=1e-4, sigma2=1.0, p1=1.0, p2=1.0,
@@ -67,8 +70,17 @@ class TestRatePair:
 
     def test_rejects_dimension_mismatch(self):
         ch = make_channel(m=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"Q1 has shape \(2, 2\), expected \(3, 3\)"):
             rate_pair(ch, np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_rejects_matrix_whose_norm_overflows_without_warnings(self):
+        ch = make_channel(p1=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                rate_pair(ch, OVERFLOWING_NORM, np.zeros((2, 2)))
+        assert type(err.value) is ValueError
+        assert str(err.value) == "Q1 is not positive semidefinite"
 
     def test_more_own_leakage_cannot_help(self):
         # r1 nonincreasing in each diagonal entry of Q1 at fixed Q2
@@ -141,9 +153,10 @@ class TestRatePairs:
         q1s = gram_stack(rng, 20, 3, trace=rng.uniform(0.0, 1.0, 20))
         q2s = gram_stack(rng, 20, 3, rank=1, trace=rng.uniform(0.0, 1.0, 20))
         r1, r2 = rate_pairs(ch, q1s, q2s)
-        pts = [rate_pair(ch, a, b) for a, b in zip(q1s, q2s)]
-        assert r1.tolist() == [p.r1 for p in pts]
-        assert r2.tolist() == [p.r2 for p in pts]
+        for pt in ([rate_pair_reference(ch, a, b) for a, b in zip(q1s, q2s)],
+                   [rate_pair(ch, a, b) for a, b in zip(q1s, q2s)]):
+            assert r1.tolist() == [p.r1 for p in pt]
+            assert r2.tolist() == [p.r2 for p in pt]
 
     @pytest.mark.parametrize("spoil", [
         lambda q1, q2: (np.diag([0.5, -0.2]), q2),
@@ -162,13 +175,15 @@ class TestRatePairs:
         q1s = gram_stack(rng, 6, 2, trace=0.5)
         q2s = gram_stack(rng, 6, 2, trace=0.5)
         bad1, bad2 = spoil(q1s[3], q2s[3])
+        with pytest.raises(ValueError) as reference:  # Jacobi's PSD verdict
+            rate_pair_reference(ch, bad1, bad2)
         with pytest.raises(ValueError) as single:
             rate_pair(ch, bad1, bad2)
         q1s[3], q2s[3] = bad1, bad2
         q1s[5] = np.diag([0.5, -0.2])  # a later fault does not mask it
         with pytest.raises(ValueError) as stacked:
             rate_pairs(ch, q1s, q2s)
-        assert str(stacked.value) == str(single.value)
+        assert str(stacked.value) == str(single.value) == str(reference.value)
 
     def test_invalid_rates_raise_rate_point_message(self):
         # a valid Q2 whose delivered power h21† Q2 h21 overflows
@@ -363,12 +378,21 @@ class TestCovarianceCertificate:
             rate_pairs_outcome(ch, q1s, q2s)
 
     def test_norm_beyond_float_range_falls_back_to_the_rule(self):
-        # ||Q||_F overflows, so tol and the scaled shift are inf and certify nothing
-        qs = np.array([[[1.0, 1.5e308], [1.5e308, 1.0]], np.eye(2)])
+        # ||Q||_F overflows, but tol, in units of the largest modulus, does not;
+        # the indefinite matrix is not certified, and the rule decides
+        qs = np.array([OVERFLOWING_NORM, np.eye(2)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, calls = checked_faults(qs, 1.0)
         assert calls == 1
+
+    def test_matrix_whose_norm_overflows_is_not_psd(self):
+        qs = np.array([OVERFLOWING_NORM, np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (tr, over, non_finite, not_psd), _ = checked_faults(qs, 2.0)
+        assert tr.tolist() == [2.0, 2.0] and not over.any() and not non_finite.any()
+        assert not_psd.tolist() == [True, False]
 
     def test_non_hermitian_input_is_read_from_its_lower_triangle(self):
         ch = make_channel(m=3)
@@ -390,14 +414,40 @@ class TestCovarianceCertificate:
 
 
 @pytest.mark.parametrize("m", [1, 3, 8])
-def test_oracle_samples_are_certified_without_eigvalsh(m):
-    # the oracle's Gram matrices must never reach the eigenvalue fallback
+def test_oracle_rates_its_samples_from_factors_within_budget(m):
+    # the oracle forms no covariance matrix: it reaches neither rate_pairs nor
+    # a Cholesky, and every trace it computes from the factors is in budget
     ch = generate_scenario(ScenarioSpec(m=m, gamma_db=40.0, beta_db=-40.0, seed=m))
     curve = boundary(ch, SweepGrid.for_channel(ch, 100))
-    with eigvalsh_calls() as calls:
+    traces = []
+    check_traces = pareto._check_traces
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not form covariance matrices")
+
+    def recorded(tr, channel):
+        traces.append(tr.copy())
+        check_traces(tr, channel)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rates, "rate_pairs", forbidden)
+        mp.setattr(pareto, "rate_pairs", forbidden, raising=False)
+        mp.setattr(np.linalg, "cholesky", forbidden)
+        mp.setattr(pareto, "_check_traces", recorded)
         report = domination_oracle(ch, curve, samples=5000, seed=m)
     assert report.passed
-    assert calls == []
+    tr = np.concatenate(traces)
+    assert tr.shape == (5000, 2)
+    assert np.all(tr <= [rates._power_limit(ch.p1), rates._power_limit(ch.p2)])
+
+
+def test_sampled_traces_over_budget_raise_rate_pair_message():
+    ch = make_channel(p1=1.0, p2=0.5)
+    pareto._check_traces(np.array([[1.0, 0.5], [0.0, 0.0]]), ch)
+    with pytest.raises(ValueError, match=r"^trace\(Q2\) = 0.6 exceeds the power budget 0.5$"):
+        pareto._check_traces(np.array([[1.0, 0.5], [0.2, 0.6], [2.0, 0.0]]), ch)
+    with pytest.raises(ValueError, match=r"^trace\(Q1\) = 2 exceeds the power budget 1$"):
+        pareto._check_traces(np.array([[1.0, 0.5], [2.0, 0.6]]), ch)
 
 
 class TestSingleLinkMax:
