@@ -377,10 +377,10 @@ class OracleReport:
 
 
 def _running_sum(x: np.ndarray) -> np.ndarray:
-    """x[..., 0] + x[..., 1] + ... left to right: one order for a stack and a row."""
-    total = x[..., 0]
-    for k in range(1, x.shape[-1]):
-        total = total + x[..., k]
+    """x[0] + x[1] + ... left to right: one order for a stack and a sample."""
+    total = x[0]
+    for part in x[1:]:
+        total = total + part
     return total
 
 
@@ -406,23 +406,25 @@ def _sampled_rates(rng: np.random.Generator, ch: ChannelSet,
     """
     m = ch.m
     draws = rng.standard_normal((len(u), 2, 2, m, m))
-    re, im = draws[:, :, 0], draws[:, :, 1]
-    cross = np.array([ch.h12, ch.h21])[:, :, None]  # (node, k, 1)
+    # Axes (part, k, j, node, sample): each operation runs over whole rows of
+    # samples, where the drawn layout would give it rows of m numbers.
+    re, im = np.ascontiguousarray(draws.transpose(2, 3, 4, 1, 0))
+    cross = np.array([ch.h12, ch.h21]).T[:, None, :, None]  # (k, 1, node, 1)
     hr, hi = cross.real, cross.imag
-    c = np.abs(np.array([ch.h11, ch.h22])) ** 2
+    c = (np.abs(np.array([ch.h11, ch.h22])) ** 2).T[:, :, None]  # (k, node, 1)
     sigma2, beta = ch.frontend.sigma2, ch.frontend.beta
     with np.errstate(all="ignore"):
-        rows = _running_sum(re * re + im * im)
+        rows = _running_sum(np.swapaxes(re * re + im * im, 0, 1))  # (k, node, n)
         fro = _running_sum(rows)
-        s = u * np.array([ch.p1, ch.p2]) / fro
-        _check_traces(s * fro, ch)
-        # (g† h)_j = a_j + i b_j, summed over k, the second-to-last axis
-        a = _running_sum(np.swapaxes(re * hr + im * hi, -1, -2))
-        b = _running_sum(np.swapaxes(re * hi - im * hr, -1, -2))
+        s = u.T * np.array([[ch.p1], [ch.p2]]) / fro
+        _check_traces((s * fro).T, ch)
+        # (g† h)_j = a_j + i b_j, each (j, node, n)
+        a = _running_sum(re * hr + im * hi)
+        b = _running_sum(re * hi - im * hr)
         delivered = s * _running_sum(a * a + b * b)
-        leakage = _running_sum(c * (s[..., None] * rows))
-        r1 = _rate(delivered[:, 1], leakage[:, 0], sigma2, beta)
-        r2 = _rate(delivered[:, 0], leakage[:, 1], sigma2, beta)
+        leakage = _running_sum(c * (s * rows))
+        r1 = _rate(delivered[1], leakage[0], sigma2, beta)
+        r2 = _rate(delivered[0], leakage[1], sigma2, beta)
     _check_rates(r1, r2)
     return r1, r2
 
