@@ -1,10 +1,10 @@
 """Golden CLI artefacts: the fixed cases, and a script that rewrites them.
 
-Each case runs one CLI command in-process on a small fixed config (grid 20,
-200 oracle samples) and keeps every file it writes under
-``tests/golden/<case>/``.  ``versions.json`` records the Python and numpy
-versions the files were written with: the channel draws and the float
-formatting are exact only for one numpy version.
+Each case runs one CLI command in-process on a small fixed config (grid 20
+unless the case names its own, 200 oracle samples) and keeps every file it
+writes under ``tests/golden/<case>/``.  ``versions.json`` records the Python
+and numpy versions the files were written with: the channel draws and the
+float formatting are exact only for one numpy version.
 
 Regenerate from the repository root, only in a change that means to move
 output bytes (and say which fields moved):
@@ -32,10 +32,10 @@ SAMPLES = 200
 
 
 def _config(m: int, gamma_db: float = 40.0, beta_db: float = -40.0,
-            emit: list[str] | None = None, **scenario) -> dict:
+            emit: list[str] | None = None, grid_n: int = GRID_N, **scenario) -> dict:
     cfg = {"scenario": {"m": m, "gamma_db": gamma_db, "beta_db": beta_db,
                         "seed": 7, **scenario},
-           "grid_n": GRID_N, "samples": SAMPLES}
+           "grid_n": grid_n, "samples": SAMPLES}
     if emit is not None:
         cfg["emit"] = emit
     return cfg
@@ -49,6 +49,8 @@ CASES = {
                                  symmetric=False, seed=11, emit=["oracle"])),
     "boundary_m8": (["boundary"],
                     _config(8, gamma_db=30.0, beta_db=-30.0, seed=3, emit=["oracle"])),
+    # a grid large enough for `boundary` to rate only its live blocks
+    "boundary_m3_grid200": (["boundary"], _config(3, emit=["oracle"], grid_n=200)),
     "preset_fig4": (["boundary", "--preset", "fig4"], _config(3)),
     "preset_fig6": (["boundary", "--preset", "fig6"], _config(3)),
     "compare_zf_m3": (["compare-zf"], _config(3)),
