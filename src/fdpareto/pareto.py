@@ -16,13 +16,18 @@ the Pareto boundary to grid resolution.  G_i is evaluated once per grid value
 
 The rate grid is doubly monotone: G_i is nondecreasing, so along a row
 (z2 rising) r1 rises and r2 falls, and down a column (z1 rising) r1 falls
-and r2 rises.  The filter uses this before it sorts (the maxima problem of
-Kung, Luccio & Preparata, JACM 1975, with the sieve of Bentley, Clarkson &
-Levine, Algorithmica 1993).  The maxima of a strided sub-grid form a
-staircase, and every cell that a staircase point strictly dominates is
-dropped, a block of rows at a time.  The few cells left go through the
-O(N log N) array sort (`pareto_indices`) in index order, so the result is
-exactly that of sorting the whole grid, ties and duplicates included.
+and r2 rises.  The filter uses this to rate and sort only a few cells (the
+maxima problem of Kung, Luccio & Preparata, JACM 1975, with the sieve of
+Bentley, Clarkson & Levine, Algorithmica 1993).  The maxima of a strided
+sub-grid form a staircase.  Every cell of a block between neighbouring
+sub-grid rows and columns lies below the block's outer corner, so a block
+whose corner the staircase strictly dominates is never rated.  The cells of
+the blocks left are rated, those the staircase strictly dominates are
+dropped, and the rest go through the O(N log N) array sort
+(`pareto_indices`) in index order, so the result is exactly that of
+sorting the whole grid, ties and duplicates included.  When many blocks are
+left, or the grid is not provably valid, the whole grid is rated, checked
+and sieved by the same staircase (`_maximal_cells`).
 Survivors whose rates, at the 12 significant digits of the CSV, are
 dominated by another survivor's are dropped too, so the written curve is
 strictly monotone.
@@ -186,43 +191,150 @@ def pareto_indices(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return order[s2 > best_before][::-1]
 
 
-def grid_pareto_indices(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """`pareto_indices(r1.ravel(), r2.ravel())` of a doubly monotone rate grid.
+def _sieve_lines(n: int) -> np.ndarray:
+    """Every `_SIEVE_STRIDE`-th index of range(n), and the last."""
+    return np.append(np.arange(0, n - 1, _SIEVE_STRIDE), n - 1)
 
-    r1 and r2 are (n1, n2) grids with r1 nondecreasing and r2 nonincreasing
-    along each row, and the reverse down each column.  The maxima of the
-    sub-grid of every `_SIEVE_STRIDE`-th row and column (and the last) form
-    a staircase, r1 strictly ascending and r2 strictly descending.  For a
-    cell (a, b), the first staircase point (s1, s2) with s1 >= a has the
-    largest s2 of all those that could dominate it, so the cell is strictly
-    dominated exactly when s2 >= b and (s2 > b or s1 > a).  Those cells are
-    dropped, `_SIEVE_ROWS` rows at a time; an exact duplicate of a staircase
-    point is kept.  A strictly dominated cell is never maximal, and its
-    dominator sorts before it, so dropping it changes no other cell's
-    verdict; the stable sort of what is left, in index order, returns the
-    same indices as the sort of the whole grid.
+
+def _staircase(sub1: np.ndarray, sub2: np.ndarray):
+    """The test of strict domination by the maxima of the pairs (sub1, sub2).
+
+    The maxima form a staircase, r1 strictly ascending and r2 strictly
+    descending.  For a pair (a, b), the first staircase point (s1, s2) with
+    s1 >= a has the largest s2 of all those that could dominate it, so the
+    pair is strictly dominated exactly when s2 >= b and (s2 > b or s1 > a).
+    The returned function takes arrays a and b of one shape and returns that
+    mask; an exact duplicate of a staircase point is not dominated.
     """
-    n1, n2 = r1.shape
-    rows = np.append(np.arange(0, n1 - 1, _SIEVE_STRIDE), n1 - 1)
-    cols = np.append(np.arange(0, n2 - 1, _SIEVE_STRIDE), n2 - 1)
-    sub1 = r1[np.ix_(rows, cols)].ravel()
-    sub2 = r2[np.ix_(rows, cols)].ravel()
-    stair = pareto_indices(sub1, sub2)
-    s1 = sub1[stair]
+    stair = pareto_indices(sub1.ravel(), sub2.ravel())
+    s1 = sub1.ravel()[stair]
     # One point past the staircase's end, which dominates nothing.
     s1_at = np.append(s1, -np.inf)
-    s2_at = np.append(sub2[stair], -np.inf)
+    s2_at = np.append(sub2.ravel()[stair], -np.inf)
 
-    candidates = []
-    for start in range(0, n1, _SIEVE_ROWS):
-        a = r1[start:start + _SIEVE_ROWS].ravel()
-        b = r2[start:start + _SIEVE_ROWS].ravel()
+    def dominated(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         k = np.searchsorted(s1, a)
         top = s2_at[k]
-        dominated = (top >= b) & ((top > b) | (s1_at[k] > a))
-        candidates.append(np.flatnonzero(~dominated) + start * n2)
+        return (top >= b) & ((top > b) | (s1_at[k] > a))
+
+    return dominated
+
+
+def _sieved(r1: np.ndarray, r2: np.ndarray, dominated) -> np.ndarray:
+    """`pareto_indices` of the (n1, n2) grids r1, r2, flattened, after the sieve.
+
+    The cells that `dominated` marks are dropped, `_SIEVE_ROWS` rows at a
+    time; the rest are sorted in index order.
+    """
+    n2 = r1.shape[1]
+    candidates = []
+    for start in range(0, r1.shape[0], _SIEVE_ROWS):
+        a = r1[start:start + _SIEVE_ROWS].ravel()
+        b = r2[start:start + _SIEVE_ROWS].ravel()
+        candidates.append(np.flatnonzero(~dominated(a, b)) + start * n2)
     kept = np.concatenate(candidates)
     return kept[pareto_indices(r1.ravel()[kept], r2.ravel()[kept])]
+
+
+def grid_pareto_indices(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """`pareto_indices(r1.ravel(), r2.ravel())` of an (n1, n2) rate grid.
+
+    The maxima of the sub-grid of every `_SIEVE_STRIDE`-th row and column
+    (and the last) form a staircase (`_staircase`), and every cell that it
+    strictly dominates is dropped.  A strictly dominated cell is never
+    maximal, and its dominator sorts before it, so dropping it changes no
+    other cell's verdict; the stable sort of what is left, in index order,
+    returns the same indices as the sort of the whole grid.  This holds for
+    any grid; on a doubly monotone one (r1 nondecreasing and r2
+    nonincreasing along each row, the reverse down each column) few cells
+    are left.  `boundary` sieves its grid this way when it cannot prune it
+    by blocks.
+    """
+    rows, cols = _sieve_lines(r1.shape[0]), _sieve_lines(r1.shape[1])
+    return _sieved(r1, r2, _staircase(r1[np.ix_(rows, cols)], r2[np.ix_(rows, cols)]))
+
+
+def _is_valid_curve(x: np.ndarray) -> bool:
+    """True when every value is finite and >= 0, in nondecreasing order."""
+    return bool(np.isfinite(x).all() and (x[0] >= 0.0) and (x[1:] >= x[:-1]).all())
+
+
+def _block_cells(rows: np.ndarray, cols: np.ndarray, live: np.ndarray,
+                 shape: tuple[int, int]) -> np.ndarray:
+    """Row-major indices, ascending, of the cells of the live blocks, each once.
+
+    Block (i, j) spans the rows rows[i] to rows[i + 1] and the columns
+    cols[j] to cols[j + 1], so neighbouring blocks share their edge rows and
+    columns.  Each cell is taken from one block: the one whose rows
+    [rows[i], rows[i + 1]) and columns [cols[j], cols[j + 1]) hold it, the
+    last block row and column also holding the grid's last row and column.
+    A cell whose block is dropped is left out, since that block holds it.
+    """
+    n1, n2 = shape
+    row_end = np.append(rows[1:-1], n1)
+    col_end = np.append(cols[1:-1], n2)
+    bi, bj = np.nonzero(live)
+    span = np.arange(_SIEVE_STRIDE + 1)
+    r = (rows[bi, None] + span)[:, :, None]
+    c = (cols[bj, None] + span)[:, None, :]
+    inside = (r < row_end[bi, None, None]) & (c < col_end[bj, None, None])
+    return np.sort((r * n2 + c)[inside])
+
+
+def _maximal_cells(z1s: np.ndarray, z2s: np.ndarray, leak1: np.ndarray,
+                   leak2: np.ndarray, sigma2: float,
+                   beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maximal cells of the rate grid, in `pareto_indices` order, and their rates.
+
+    Cell (i, j) rates r1 = `_rate`(z2s[j], leak1[i]) and
+    r2 = `_rate`(z1s[i], leak2[j]).  Returns the row-major indices that
+    `pareto_indices` keeps of the whole grid, and r1 and r2 at them.
+
+    The stride-`_SIEVE_STRIDE` sub-grid (`_sieve_lines`) is rated first, and
+    its maxima form a staircase (`_staircase`).  When the grid is provably
+    valid and doubly monotone (below), every cell of the block
+    [rows[i], rows[i + 1]] x [cols[j], cols[j + 1]] lies below its outer
+    corner (r1[rows[i], cols[j + 1]], r2[rows[i + 1], cols[j]]), a sub-grid
+    cell.  A block whose corner the staircase strictly dominates holds only
+    strictly dominated cells, which are never maximal, so it is dropped.  The
+    cells of the blocks that are left are rated once each, sieved by the
+    same staircase, and sorted in index order (`_block_cells`); as in
+    `grid_pareto_indices`, the result is that of sorting the whole grid.
+    When more than a quarter of the blocks are left, or the grid is not
+    provably valid, the whole grid is rated, checked by `_check_rates`
+    (which raises for its first invalid cell in row-major order) and sieved
+    by the staircase.
+
+    The grid is valid (every rate finite and >= 0) and doubly monotone
+    when sigma2 > 0, both z arrays and both leakage curves are finite, >= 0
+    and nondecreasing, and the extreme cells r1[0, n2 - 1] and
+    r2[n1 - 1, 0] are finite: beta >= 0, so each denominator is
+    nondecreasing along its curve and, once those two cells are finite,
+    positive and never NaN.  This rests on `_rate` being elementwise
+    monotone: IEEE `+`, `*` and `/` round monotonically, and `np.log2` must
+    be nondecreasing.
+    """
+    n1, n2 = z1s.size, z2s.size
+    rows, cols = _sieve_lines(n1), _sieve_lines(n2)
+    sub1 = _rate(z2s[cols], leak1[rows, None], sigma2, beta)
+    sub2 = _rate(z1s[rows, None], leak2[cols], sigma2, beta)
+    dominated = _staircase(sub1, sub2)
+    if (sigma2 > 0.0 and all(map(_is_valid_curve, (z1s, z2s, leak1, leak2)))
+            and np.isfinite(sub1[0, -1]) and np.isfinite(sub2[-1, 0])):
+        live = ~dominated(sub1[:-1, 1:], sub2[1:, :-1])
+        if 4 * np.count_nonzero(live) <= live.size:
+            cells = _block_cells(rows, cols, live, (n1, n2))
+            i, j = np.divmod(cells, n2)
+            r1 = _rate(z2s[j], leak1[i], sigma2, beta)
+            r2 = _rate(z1s[i], leak2[j], sigma2, beta)
+            kept = np.flatnonzero(~dominated(r1, r2))
+            kept = kept[pareto_indices(r1[kept], r2[kept])]
+            return cells[kept], r1[kept], r2[kept]
+    r1 = _rate(z2s[None, :], leak1[:, None], sigma2, beta)
+    r2 = _rate(z1s[:, None], leak2[None, :], sigma2, beta)
+    _check_rates(r1, r2)
+    keep = _sieved(r1, r2, dominated)
+    return keep, r1.ravel()[keep], r2.ravel()[keep]
 
 
 def pareto_filter(points: list[RatePoint]) -> list[RatePoint]:
@@ -245,19 +357,21 @@ def _as_written(x: np.ndarray) -> tuple[list[str], np.ndarray]:
 
 
 def boundary(ch: ChannelSet, grid: SweepGrid) -> BoundaryCurve:
-    """Pareto boundary of the achievable region, to grid resolution."""
+    """Pareto boundary of the achievable region, to grid resolution.
+
+    The maximal cells of the (n1, n2) rate grid are those that sorting the
+    whole grid keeps (`pareto_indices`), but only the blocks of the grid
+    that can hold one are rated (`_maximal_cells`).  An invalid rate raises
+    `RatePoint`'s ValueError for the grid's first invalid cell in
+    row-major order.
+    """
     z1s = grid.z1_values()
     z2s = grid.z2_values()
     node1, node2 = node_problem(ch, 1, 0.0), node_problem(ch, 2, 0.0)
     leak1 = leakage_curve(node1.h_self, node1.h_cross, node1.p, z1s)
     leak2 = leakage_curve(node2.h_self, node2.h_cross, node2.p, z2s)
-    sigma2 = ch.frontend.sigma2
-    beta = ch.frontend.beta
-    r1 = _rate(z2s[None, :], leak1[:, None], sigma2, beta)
-    r2 = _rate(z1s[:, None], leak2[None, :], sigma2, beta)
-    _check_rates(r1, r2)
-    keep = grid_pareto_indices(r1, r2)
-    r1, r2 = r1.ravel()[keep], r2.ravel()[keep]
+    keep, r1, r2 = _maximal_cells(z1s, z2s, leak1, leak2, ch.frontend.sigma2,
+                                  ch.frontend.beta)
     # Along a flat stretch of the boundary, neighbouring maximal points can
     # differ only below the digits the CSV keeps; filter once more on the
     # rates as written, so the file stays strictly monotone.

@@ -8,9 +8,10 @@ kernels (`optimal_weights_reference`, `sweep_rate_point`,
 `covariance_faults_reference`, `sampled_rates_reference`,
 `domination_oracle_reference`, `escape_distances_reference`,
 `curve_to_csv_reference`, `equal_rate_point_reference`,
-`certificate_records_reference`) evaluate one point at a time, and
-`dual_certificate_reference` maximizes the dual numerically where the
-package uses its closed form.
+`certificate_records_reference`) evaluate one point at a time,
+`maximal_cells_reference` rates and sorts the whole grid where the package
+prunes it by blocks, and `dual_certificate_reference` maximizes the dual
+numerically where the package uses its closed form.
 """
 
 import json
@@ -31,8 +32,9 @@ from fdpareto.beamform import (
 from fdpareto.certify import Certificate, dual_value_at
 from fdpareto.channel import self_leakage
 from fdpareto.errors import InfeasibleError, NumericalError
-from fdpareto.pareto import CSV_HEADER, ORACLE_TOL, OracleReport, grid_slack, node_problem
-from fdpareto.rates import PSD_TOL, RatePoint, _power_limit, _rate, _trace_message
+from fdpareto.pareto import (CSV_HEADER, ORACLE_TOL, OracleReport, grid_slack, node_problem,
+                             pareto_indices)
+from fdpareto.rates import PSD_TOL, RatePoint, _check_rates, _power_limit, _rate, _trace_message
 
 
 def sample_feasible_weights(rng, h_cross, p, z, n):
@@ -176,6 +178,22 @@ def certificate_records_reference(curve, zs, endpoint, rel, tol, ok):
         curve.certificates(), rel.tolist(), tol.tolist(), ok.tolist(),
         curve.kkt_reports())]
     return json.dumps(records, indent=2, sort_keys=True).replace("\n", "\n" + " " * 6)
+
+
+def maximal_cells_reference(z1s, z2s, leak1, leak2, sigma2, beta):
+    """The whole-grid filter that `pareto._maximal_cells` prunes by blocks.
+
+    Rates every cell of the (n1, n2) grid, r1[i, j] = `_rate`(z2s[j],
+    leak1[i]) and r2[i, j] = `_rate`(z1s[i], leak2[j]), raises
+    `_check_rates`' message for its first invalid cell in row-major order,
+    and sorts the whole grid with `pareto_indices`.  Returns the kept
+    row-major indices and their rates.
+    """
+    r1 = _rate(z2s[None, :], leak1[:, None], sigma2, beta)
+    r2 = _rate(z1s[:, None], leak2[None, :], sigma2, beta)
+    _check_rates(r1, r2)
+    keep = pareto_indices(r1.ravel(), r2.ravel())
+    return keep, r1.ravel()[keep], r2.ravel()[keep]
 
 
 def pareto_filter_reference(points):

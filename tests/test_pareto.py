@@ -1,12 +1,15 @@
 import itertools
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from fdpareto import pareto
-from fdpareto.channel import ScenarioSpec, generate_scenario, ideal_frontend
+from fdpareto.beamform import leakage_curve
+from fdpareto.channel import ChannelSet, FrontEndModel, ScenarioSpec, generate_scenario, ideal_frontend
 from fdpareto.cli import preset_config
 from fdpareto.rates import RatePoint, rate_pairs, single_link_max
 from fdpareto.pareto import (
@@ -21,6 +24,7 @@ from fdpareto.pareto import (
     escape_distances,
     grid_pareto_indices,
     grid_slack,
+    node_problem,
     pareto_filter,
     pareto_indices,
     tdma_boundary,
@@ -32,6 +36,7 @@ from oracles import (
     domination_oracle_reference,
     equal_rate_point_reference,
     escape_distances_reference,
+    maximal_cells_reference,
     pareto_filter_reference,
     sampled_covariances,
     sampled_rates_reference,
@@ -178,6 +183,238 @@ def test_sieve_matches_full_sort(n1, n2, levels, signed_zeros, monotone, block_r
 ], ids=["constant", "signed-zeros", "constant-rows-and-columns"])
 def test_sieve_keeps_first_duplicate(r1, r2):
     assert np.array_equal(grid_pareto_indices(r1, r2), pareto_indices(r1.ravel(), r2.ravel()))
+
+
+@contextmanager
+def rate_grid_spy():
+    """What `pareto._maximal_cells` did inside the block.
+
+    Yields a dict: "rated", the number of rates `_rate` computed (two per
+    cell: r1 and r2), and
+    "checked", the shapes of the grids passed to `_check_rates` (the whole
+    grid, on the fallback path only).
+    """
+    seen = {"rated": 0, "checked": []}
+    rate, check = pareto._rate, pareto._check_rates
+
+    def counted_rate(*args):
+        out = rate(*args)
+        seen["rated"] += out.size
+        return out
+
+    def recorded_check(r1, r2):
+        seen["checked"].append(r1.shape)
+        return check(r1, r2)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pareto, "_rate", counted_rate)
+        patch.setattr(pareto, "_check_rates", recorded_check)
+        yield seen
+
+
+def maximal_cells_outcome(kernel, *inputs):
+    """The kept indices and rates as lists, or the message of the ValueError raised."""
+    try:
+        keep, r1, r2 = kernel(*inputs)
+    except ValueError as err:
+        return str(err)
+    return keep.tolist(), r1.tolist(), r2.tolist()
+
+
+@st.composite
+def rate_grid_inputs(draw):
+    """(z1s, z2s, leak1, leak2, sigma2, beta) of a rate grid, mostly a valid one.
+
+    Each z array rises from 0 in steps drawn from a few levels: a step of 0
+    makes a tie, and all steps 0 make every cell of the grid equal.  Each
+    leakage is a power of its z, scaled over many decades and optionally
+    rounded to a few levels: a steep leakage leaves the maximal cells on the
+    box edges, a mild one folds the boundary through the interior.  One
+    grid in four is spoiled: two values of an array swapped, one made
+    negative, NaN or inf, the last raised to 1.5e308 (its rate overflows
+    unless the noise floor and leakage absorb it), or a negative noise
+    floor.
+    """
+    size = st.one_of(st.integers(2, 9), st.integers(2, 120), st.integers(100, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from((1, 2, 3, 50)))
+
+    def curves(n):
+        z = np.concatenate([[0.0], np.cumsum(rng.integers(0, levels, n - 1))])
+        z *= 10.0 ** draw(st.integers(-5, 3)) / max(1.0, z[-1])
+        shape = (z / z[-1]) ** draw(st.sampled_from((0.5, 1.0, 2.0, 8.0))) if z[-1] else z
+        leak = 10.0 ** draw(st.integers(-3, 8)) * shape
+        if draw(st.booleans()):  # ties in the leakage too
+            leak = np.floor(leak / leak[-1] * 4.0) * leak[-1] / 4.0 if leak[-1] else leak
+        return z, leak
+
+    (z1s, leak1), (z2s, leak2) = curves(draw(size)), curves(draw(size))
+    x = [z1s, z2s, leak1, leak2][draw(st.integers(0, 3))]
+    k = draw(st.integers(0, x.size - 2))
+    spoil = draw(st.sampled_from((None,) * 18 + ("swap", "negative", "nan", "inf", "huge",
+                                                 "noise floor")))
+    if spoil == "swap":
+        x[k], x[k + 1] = x[k + 1], x[k]
+    elif spoil in ("negative", "nan", "inf"):
+        x[k] = {"negative": -1.0 - x[k], "nan": np.nan, "inf": np.inf}[spoil]
+    elif spoil == "huge":
+        x[-1] = 1.5e308
+    sigma2 = -1e-3 if spoil == "noise floor" else draw(st.sampled_from((1e-3, 1.0)))
+    beta = draw(st.sampled_from((0.0, 1e-8, 1e-4, 1e-2, 1.0, 1e4)))
+    return z1s, z2s, leak1, leak2, sigma2, beta
+
+
+_Z = np.linspace(0.0, 5e-4, 200)
+_STEEP = 1e4 * (_Z / _Z[-1]) ** 2
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(rate_grid_inputs())
+# a negative noise floor: only the first row and column rate below 0, and
+# the extreme cells are finite
+@example((_Z, _Z, _STEEP, _STEEP, -1e-3, 1.0))
+def test_block_pruning_matches_full_grid(inputs):
+    # the pruned kernel keeps exactly the indices, and the rates, of sorting
+    # the whole grid, or raises its message; both paths and grids under one
+    # block are drawn
+    with np.errstate(all="ignore"), rate_grid_spy() as seen:
+        got = maximal_cells_outcome(pareto._maximal_cells, *inputs)
+    n1, n2 = inputs[0].size, inputs[1].size
+    event("whole grid" if seen["checked"] else "pruned")
+    event(got if isinstance(got, str) else "kept cells")
+    assert seen["checked"] in ([], [(n1, n2)])
+    with np.errstate(all="ignore"):
+        assert got == maximal_cells_outcome(maximal_cells_reference, *inputs)
+
+
+_north_star = dict(
+    m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0), beta_db=st.floats(-80.0, 0.0),
+    p1=st.floats(0.05, 20.0), p2=st.floats(0.05, 20.0), sigma2=st.sampled_from((1e-3, 1.0)),
+    symmetric=st.booleans(), seed=st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**_north_star, n1=st.integers(2, 260), n2=st.integers(2, 260))
+def test_boundary_matches_full_grid_over_scenarios(m, gamma_db, beta_db, p1, p2, sigma2,
+                                                   symmetric, seed, n1, n2):
+    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
+                                        p1=p1, p2=p2, sigma2=sigma2,
+                                        symmetric=symmetric, seed=seed))
+    grid = SweepGrid.for_channel(ch, n1, n2)
+    with rate_grid_spy() as seen:
+        curve = boundary(ch, grid)
+    event("whole grid" if seen["checked"] else "pruned")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pareto, "_maximal_cells", maximal_cells_reference)
+        ref = boundary(ch, grid)
+    assert curve_to_csv(curve) == curve_to_csv(ref)
+    for name in ("r1", "r2", "z1", "z2"):
+        assert getattr(curve, name).tolist() == getattr(ref, name).tolist()
+
+
+def _one_antenna_channel(beta=1.0, sigma2=1.0, p=1.0):
+    one = np.array([1.0])
+    return ChannelSet(h11=one, h12=one, h21=one, h22=one, p1=p, p2=p,
+                      frontend=FrontEndModel(beta=beta, sigma2=sigma2))
+
+
+class TestValidationFallback:
+    """Grids that are not provably valid are rated and checked whole."""
+
+    def outcomes(self, ch, grid):
+        """`boundary`'s CSV or message, and the full-grid reference's, with the spy's record."""
+        def outcome():
+            try:
+                return curve_to_csv(boundary(ch, grid))
+            except ValueError as err:
+                return str(err)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with rate_grid_spy() as seen:
+                got = outcome()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pareto, "_maximal_cells", maximal_cells_reference)
+                want = outcome()
+        return got, want, seen
+
+    def test_nan_leakage(self, monkeypatch):
+        # a NaN in the middle of node 2's curve poisons one column of r2
+        ch = _one_antenna_channel(beta=1e-3)
+        grid = SweepGrid.for_channel(ch, 40)
+        curve = leakage_curve(ch.h22, ch.h21, ch.p2, grid.z2_values())
+        curve[17] = np.nan
+        calls = itertools.count()
+        monkeypatch.setattr(pareto, "leakage_curve",
+                            lambda h_self, h_cross, p, zs:
+                            curve if next(calls) % 2 else np.zeros(zs.size))
+        with np.errstate(invalid="ignore"):
+            got, want, seen = self.outcomes(ch, grid)
+        assert got == want == "rates must be finite"
+        assert seen["checked"] == [(40, 40)]
+
+    def test_overflowing_rate(self):
+        # sweep-large's channel with a subnormal noise floor: z / sigma2
+        # overflows where a node's own leakage is 0, in the grids' first row
+        # and first column; the rest of the grid is edge-only
+        ch = scenario(seed=1)
+        ch = ChannelSet(h11=ch.h11, h12=ch.h12, h21=ch.h21, h22=ch.h22, p1=ch.p1, p2=ch.p2,
+                        frontend=FrontEndModel(beta=ch.frontend.beta, sigma2=1e-310))
+        with np.errstate(over="ignore"):
+            got, want, seen = self.outcomes(ch, SweepGrid.for_channel(ch, 200))
+        assert got == want == "rates must be finite"
+        assert seen["checked"] == [(200, 200)]
+
+    def test_budget_of_1e308(self):
+        # node 1's leakage is inf beyond z = 0, so no block bound holds; the
+        # whole grid is rated, as the reference rates it, without warnings
+        ch = scenario(p1=1e308)
+        got, want, seen = self.outcomes(ch, SweepGrid.for_channel(ch, 200))
+        assert got == want and got.startswith(pareto.CSV_HEADER)
+        assert seen["checked"] == [(200, 200)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sweep_large_shape_rates_under_a_tenth_of_the_grid(seed):
+    # the benchmark's sweep-large boundary: m = 3, 40 dB, -40 dB, grid 1000
+    ch = scenario(gamma_db=40.0, beta_db=-40.0, m=3, seed=seed)
+    grid = SweepGrid.for_channel(ch, 1000)
+    with rate_grid_spy() as seen:
+        curve = boundary(ch, grid)
+    assert seen["checked"] == [] and seen["rated"] / 2 < 0.1 * 1000 * 1000
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pareto, "_maximal_cells", maximal_cells_reference)
+        assert curve_to_csv(curve) == curve_to_csv(boundary(ch, grid))
+
+
+def test_log2_is_nondecreasing_over_sorted_inputs():
+    # the block bound needs `_rate` monotone, so np.log2 must be; its
+    # arguments are 1 + x >= 1
+    rng = np.random.default_rng(0)
+    ulps = np.arange(-2000.0, 2000.0)
+    x = np.concatenate([
+        1.0 + np.abs(ulps) * np.finfo(float).eps,  # just above 1
+        *(np.nextafter(2.0 ** k, np.inf) + ulps * np.spacing(2.0 ** k)
+          for k in range(1, 1023, 7)),  # across powers of two
+        rng.uniform(1.0, 2.0, 100_000), np.logspace(0.0, 308.0, 100_000),
+    ])
+    x = np.sort(x[x >= 1.0])
+    assert np.all(np.diff(np.log2(x)) >= 0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(**_north_star, n=st.integers(2, 1000))
+def test_leakage_curve_is_nondecreasing(m, gamma_db, beta_db, p1, p2, sigma2, symmetric,
+                                        seed, n):
+    # `boundary` prunes only grids whose leakage curves, as computed, rise
+    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
+                                        p1=p1, p2=p2, sigma2=sigma2,
+                                        symmetric=symmetric, seed=seed))
+    grid = SweepGrid.for_channel(ch, n)
+    for node, zs in ((1, grid.z1_values()), (2, grid.z2_values())):
+        prob = node_problem(ch, node, 0.0)
+        leak = leakage_curve(prob.h_self, prob.h_cross, prob.p, zs)
+        assert np.all(np.diff(leak) >= 0.0)
 
 
 class TestBoundary:
