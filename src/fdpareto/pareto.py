@@ -67,8 +67,6 @@ _FMT = "%.12g"
 # A sample escapes the curve by more than this (past the grid slack) to
 # count as an oracle violation.
 ORACLE_TOL = 1e-6
-# Oracle samples per array pass; bounds its stacks to a few MB at m = 8.
-_ORACLE_BLOCK = 4096
 # Every _SIEVE_STRIDE-th row and column of the rate grid (and the last ones)
 # form the sub-grid whose maxima sieve it; _SIEVE_ROWS rows are sieved per
 # array pass, which bounds the scratch arrays to a few MB.
@@ -507,6 +505,14 @@ def _check_traces(tr: np.ndarray, ch: ChannelSet) -> None:
         raise ValueError(_trace_message(f"Q{node + 1}", float(tr[k, node]), budgets[node]))
 
 
+def _oracle_block(m: int) -> int:
+    """Oracle samples per array pass at m antennas: 2^15 / m^2, rounded down.
+
+    A sample draws 4 m^2 normals, so each block's draws take 1 MB at any m.
+    """
+    return max(1, (1 << 15) // (m * m))
+
+
 def _sampled_rates(rng: np.random.Generator, ch: ChannelSet,
                    u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rate pairs of random covariance pairs, one per row of u, from their factors.
@@ -588,7 +594,7 @@ def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
 
     The draws come from one generator in a fixed order: first every uniform
     fraction, as one (samples, 2) array, then the normals, one
-    (n, 2, 2, m, m) array per block of `_ORACLE_BLOCK` samples.  A generator
+    (n, 2, 2, m, m) array per block of `_oracle_block(m)` samples.  A generator
     fills an array element by element from one stream, so the report does
     not depend on the block size.  Each block is one array pass:
     `_sampled_rates` rates and checks every pair from its Gram factors, and
@@ -604,8 +610,9 @@ def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
     fracs = rng.random((samples, 2))
     max_violation = -np.inf
     violations = 0
-    for start in range(0, samples, _ORACLE_BLOCK):
-        r1, r2 = _sampled_rates(rng, ch, fracs[start:start + _ORACLE_BLOCK])
+    block = _oracle_block(ch.m)
+    for start in range(0, samples, block):
+        r1, r2 = _sampled_rates(rng, ch, fracs[start:start + block])
         viol = escape_distances(r1, r2, c1, c2)
         max_violation = max(max_violation, float(viol.max()))
         violations += int(np.count_nonzero(viol > tolerance))

@@ -705,7 +705,7 @@ def test_oracle_equals_per_sample_reference(m, gamma_db, beta_db, p1, p2, sigma2
     curve = BoundaryCurve(points=[  # a shrunken curve has violations to count
         RatePoint(r1=shrink * p.r1, r2=shrink * p.r2) for p in curve.points])
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pareto, "_ORACLE_BLOCK", 7)
+        patch.setattr(pareto, "_oracle_block", lambda m: 7)
         report = domination_oracle(ch, curve, samples, seed)
     assert report == domination_oracle_reference(ch, curve, samples, seed)
 
@@ -780,7 +780,7 @@ def test_oracle_report_does_not_depend_on_block_size(samples, blocks, monkeypatc
     for c in (curve, shrunk):
         reports = []
         for block in blocks:
-            monkeypatch.setattr(pareto, "_ORACLE_BLOCK", block)
+            monkeypatch.setattr(pareto, "_oracle_block", lambda m, block=block: block)
             reports.append(domination_oracle(ch, c, samples, seed=5))
         assert all(r == reports[0] for r in reports)
     assert reports[0].violations > 0
