@@ -8,13 +8,14 @@ with z = h_ji† Q_j h_ji the signal power delivered from the far node and
 G = h_ii† diag(Q_i) h_ii the node's own front-end leakage.  `_rate` is the
 only place this formula is written: `rate_pairs` applies it to covariance
 stacks, `single_link_max` to a silent node (G = 0), the boundary sweep to
-whole (z, G) grids, and the oracle to its samples' Gram factors.  Rates are
+the cells of its (z, G) grid, and the oracle to its samples' Gram factors.  Rates are
 in bits per channel use.
 
 A covariance is valid when its shape is (m, m), its trace is within its
 budget P up to `POWER_SLACK * max(1, P)` (a relative slack, so the check
 stays above float round-off at large budgets), and it is PSD up to
-`PSD_TOL * max(1, ||Q||_F)` plus round-off.  There is one PSD rule for
+`PSD_TOL * max(1, ||Q||_F)` plus round-off, judged on its Hermitian part
+(Q + Q†) / 2, the part that is rated.  There is one PSD rule for
 explicit covariances: `rate_pair` is `rate_pairs` of one pair, and
 `_covariance_faults` certifies a stack with one batched Cholesky, falling
 back to the eigenvalue rule itself only when some matrix is not certified.
@@ -68,18 +69,23 @@ def _trace_message(name: str, tr: float, p: float) -> str:
 def _covariance_faults(qs: np.ndarray, p: float) -> tuple[np.ndarray, ...]:
     """(trace, over budget, non-finite, not PSD) of each matrix of a stack.
 
-    A finite Q is PSD when lambda_min(Q) >= -tol, with
-    tol = PSD_TOL * max(1, ||Q||_F) + ROUNDOFF * ||Q||_F (`numlin.is_psd`),
+    A finite Q is judged by its Hermitian part H = (Q + Q†) / 2, which is
+    what `_rates_of` rates: Re(h† Q h) = h† H h and diag(H) = Re(diag(Q)).
+    It is PSD when lambda_min(H) >= -tol, with
+    tol = PSD_TOL * max(1, ||H||_F) + ROUNDOFF * ||H||_F (`numlin.is_psd`),
     both sides taken in units of Q's largest modulus b, where
-    ||Q / b||_F <= m, so tol cannot overflow: lambda_min(Q / b) >=
-    -(PSD_TOL * max(1 / b, ||Q / b||_F) + ROUNDOFF * ||Q / b||_F).
+    ||H / b||_F <= m, so tol cannot overflow: lambda_min(H / b) >=
+    -(PSD_TOL * max(1 / b, ||H / b||_F) + ROUNDOFF * ||H / b||_F).  H / b
+    is formed from Q / b, whose entries are at most 1, so the sum cannot
+    overflow; for an exactly Hermitian Q it equals Q / b bit for bit, up to
+    the imaginary part of the diagonal, which neither LAPACK routine reads.
 
-    One batched Cholesky of every Q / b + (tol/2) I certifies the stack
+    One batched Cholesky of every H / b + (tol/2) I certifies the stack
     first.  It is backward stable, so a factor exists only if lambda_min >=
     -tol/2 - O(m u), u the unit round-off; tol/2 >= 5e-10 is over 10^4 times
     that and `eigvalsh`'s error for m <= 8, so the rule accepts every
     certified matrix.  Otherwise the rule decides for the whole stack (one
-    `eigvalsh` call).  Both read the lower triangle and the real diagonal.
+    `eigvalsh` call).
     """
     tr = np.trace(qs, axis1=1, axis2=2).real
     over = tr > _power_limit(p)
@@ -88,27 +94,26 @@ def _covariance_faults(qs: np.ndarray, p: float) -> tuple[np.ndarray, ...]:
     big = np.max(np.abs(safe), axis=(1, 2))
     unit = np.where(big > 0.0, big, 1.0)[:, None, None]  # 1 for a zero matrix
     scaled = safe / unit
-    norms = np.sqrt(np.sum(scaled.real ** 2 + scaled.imag ** 2, axis=(1, 2)))
+    herm = (scaled + np.conj(np.swapaxes(scaled, 1, 2))) / 2.0
+    norms = np.sqrt(np.sum(herm.real ** 2 + herm.imag ** 2, axis=(1, 2)))
     with np.errstate(over="ignore"):  # 1 / b is inf only where every |lambda| < PSD_TOL
         tol = PSD_TOL * np.maximum(1.0 / unit[:, 0, 0], norms) + numlin.ROUNDOFF * norms
-    if _cholesky_certifies(scaled, 0.5 * tol):
+    if _cholesky_certifies(herm, 0.5 * tol):
         not_psd = np.zeros(len(qs), dtype=bool)
     else:
-        not_psd = ~(np.linalg.eigvalsh(safe / unit)[:, 0] >= -tol)
+        not_psd = ~(np.linalg.eigvalsh(herm)[:, 0] >= -tol)
     return tr, over, ~finite, finite & not_psd
 
 
-def _cholesky_certifies(scaled: np.ndarray, shift: np.ndarray) -> bool:
-    """True when every scaled[k] + shift[k] I (added in place) has a Cholesky factor.
+def _cholesky_certifies(herm: np.ndarray, shift: np.ndarray) -> bool:
+    """True when every herm[k] + shift[k] I has a Cholesky factor.
 
     A non-finite shift certifies nothing; NaN entries would not raise.
     """
     if not np.isfinite(shift).all():
         return False
-    diag = np.arange(scaled.shape[-1])
-    scaled[:, diag, diag] += shift[:, None]
     try:
-        np.linalg.cholesky(scaled)
+        np.linalg.cholesky(herm + shift[:, None, None] * np.eye(herm.shape[-1]))
     except np.linalg.LinAlgError:
         return False
     return True

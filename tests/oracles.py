@@ -415,10 +415,11 @@ def covariance_faults_reference(qs, p):
 
     The reference for `rates._covariance_faults`: the eigenvalue rule
     alone, with every smallest eigenvalue from one LAPACK `eigvalsh` call
-    over the stack.  A finite Q is PSD when, in units of its largest
-    modulus b (1 for a zero matrix),
-    lambda_min(Q / b) >= -(PSD_TOL * max(1 / b, ||Q / b||_F)
-    + ROUNDOFF * ||Q / b||_F).
+    over the stack.  A finite Q is judged by its Hermitian part
+    H = (Q + Q†) / 2: it is PSD when, in units of Q's largest modulus b
+    (1 for a zero matrix),
+    lambda_min(H / b) >= -(PSD_TOL * max(1 / b, ||H / b||_F)
+    + ROUNDOFF * ||H / b||_F).
     """
     tr = np.trace(qs, axis1=1, axis2=2).real
     over = tr > _power_limit(p)
@@ -427,10 +428,11 @@ def covariance_faults_reference(qs, p):
     big = np.max(np.abs(safe), axis=(1, 2))
     unit = np.where(big > 0.0, big, 1.0)
     scaled = safe / unit[:, None, None]
-    norms = np.sqrt(np.sum(scaled.real ** 2 + scaled.imag ** 2, axis=(1, 2)))
+    herm = (scaled + np.conj(np.swapaxes(scaled, 1, 2))) / 2.0
+    norms = np.sqrt(np.sum(herm.real ** 2 + herm.imag ** 2, axis=(1, 2)))
     with np.errstate(over="ignore"):
         tol = PSD_TOL * np.maximum(1.0 / unit, norms) + numlin.ROUNDOFF * norms
-    lam_min = np.linalg.eigvalsh(scaled)[:, 0]
+    lam_min = np.linalg.eigvalsh(herm)[:, 0]
     return tr, over, ~finite, finite & ~(lam_min >= -tol)
 
 

@@ -333,7 +333,7 @@ class TestCovarianceCertificate:
         rng = np.random.default_rng(12)
         q1s = gram_stack(rng, 8, 3, trace=0.5)
         q2s = gram_stack(rng, 8, 3, trace=0.5)
-        q2s[2, 0, 1] = bad  # an upper entry, which neither LAPACK routine reads
+        q2s[2, 0, 1] = bad  # an upper entry
         q2s[5, 2, 2] = bad
         (_, _, non_finite, not_psd), calls = checked_faults(q2s, ch.p2)
         assert np.flatnonzero(non_finite).tolist() == [2, 5]
@@ -394,23 +394,34 @@ class TestCovarianceCertificate:
         assert tr.tolist() == [2.0, 2.0] and not over.any() and not non_finite.any()
         assert not_psd.tolist() == [True, False]
 
-    def test_non_hermitian_input_is_read_from_its_lower_triangle(self):
+    def test_non_hermitian_input_is_judged_by_its_hermitian_part(self):
         ch = make_channel(m=3)
         rng = np.random.default_rng(14)
         psd = gram_stack(rng, 4, 3, trace=0.5)
-        junk = 5.0 * (rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))
-        lower_psd = np.tril(psd) + np.triu(junk, 1) + 0.3j * np.eye(3)
-        (_, _, _, not_psd), calls = checked_faults(lower_psd, np.inf)
+        skew = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        skew = 5.0 * (skew - np.conj(np.swapaxes(skew, 1, 2)))
+        # a skew-Hermitian part and an imaginary diagonal are not rated
+        shifted = psd + skew + 0.3j * np.eye(3)
+        (_, _, _, not_psd), calls = checked_faults(shifted, np.inf)
         assert not not_psd.any() and calls == 0
-        # an indefinite lower triangle under an upper triangle of zeros
-        lower_bad = lower_psd.copy()
-        lower_bad[1] = np.tril(np.array([[0.1, 0.0, 0.0], [0.3, 0.1, 0.0], [0.0, 0.0, 0.1]]))
-        (_, _, _, not_psd), calls = checked_faults(lower_bad, np.inf)
-        assert not_psd.tolist() == [False, True, False, False] and calls == 1
+        # a PSD lower triangle under an upper triangle that makes the
+        # Hermitian part indefinite
+        junk = 5.0 * (rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))
+        lower = psd + np.triu(junk, 1)
+        (_, _, _, not_psd), calls = checked_faults(lower, np.inf)
+        assert not_psd.all() and calls == 1
         q2s = gram_stack(rng, 4, 3, trace=0.5)
-        r1, _ = rate_pairs_outcome(ch, lower_psd, q2s)
-        assert len(r1) == 4
-        assert rate_pairs_outcome(ch, lower_bad, q2s) == "Q1 is not positive semidefinite"
+        r1, _ = rate_pairs_outcome(ch, shifted, q2s)
+        assert r1 == rate_pairs(ch, psd, q2s)[0].tolist()
+        assert rate_pairs_outcome(ch, lower, q2s) == "Q1 is not positive semidefinite"
+
+    def test_indefinite_hermitian_part_of_a_psd_lower_triangle_is_rejected(self):
+        # Q = [[1, 5], [0, 1]] has a PSD lower triangle, but (Q + Q†) / 2 has
+        # the eigenvalue -1.5
+        ch = make_channel(m=2, p1=2.0)
+        with pytest.raises(ValueError) as err:
+            rate_pair(ch, [[1, 5], [0, 1]], np.zeros((2, 2)))
+        assert str(err.value) == "Q1 is not positive semidefinite"
 
 
 @pytest.mark.parametrize("m", [1, 3, 8])
