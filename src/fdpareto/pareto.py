@@ -68,8 +68,9 @@ _FMT = "%.12g"
 # count as an oracle violation.
 ORACLE_TOL = 1e-6
 # Every _SIEVE_STRIDE-th row and column of the rate grid (and the last ones)
-# form the sub-grid whose maxima sieve it; _SIEVE_ROWS rows are sieved per
-# array pass, which bounds the scratch arrays to a few MB.
+# form the sub-grid whose maxima sieve it, and bound its blocks; a whole grid
+# is sieved _SIEVE_ROWS rows per array pass, which bounds the scratch arrays
+# to a few MB.
 _SIEVE_STRIDE = 8
 _SIEVE_ROWS = 64
 
@@ -204,11 +205,12 @@ def _staircase(sub1: np.ndarray, sub2: np.ndarray):
     The returned function takes arrays a and b of one shape and returns that
     mask; an exact duplicate of a staircase point is not dominated.
     """
-    stair = pareto_indices(sub1.ravel(), sub2.ravel())
-    s1 = sub1.ravel()[stair]
+    sub1, sub2 = sub1.ravel(), sub2.ravel()
+    stair = pareto_indices(sub1, sub2)
+    s1 = sub1[stair]
     # One point past the staircase's end, which dominates nothing.
     s1_at = np.append(s1, -np.inf)
-    s2_at = np.append(sub2.ravel()[stair], -np.inf)
+    s2_at = np.append(sub2[stair], -np.inf)
 
     def dominated(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         k = np.searchsorted(s1, a)
@@ -304,20 +306,21 @@ def _maximal_cells(z1s: np.ndarray, z2s: np.ndarray, leak1: np.ndarray,
     by the staircase.
 
     The grid is valid (every rate finite and >= 0) and doubly monotone
-    when sigma2 > 0, both z arrays and both leakage curves are finite, >= 0
-    and nondecreasing, and the extreme cells r1[0, n2 - 1] and
-    r2[n1 - 1, 0] are finite: beta >= 0, so each denominator is
+    when sigma2 > 0, beta >= 0, both z arrays and both leakage curves are
+    finite, >= 0 and nondecreasing, and the extreme cells r1[0, n2 - 1] and
+    r2[n1 - 1, 0] are finite.  Then each denominator sigma2 + beta * G is
     nondecreasing along its curve and, once those two cells are finite,
     positive and never NaN.  This rests on `_rate` being elementwise
     monotone: IEEE `+`, `*` and `/` round monotonically, and `np.log2` must
-    be nondecreasing.
+    be nondecreasing (a tier-1 test checks that it is).
     """
     n1, n2 = z1s.size, z2s.size
     rows, cols = _sieve_lines(n1), _sieve_lines(n2)
     sub1 = _rate(z2s[cols], leak1[rows, None], sigma2, beta)
     sub2 = _rate(z1s[rows, None], leak2[cols], sigma2, beta)
     dominated = _staircase(sub1, sub2)
-    if (sigma2 > 0.0 and all(map(_is_valid_curve, (z1s, z2s, leak1, leak2)))
+    if (sigma2 > 0.0 and beta >= 0.0
+            and all(map(_is_valid_curve, (z1s, z2s, leak1, leak2)))
             and np.isfinite(sub1[0, -1]) and np.isfinite(sub2[-1, 0])):
         live = ~dominated(sub1[:-1, 1:], sub2[1:, :-1])
         if 4 * np.count_nonzero(live) <= live.size:

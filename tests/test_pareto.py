@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from fdpareto import pareto
 from fdpareto.beamform import leakage_curve
-from fdpareto.channel import ChannelSet, FrontEndModel, ScenarioSpec, generate_scenario, ideal_frontend
+from fdpareto.channel import (ChannelSet, FrontEndModel, ScenarioSpec, generate_scenario,
+                              ideal_frontend)
 from fdpareto.cli import preset_config
 from fdpareto.rates import RatePoint, rate_pairs, single_link_max
 from fdpareto.pareto import (
@@ -190,9 +191,8 @@ def rate_grid_spy():
     """What `pareto._maximal_cells` did inside the block.
 
     Yields a dict: "rated", the number of rates `_rate` computed (two per
-    cell: r1 and r2), and
-    "checked", the shapes of the grids passed to `_check_rates` (the whole
-    grid, on the fallback path only).
+    cell: r1 and r2), and "checked", the shapes of the grids passed to
+    `_check_rates` (the whole grid, on the fallback path only).
     """
     seen = {"rated": 0, "checked": []}
     rate, check = pareto._rate, pareto._check_rates
