@@ -25,20 +25,17 @@ from .certify import (
     dual_certificate,
     kkt_check,
     rank_reduce,
-    solve_sdp_via_reduction,
 )
 from .channel import (
     ChannelSet,
     FrontEndModel,
     ScenarioSpec,
     generate_scenario,
-    residual_noise_variance,
 )
 from .errors import (
     DegenerateGeometryError,
     InfeasibleError,
     NumericalError,
-    OptimalityError,
 )
 from .pareto import (
     BoundaryCurve,
@@ -65,7 +62,6 @@ __all__ = [
     "InfeasibleError",
     "KktReport",
     "NumericalError",
-    "OptimalityError",
     "RankReductionTrace",
     "RatePoint",
     "ScenarioSpec",
@@ -88,9 +84,7 @@ __all__ = [
     "rank_reduce",
     "rate_pair",
     "rate_pairs",
-    "residual_noise_variance",
     "single_link_max",
-    "solve_sdp_via_reduction",
     "tdma_boundary",
     "zf_weights",
 ]

@@ -287,21 +287,6 @@ def leakage_curve(h_self, h_cross, p: float, zs) -> np.ndarray:
     return _solve_curve(prob, zs)[3]
 
 
-def low_z_condition_bound(h_self, h_cross, p: float) -> float:
-    """Largest z for which the unloaded (eps=0) solution meets the power budget.
-
-    Evaluates p * (h† C^{-1} h)^2 / (h† C^{-2} h) with the same singular-C
-    regularization as optimal_weights.
-    """
-    c = np.abs(np.asarray(h_self, dtype=np.complex128).reshape(-1)) ** 2
-    habs2 = np.abs(np.asarray(h_cross, dtype=np.complex128).reshape(-1)) ** 2
-    s1, s2 = _filter_sums(c, habs2, np.array([_loading_for_zero_eps(c)]))
-    s1, s2 = float(s1[0]), float(s2[0])
-    if s2 == 0.0:
-        return 0.0
-    return p * s1 * s1 / s2
-
-
 def zf_weights(h_self, h_cross, p: float) -> np.ndarray:
     """Full-power weights confined to the orthogonal complement of h_self.
 

@@ -49,7 +49,7 @@ from .beamform import (
     leakage_matrix,
     optimal_weights,
 )
-from .errors import NumericalError, OptimalityError
+from .errors import NumericalError
 
 # The finite loading, in units of max(1, max c), that certifies the MRT point.
 _MRT_LOADING = 2.0**27
@@ -377,7 +377,7 @@ def certify_instance(inst: SdpInstance):
     """Solve one instance in closed form and certify it: `certify_curve` at one z.
 
     Returns (q, solution, certificate, kkt_report) without gating on the gap;
-    solve_sdp_via_reduction adds the gap assertion.
+    `gap_tolerance` gives the gate.
     """
     h_self, h_cross = inst.channels()
     sol = optimal_weights(DecoupledProblem(h_self=h_self, h_cross=h_cross,
@@ -392,19 +392,3 @@ def gap_tolerance(inst: SdpInstance) -> float:
     z_max = inst.p * float(np.trace(inst.a).real)
     at_endpoint = inst.z <= 1e-9 * max(1.0, z_max) or inst.z >= z_max * (1.0 - 1e-9)
     return GAP_TOL_ENDPOINT if at_endpoint else GAP_TOL_INTERIOR
-
-
-def solve_sdp_via_reduction(inst: SdpInstance) -> np.ndarray:
-    """Rank-one optimal covariance, validated by the dual certificate.
-
-    Raises OptimalityError when |gap| exceeds the gate (1e-6 * max(1, primal)
-    at interior z, 1e-5 at the range endpoints) -- the tripwire that surfaces
-    bugs in either the closed form or the certificate.
-    """
-    q, sol, cert, _ = certify_instance(inst)
-    if abs(cert.gap) > gap_tolerance(inst) * max(1.0, sol.leakage):
-        raise OptimalityError(
-            f"duality gap {cert.gap:.3e} exceeds tolerance at z={inst.z:.12g} "
-            f"(primal {sol.leakage:.12g}, dual {cert.dual_value:.12g})"
-        )
-    return q

@@ -172,24 +172,3 @@ def generate_scenario(spec: ScenarioSpec) -> ChannelSet:
 def ideal_frontend(ch: ChannelSet) -> ChannelSet:
     """The same channels with beta forced to zero (no front-end noise)."""
     return replace(ch, frontend=FrontEndModel(beta=0.0, sigma2=ch.frontend.sigma2))
-
-
-def self_leakage(h_self: np.ndarray, q: np.ndarray) -> float:
-    """Front-end leakage h_self† diag(Q) h_self of covariance Q into its own receiver.
-
-    Only the diagonal of Q enters (per-antenna transmit powers); the result
-    is >= 0 for any PSD Q.
-    """
-    h_self = np.asarray(h_self, dtype=np.complex128).reshape(-1)
-    q = np.asarray(q, dtype=np.complex128)
-    if q.shape != (h_self.shape[0], h_self.shape[0]):
-        raise ValueError(
-            f"covariance shape {q.shape} does not match channel dim {h_self.shape[0]}"
-        )
-    return float(np.sum(np.abs(h_self) ** 2 * np.real(np.diag(q))))
-
-
-def residual_noise_variance(h_self: np.ndarray, q: np.ndarray,
-                            frontend: FrontEndModel) -> float:
-    """Aggregate noise power at a receiver: sigma2 + beta * h_self† diag(Q) h_self."""
-    return frontend.sigma2 + frontend.beta * self_leakage(h_self, q)

@@ -11,7 +11,3 @@ class InfeasibleError(ValueError):
 
 class DegenerateGeometryError(ValueError):
     """The channel geometry admits no solution (e.g. cross channel parallel to self channel)."""
-
-
-class OptimalityError(RuntimeError):
-    """A certified optimality condition failed beyond tolerance."""

@@ -157,12 +157,6 @@ class BoundaryCurve:
     def points(self) -> list[RatePoint]:
         return [self.point(k) for k in range(len(self))]
 
-    def r1_array(self) -> np.ndarray:
-        return self.r1
-
-    def r2_array(self) -> np.ndarray:
-        return self.r2
-
 
 def node_problem(ch: ChannelSet, node: int, z: float) -> DecoupledProblem:
     """The decoupled leakage problem of one node at delivered power z."""
@@ -224,7 +218,10 @@ def _sieved(r1: np.ndarray, r2: np.ndarray, dominated) -> np.ndarray:
     """`pareto_indices` of the (n1, n2) grids r1, r2, flattened, after the sieve.
 
     The cells that `dominated` marks are dropped, `_SIEVE_ROWS` rows at a
-    time; the rest are sorted in index order.
+    time; the rest are sorted in index order.  A strictly dominated cell is
+    never maximal, and its dominator sorts before it, so dropping it changes
+    no other cell's verdict: the stable sort of what is left returns the
+    indices that sorting the whole grid returns.
     """
     n2 = r1.shape[1]
     candidates = []
@@ -234,24 +231,6 @@ def _sieved(r1: np.ndarray, r2: np.ndarray, dominated) -> np.ndarray:
         candidates.append(np.flatnonzero(~dominated(a, b)) + start * n2)
     kept = np.concatenate(candidates)
     return kept[pareto_indices(r1.ravel()[kept], r2.ravel()[kept])]
-
-
-def grid_pareto_indices(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """`pareto_indices(r1.ravel(), r2.ravel())` of an (n1, n2) rate grid.
-
-    The maxima of the sub-grid of every `_SIEVE_STRIDE`-th row and column
-    (and the last) form a staircase (`_staircase`), and every cell that it
-    strictly dominates is dropped.  A strictly dominated cell is never
-    maximal, and its dominator sorts before it, so dropping it changes no
-    other cell's verdict; the stable sort of what is left, in index order,
-    returns the same indices as the sort of the whole grid.  This holds for
-    any grid; on a doubly monotone one (r1 nondecreasing and r2
-    nonincreasing along each row, the reverse down each column) few cells
-    are left.  `boundary` sieves its grid this way when it cannot prune it
-    by blocks.
-    """
-    rows, cols = _sieve_lines(r1.shape[0]), _sieve_lines(r1.shape[1])
-    return _sieved(r1, r2, _staircase(r1[np.ix_(rows, cols)], r2[np.ix_(rows, cols)]))
 
 
 def _is_valid_curve(x: np.ndarray) -> bool:
@@ -299,7 +278,7 @@ def _maximal_cells(z1s: np.ndarray, z2s: np.ndarray, leak1: np.ndarray,
     strictly dominated cells, which are never maximal, so it is dropped.  The
     cells of the blocks that are left are rated once each, sieved by the
     same staircase, and sorted in index order (`_block_cells`); as in
-    `grid_pareto_indices`, the result is that of sorting the whole grid.
+    `_sieved`, the result is that of sorting the whole grid.
     When more than a quarter of the blocks are left, or the grid is not
     provably valid, the whole grid is rated, checked by `_check_rates`
     (which raises for its first invalid cell in row-major order) and sieved

@@ -3,8 +3,11 @@
 Each case runs one CLI command in-process on a small fixed config (grid 20
 unless the case names its own, 200 oracle samples) and keeps every file it
 writes under ``tests/golden/<case>/``.  ``versions.json`` records the Python
-and numpy versions the files were written with: the channel draws and the
-float formatting are exact only for one numpy version.
+and numpy versions the files were written with, and numpy's BLAS and the
+SIMD extensions it found on the machine: the channel draws and the float
+formatting are exact only for one numpy version, and the last bits of
+LAPACK results and numpy's vector loops can move with the BLAS kernel and
+SIMD level.
 
 Regenerate from the repository root, only in a change that means to move
 output bytes (and say which fields moved):
@@ -63,7 +66,11 @@ CASES = {
 
 
 def versions() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas["name"], "version": blas["version"]},
+            "simd_found": config["SIMD Extensions"]["found"]}
 
 
 def run_case(name: str, work: Path) -> Path:

@@ -11,7 +11,10 @@ kernels (`optimal_weights_reference`, `sweep_rate_point`,
 `certificate_records_reference`) evaluate one point at a time,
 `maximal_cells_reference` rates and sorts the whole grid where the package
 prunes it by blocks, and `dual_certificate_reference` maximizes the dual
-numerically where the package uses its closed form.
+numerically where the package uses its closed form.  `jacobi_eigh`, a cyclic
+Jacobi eigensolver on plain Python scalars, is the independent check of the
+package's LAPACK eigen-solves; `low_z_condition_bound`, `self_leakage` and
+`residual_noise_variance` are closed forms that only the tests evaluate.
 """
 
 import json
@@ -30,11 +33,141 @@ from fdpareto.beamform import (
     mrt_weights,
 )
 from fdpareto.certify import Certificate, dual_value_at
-from fdpareto.channel import self_leakage
 from fdpareto.errors import InfeasibleError, NumericalError
 from fdpareto.pareto import (CSV_HEADER, ORACLE_TOL, OracleReport, grid_slack, node_problem,
                              pareto_indices)
 from fdpareto.rates import PSD_TOL, RatePoint, _check_rates, _power_limit, _rate, _trace_message
+
+# Off-diagonal elements below this fraction of ||A||_F are left unrotated.
+_JACOBI_TOL = 1e-15
+_JACOBI_MAX_SWEEPS = 100
+
+
+def _jacobi(a, want_vectors):
+    """Cyclic complex Jacobi on a Hermitian matrix; returns (diag, vectors).
+
+    The rotations run on plain Python scalars (per-element numpy calls would
+    dominate at dim <= 8).
+    """
+    n = a.shape[0]
+    eye = np.eye(n, dtype=np.complex128) if want_vectors else None
+    norm = numlin.frobenius_norm(a)
+    if norm == 0.0 or n == 1:
+        return np.real(np.diag(a)).copy(), eye
+    w = [list(row) for row in a.tolist()]
+    v = [list(row) for row in eye.tolist()] if want_vectors else None
+    skip = _JACOBI_TOL * norm
+    sqrt = math.sqrt
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p in range(n - 1):
+            wp = w[p]
+            for q in range(p + 1, n):
+                apq = wp[q]
+                mag = abs(apq)
+                if mag <= skip:
+                    continue
+                rotated = True
+                wq = w[q]
+                app = wp[p].real
+                aqq = wq[q].real
+                # Peeling the phase off a_pq reduces the (p,q) plane to a
+                # real Jacobi rotation with angle t = tan(theta).
+                phase = apq / mag
+                tau = (aqq - app) / (2.0 * mag)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
+                c = 1.0 / sqrt(1.0 + t * t)
+                s = t * c
+                sp = s * phase
+                spc = sp.conjugate()
+                for i in range(n):
+                    wi = w[i]
+                    xp = wi[p]
+                    xq = wi[q]
+                    wi[p] = c * xp - spc * xq
+                    wi[q] = sp * xp + c * xq
+                for j in range(n):
+                    xp = wp[j]
+                    xq = wq[j]
+                    wp[j] = c * xp - sp * xq
+                    wq[j] = spc * xp + c * xq
+                # The rotation zeroes the pivot exactly; drop the round-off.
+                wp[q] = 0.0
+                wq[p] = 0.0
+                wp[p] = wp[p].real
+                wq[q] = wq[q].real
+                if v is not None:
+                    for i in range(n):
+                        vi = v[i]
+                        xp = vi[p]
+                        xq = vi[q]
+                        vi[p] = c * xp - spc * xq
+                        vi[q] = sp * xp + c * xq
+        if not rotated:
+            diag = np.array([complex(w[i][i]).real for i in range(n)])
+            vec = np.array(v, dtype=np.complex128) if want_vectors else None
+            return diag, vec
+    raise NumericalError(
+        f"Jacobi eigensolver did not converge within {_JACOBI_MAX_SWEEPS} sweeps (dim={n})"
+    )
+
+
+def jacobi_eigh(a, want_vectors=True):
+    """(eigenvalues ascending, eigenvectors or None) of the Hermitian part of a.
+
+    The independent reference for `numlin.hermitian_eig` and
+    `eigvals_hermitian`: cyclic Jacobi rotations, accurate to near machine
+    precision at dim <= 8.  Raises NumericalError if the sweep cap is hit.
+    """
+    diag, vec = _jacobi(numlin.hermitianize(numlin.check_finite(a)), want_vectors)
+    order = np.argsort(diag, kind="stable")
+    return diag[order], None if vec is None else vec[:, order]
+
+
+def jacobi_min_eigenvalue(a):
+    return float(jacobi_eigh(a, want_vectors=False)[0][0])
+
+
+def jacobi_is_psd(a, tol):
+    """`numlin.is_psd`'s rule, lambda_min >= -(tol + ROUNDOFF * ||A||_F), by Jacobi."""
+    return jacobi_min_eigenvalue(a) >= -(tol + numlin.ROUNDOFF * numlin.frobenius_norm(a))
+
+
+def low_z_condition_bound(h_self, h_cross, p):
+    """Largest z for which the unloaded (eps=0) solution meets the power budget.
+
+    Evaluates p * (h† C^{-1} h)^2 / (h† C^{-2} h) with the same singular-C
+    regularization as optimal_weights.
+    """
+    c = np.abs(np.asarray(h_self, dtype=np.complex128).reshape(-1)) ** 2
+    habs2 = np.abs(np.asarray(h_cross, dtype=np.complex128).reshape(-1)) ** 2
+    s1, s2 = _filter_sums(c, habs2, _loading_for_zero_eps(c))
+    if s2 == 0.0:
+        return 0.0
+    return p * s1 * s1 / s2
+
+
+def self_leakage(h_self, q):
+    """Front-end leakage h_self† diag(Q) h_self of covariance Q into its own receiver.
+
+    Only the diagonal of Q enters (per-antenna transmit powers); the result
+    is >= 0 for any PSD Q.
+    """
+    h_self = np.asarray(h_self, dtype=np.complex128).reshape(-1)
+    q = np.asarray(q, dtype=np.complex128)
+    if q.shape != (h_self.shape[0], h_self.shape[0]):
+        raise ValueError(
+            f"covariance shape {q.shape} does not match channel dim {h_self.shape[0]}"
+        )
+    return float(np.sum(np.abs(h_self) ** 2 * np.real(np.diag(q))))
+
+
+def residual_noise_variance(h_self, q, frontend):
+    """Aggregate noise power at a receiver: sigma2 + beta * h_self† diag(Q) h_self."""
+    return frontend.sigma2 + frontend.beta * self_leakage(h_self, q)
 
 
 def sample_feasible_weights(rng, h_cross, p, z, n):
@@ -148,7 +281,7 @@ def dual_certificate_reference(inst, primal_value):
                 fc = dual_value_at(inst, c_pt)
 
     lam1 = best_x
-    lam_min_b = numlin.min_eigenvalue(inst.c - lam1 * inst.a)
+    lam_min_b = jacobi_min_eigenvalue(inst.c - lam1 * inst.a)
     lam2 = min(0.0, lam_min_b)
     dual_value = lam1 * inst.z + inst.p * lam2
     return Certificate(
@@ -377,7 +510,7 @@ def min_leakage_reference(prob):
 
 
 def validate_covariance(q, m, p, name):
-    """One covariance checked by the package's Jacobi solver (`numlin.is_psd`).
+    """One covariance checked by the Jacobi solver (`jacobi_is_psd`).
 
     Shape, then trace within `_power_limit(p)`, then finiteness and PSD up to
     PSD_TOL * max(1, ||Q||_F) plus round-off; raises `rate_pair`'s ValueError.
@@ -389,7 +522,7 @@ def validate_covariance(q, m, p, name):
     if tr > _power_limit(p):
         raise ValueError(_trace_message(name, tr, p))
     scale = max(1.0, numlin.frobenius_norm(q))
-    if not numlin.is_psd(q, PSD_TOL * scale):
+    if not jacobi_is_psd(q, PSD_TOL * scale):
         raise ValueError(f"{name} is not positive semidefinite")
     return q
 
@@ -511,8 +644,8 @@ def domination_oracle_reference(ch, curve, samples, seed, tolerance=ORACLE_TOL):
     if samples < 1:
         raise ValueError("need at least one sample")
     slack1, slack2 = grid_slack(curve)
-    c1 = curve.r1_array() + slack1
-    c2 = curve.r2_array() + slack2
+    c1 = curve.r1 + slack1
+    c2 = curve.r2 + slack2
     rates = sampled_rates_reference(ch, samples, seed)
 
     # escape distance per sample: min over curve points of max(d1, d2),

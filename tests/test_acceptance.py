@@ -12,7 +12,6 @@ from fdpareto import numlin
 from fdpareto.beamform import (
     DecoupledProblem,
     covariance_of,
-    low_z_condition_bound,
     optimal_weights,
     zf_weights,
 )
@@ -29,7 +28,12 @@ from fdpareto.pareto import (
 )
 from fdpareto.rates import rate_pair
 
-from oracles import leakage_of, sample_feasible_weights_stratified, sweep_rate_point
+from oracles import (
+    leakage_of,
+    low_z_condition_bound,
+    sample_feasible_weights_stratified,
+    sweep_rate_point,
+)
 
 GRID_N = 200
 SEED = 7
@@ -216,7 +220,7 @@ def test_criterion_8_axis_intercept_invariance():
             curve = boundary(ch, SweepGrid.for_channel(ch, GRID_N))
             r1_max_vals.append(max(p.r1 for p in curve.points))
             r2_max_vals.append(max(p.r2 for p in curve.points))
-            d1 = np.diff(curve.r1_array())
+            d1 = np.diff(curve.r1)
             slacks.append(float(np.max(np.abs(d1))) / 2 if d1.size else 0.0)
     tol = 1e-6 + max(slacks)
     spread1 = max(r1_max_vals) - min(r1_max_vals)

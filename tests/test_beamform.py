@@ -9,7 +9,6 @@ from fdpareto.beamform import (
     covariance_of,
     leakage_curve,
     leakage_matrix,
-    low_z_condition_bound,
     min_leakage,
     mrt_weights,
     optimal_weights,
@@ -21,6 +20,7 @@ from fdpareto.pareto import node_problem
 
 from oracles import (
     leakage_of,
+    low_z_condition_bound,
     min_leakage_reference,
     optimal_weights_reference,
     sample_feasible_weights,
@@ -251,6 +251,29 @@ class TestLeakageCurve:
         monkeypatch.setattr(beamform, "_solve", spoiled)
         with pytest.raises(NumericalError, match=message):
             leakage_curve(zs=[0.5, z], **self.args)
+
+    @pytest.mark.parametrize("solve_at", [
+        lambda args, z: optimal_weights(DecoupledProblem(z=z, **args)),
+        lambda args, z: leakage_curve(zs=[z], **args),
+    ], ids=["optimal_weights", "leakage_curve"])
+    def test_power_overshoot_of_1e_7_raises(self, monkeypatch, solve_at):
+        # the unloaded z = 1 solution moved along v = (1, -1)/sqrt(2), which is
+        # orthogonal to h, until ||w||^2 = p (1 + 1e-7): |w†h|^2 stays z, and
+        # only the budget check, at 1e-8 relative, can see the overshoot
+        solve = beamform._solve
+        v = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        target = self.args["p"] * (1.0 + 1e-7)
+
+        def spoiled(*args):
+            eps, w = solve(*args)
+            b = np.array([np.vdot(v, row).real for row in w])
+            t = -b + np.sqrt(b * b + target - np.linalg.norm(w, axis=1) ** 2)
+            return eps, w + t[:, None] * v
+
+        monkeypatch.setattr(beamform, "_solve", spoiled)
+        with pytest.raises(NumericalError, match=r"power constraint violated: "
+                                                 r"\|\|w\|\|\^2=1\.0000001,"):
+            solve_at(self.args, 1.0)
 
     def test_zero_self_channel(self):
         # C = 0: every z below z_max is unloaded and z_max is the MRT beam

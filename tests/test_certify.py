@@ -11,9 +11,9 @@ from fdpareto.certify import (
     certify_curve,
     certify_instance,
     dual_certificate,
+    gap_tolerance,
     kkt_check,
     rank_reduce,
-    solve_sdp_via_reduction,
 )
 from fdpareto.channel import ScenarioSpec, generate_scenario
 from fdpareto.pareto import node_problem
@@ -242,14 +242,21 @@ class TestRankReduce:
             rank_reduce(hand_instance(), np.diag([1.0, -0.5]))
 
 
+def gated_covariance(inst):
+    """`certify_instance`'s rank-one covariance, after its gap passes the gate."""
+    q, sol, cert, _ = certify_instance(inst)
+    assert abs(cert.gap) <= gap_tolerance(inst) * max(1.0, sol.leakage)
+    return q
+
+
 class TestSolveSdpViaReduction:
     def test_hand_instance(self):
-        q = solve_sdp_via_reduction(hand_instance())
+        q = gated_covariance(hand_instance())
         w = np.array([0.8, 0.2])
         assert np.allclose(q, np.outer(w, w.conj()), atol=1e-10)
 
     def test_zero_target(self):
-        q = solve_sdp_via_reduction(hand_instance(z=0.0))
+        q = gated_covariance(hand_instance(z=0.0))
         assert np.allclose(q, 0.0)
 
     def test_max_z_is_mrt(self):
@@ -259,7 +266,7 @@ class TestSolveSdpViaReduction:
         p = 1.2
         inst = SdpInstance.from_channels(h_self, h_cross,
                                          z=p * np.linalg.norm(h_cross) ** 2, p=p)
-        q = solve_sdp_via_reduction(inst)
+        q = gated_covariance(inst)
         w = mrt_weights(h_cross, p)
         assert np.allclose(q, np.outer(w, w.conj()), atol=1e-6 * p)
 

@@ -8,8 +8,9 @@ from fdpareto.channel import (
     ScenarioSpec,
     generate_scenario,
     ideal_frontend,
-    residual_noise_variance,
 )
+
+from oracles import residual_noise_variance
 
 
 class TestGenerateScenario:
@@ -73,6 +74,8 @@ class TestGenerateScenario:
 
 
 class TestResidualNoiseVariance:
+    """The receiver noise power that `rate_pair_reference` rates with."""
+
     def test_ideal_front_end(self):
         fe = FrontEndModel(beta=0.0, sigma2=2.5)
         q = np.diag([1.0, 2.0])

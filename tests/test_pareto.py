@@ -23,7 +23,6 @@ from fdpareto.pareto import (
     domination_oracle,
     equal_rate_point,
     escape_distances,
-    grid_pareto_indices,
     grid_slack,
     node_problem,
     pareto_filter,
@@ -156,6 +155,16 @@ def _doubly_monotone_grid(rng, n1, n2, levels, signed_zeros):
     return np.ascontiguousarray(r1), np.ascontiguousarray(r2)
 
 
+def sieve(r1, r2):
+    """`_sieved` of an (n1, n2) grid by the staircase of its stride sub-grid.
+
+    The whole-grid path of `_maximal_cells`, on any grid of rate pairs.
+    """
+    rows, cols = pareto._sieve_lines(r1.shape[0]), pareto._sieve_lines(r1.shape[1])
+    sub = np.ix_(rows, cols)
+    return pareto._sieved(r1, r2, pareto._staircase(r1[sub], r2[sub]))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(n1=st.one_of(st.integers(2, 20), st.integers(2, 150)),
        n2=st.one_of(st.integers(2, 20), st.integers(2, 150)),
@@ -173,7 +182,7 @@ def test_sieve_matches_full_sort(n1, n2, levels, signed_zeros, monotone, block_r
         r1, r2 = (rng.integers(0, levels, size=(n1, n2)) / 2.0 for _ in range(2))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pareto, "_SIEVE_ROWS", block_rows)
-        got = grid_pareto_indices(r1, r2)
+        got = sieve(r1, r2)
     assert np.array_equal(got, pareto_indices(r1.ravel(), r2.ravel()))
 
 
@@ -183,7 +192,7 @@ def test_sieve_matches_full_sort(n1, n2, levels, signed_zeros, monotone, block_r
     (np.tile([0.0, 1.0, 1.0, 2.0], (9, 1)), np.tile([[3.0], [3.0], [4.0]], (3, 4))),
 ], ids=["constant", "signed-zeros", "constant-rows-and-columns"])
 def test_sieve_keeps_first_duplicate(r1, r2):
-    assert np.array_equal(grid_pareto_indices(r1, r2), pareto_indices(r1.ravel(), r2.ravel()))
+    assert np.array_equal(sieve(r1, r2), pareto_indices(r1.ravel(), r2.ravel()))
 
 
 @contextmanager
@@ -285,6 +294,50 @@ def test_block_pruning_matches_full_grid(inputs):
     assert seen["checked"] in ([], [(n1, n2)])
     with np.errstate(all="ignore"):
         assert got == maximal_cells_outcome(maximal_cells_reference, *inputs)
+
+
+def test_duplicate_maximal_pair_across_live_blocks():
+    # Five cells of row 100, columns 7 to 11, rate one maximal pair from
+    # distinct inputs: each 1 + z2 / (1 + G1) rounds to 1 + 2 ulp, and each
+    # 1 + G2 to 1.  Column 7 lies in one live block and columns 8 to 11 in
+    # the next; the first of them in index order is kept, as when the whole
+    # grid is sorted.
+    z = np.linspace(0.0, 1.0, 201)
+    leak1 = 1e14 * (z / z[100]) ** 8
+    leak1[101:] = 1e20
+    leak2 = 1e3 * z**2
+    leak2[:12] = 1e-18 * np.arange(12)
+    inputs = (z, z, leak1, leak2, 1.0, 1.0)
+    r1 = pareto._rate(z, leak1[100], 1.0, 1.0)
+    r2 = pareto._rate(z[100], leak2, 1.0, 1.0)
+    pairs = list(zip(r1.tolist(), r2.tolist()))
+    assert len(set(pairs[7:12])) == 1 and pairs[6] != pairs[7] != pairs[12]
+    assert r1[7] > 0.0 and pareto._SIEVE_STRIDE == 8
+    block_cells, rated = pareto._block_cells, []
+
+    def recorded(*args):
+        rated.append(block_cells(*args))
+        return rated[-1]
+
+    with pytest.MonkeyPatch.context() as patch, rate_grid_spy() as seen:
+        patch.setattr(pareto, "_block_cells", recorded)
+        got = maximal_cells_outcome(pareto._maximal_cells, *inputs)
+    assert seen["checked"] == [] and {100 * 201 + 7, 100 * 201 + 8} <= set(rated[0].tolist())
+    assert got == maximal_cells_outcome(maximal_cells_reference, *inputs)
+    assert 100 * 201 + 7 in got[0]
+
+
+def test_block_cells_lists_each_live_cell_once_in_index_order():
+    # a 41 x 30 grid has 5 x 4 blocks, the last row and column of blocks
+    # holding the grid's last row and column; two live blocks share a row
+    rows, cols = pareto._sieve_lines(41), pareto._sieve_lines(30)
+    live = np.zeros((5, 4), dtype=bool)
+    live[[0, 1, 1, 4], [2, 0, 1, 3]] = True
+    i, j = np.divmod(np.arange(41 * 30), 30)
+    block_i = np.minimum(i // pareto._SIEVE_STRIDE, 4)
+    block_j = np.minimum(j // pareto._SIEVE_STRIDE, 3)
+    want = np.flatnonzero(live[block_i, block_j])
+    assert pareto._block_cells(rows, cols, live, (41, 30)).tolist() == want.tolist()
 
 
 _north_star = dict(
@@ -439,7 +492,7 @@ class TestBoundary:
     def test_monotone_after_filter(self):
         ch = scenario(gamma_db=20.0)
         curve = boundary(ch, SweepGrid.for_channel(ch, 61))
-        r2 = curve.r2_array()
+        r2 = curve.r2
         assert np.all(np.diff(r2) < 0)
 
     def test_gamma_nesting(self):
@@ -555,8 +608,8 @@ def test_written_curve_stays_strictly_monotone():
     grid = SweepGrid.for_channel(ch, 200)
     curve = boundary(ch, grid)
     written = curve_from_csv(curve_to_csv(curve))
-    assert np.all(np.diff(written.r1_array()) > 0)
-    assert np.all(np.diff(written.r2_array()) < 0)
+    assert np.all(np.diff(written.r1) > 0)
+    assert np.all(np.diff(written.r2) < 0)
     ref = reference_boundary_points(ch, grid)
     assert set(curve.points) < set(ref)
     assert curve.points[0] == ref[0] and curve.points[-1].r1 == ref[-1].r1

@@ -11,7 +11,7 @@ from fdpareto.channel import ChannelSet, FrontEndModel, ScenarioSpec, generate_s
 from fdpareto.pareto import SweepGrid, boundary, domination_oracle
 from fdpareto.rates import RatePoint, rate_pair, rate_pairs, single_link_max
 
-from oracles import covariance_faults_reference, rate_pair_reference
+from oracles import covariance_faults_reference, jacobi_is_psd, rate_pair_reference
 
 # Finite entries, but ||Q||_F overflows; eigenvalues +-1.5e308, trace 2.
 OVERFLOWING_NORM = np.array([[1.0, 1.5e308], [1.5e308, 1.0]])
@@ -217,7 +217,7 @@ class TestRatePairs:
             stacks.append(base - (factor * tol)[:, None, None] * np.eye(m))
         for qs in stacks:
             not_psd = rates._covariance_faults(qs, np.inf)[-1]
-            jacobi = [not numlin.is_psd(q, rates.PSD_TOL * max(1.0, numlin.frobenius_norm(q)))
+            jacobi = [not jacobi_is_psd(q, rates.PSD_TOL * max(1.0, numlin.frobenius_norm(q)))
                       for q in qs]
             assert not_psd.tolist() == jacobi
         assert not np.any(rates._covariance_faults(stacks[-2], np.inf)[-1])
