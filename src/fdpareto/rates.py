@@ -73,7 +73,8 @@ def _covariance_faults(qs: np.ndarray, p: float) -> tuple[np.ndarray, ...]:
     what `_rates_of` rates: Re(h† Q h) = h† H h and diag(H) = Re(diag(Q)).
     It is PSD when lambda_min(H) >= -tol, with
     tol = PSD_TOL * max(1, ||H||_F) + ROUNDOFF * ||H||_F (the rule of
-    `numlin.is_psd`, which runs on the same LAPACK eigensolver), both sides taken in units of Q's largest modulus b, where
+    `numlin.is_psd`, which runs on the same LAPACK eigensolver), both sides
+    taken in units of Q's largest modulus b, where
     ||H / b||_F <= m, so tol cannot overflow: lambda_min(H / b) >=
     -(PSD_TOL * max(1 / b, ||H / b||_F) + ROUNDOFF * ||H / b||_F).  H / b
     is formed from Q / b, whose entries are at most 1, so the sum cannot

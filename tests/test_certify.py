@@ -250,6 +250,8 @@ def gated_covariance(inst):
 
 
 class TestSolveSdpViaReduction:
+    """The SDP's rank-one optimum, solved and certified by `certify_instance`."""
+
     def test_hand_instance(self):
         q = gated_covariance(hand_instance())
         w = np.array([0.8, 0.2])
