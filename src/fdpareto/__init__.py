@@ -20,7 +20,6 @@ from .certify import (
     CertificateCurve,
     KktReport,
     RankReductionTrace,
-    SdpInstance,
     certify_curve,
     dual_certificate,
     kkt_check,
@@ -65,7 +64,6 @@ __all__ = [
     "RankReductionTrace",
     "RatePoint",
     "ScenarioSpec",
-    "SdpInstance",
     "SweepGrid",
     "boundary",
     "certify_curve",

@@ -44,7 +44,12 @@ _SINGULAR_DELTA_REL = 1e-12
 
 @dataclass(frozen=True)
 class DecoupledProblem:
-    """One node's leakage-minimization instance at target delivered power z."""
+    """One node's leakage-minimization instance at target delivered power z.
+
+    z is clamped into [0, z_max] by `_clamped_z`, which raises
+    InfeasibleError beyond its fuzz window, so every routine taking the
+    instance sees a feasible z.
+    """
 
     h_self: np.ndarray
     h_cross: np.ndarray
@@ -60,6 +65,8 @@ class DecoupledProblem:
             raise ValueError("h_self and h_cross must share a dimension")
         if self.p <= 0:
             raise ValueError("power budget must be positive")
+        z = _clamped_z(np.array([self.z], dtype=np.float64), self.z_max)
+        object.__setattr__(self, "z", float(z[0]))
 
     @property
     def z_max(self) -> float:
@@ -195,37 +202,14 @@ def optimal_weights(prob: DecoupledProblem) -> BeamformerSolution:
 
     Returns the eps=0 solution when it satisfies the power budget (the
     low-z condition); otherwise bisects the loading until ||w||^2 = p to
-    1e-10 relative: the one-z case of the array solve behind `leakage_curve`.
-    Raises InfeasibleError for z outside [0, p*||h_cross||^2] and
-    NumericalError if the bracket or the final constraint check fails.
+    1e-10 relative: `_solve_curve` at the one z of prob, with its checks.
+    Raises NumericalError if the bracket or a constraint check fails.
     """
-    c = np.abs(prob.h_self) ** 2
-    h = prob.h_cross
-    p = prob.p
-    zs = _clamped_z(np.array([prob.z], dtype=np.float64), prob.z_max)
-    eps, ws = _solve(c, h, p, prob.z_max, zs)
-    z = float(zs[0])
-    epsilon = float(eps[0])
+    _, eps, ws, leakage = _solve_curve(prob, [prob.z])
     w = ws[0]
-
-    achieved_z = float(np.abs(np.vdot(h, w)) ** 2)
-    achieved_power = float(np.linalg.norm(w)) ** 2
-    leakage = float(np.sum(c * np.abs(w) ** 2))
-
-    if abs(achieved_z - z) > 1e-8 * max(1.0, z):
-        raise NumericalError(
-            f"delivered-power constraint violated: |w†h|^2={achieved_z:.12g}, z={z:.12g}"
-        )
-    if achieved_power > p * (1.0 + 1e-8):
-        raise NumericalError(
-            f"power constraint violated: ||w||^2={achieved_power:.12g}, p={p:.12g}"
-        )
-    if epsilon > 0.0 and abs(achieved_power - p) > 1e-10 * max(1.0, p):
-        raise NumericalError(
-            f"loaded solution is off the power boundary: ||w||^2={achieved_power:.12g}"
-        )
-    return BeamformerSolution(w=w, epsilon=epsilon, leakage=leakage,
-                              achieved_z=achieved_z, achieved_power=achieved_power)
+    return BeamformerSolution(w=w, epsilon=float(eps[0]), leakage=float(leakage[0]),
+                              achieved_z=float(np.abs(np.vdot(prob.h_cross, w)) ** 2),
+                              achieved_power=float(np.linalg.norm(w)) ** 2)
 
 
 def min_leakage(prob: DecoupledProblem) -> float:
@@ -236,11 +220,11 @@ def min_leakage(prob: DecoupledProblem) -> float:
 def _solve_curve(prob: DecoupledProblem, zs) -> tuple[np.ndarray, ...]:
     """Clamped z, loading, weights and leakage for each z of an array, checked.
 
-    One masked `_solve` covers the whole array; the constraint checks are
-    `optimal_weights`' with its tolerances, written so that a NaN fails
-    them.  An extreme budget may overflow the leakage or the achieved powers
-    to inf: that happens silently here, every finite value keeps its bits,
-    and an inf achieved power fails its check like a NaN.
+    One masked `_solve` covers the whole array.  These are the package's
+    only constraint checks, written so that a NaN fails them.  An extreme
+    budget may overflow the leakage or the achieved powers to inf: that
+    happens silently here, every finite value keeps its bits, and an inf
+    achieved power fails its check like a NaN.
     """
     c = np.abs(prob.h_self) ** 2
     h = prob.h_cross
@@ -279,9 +263,9 @@ def leakage_curve(h_self, h_cross, p: float, zs) -> np.ndarray:
     One masked array solve covers the whole array: the same loading, weights
     and leakage as `optimal_weights` at each z, to the last bit.  Raises
     InfeasibleError for the first z outside [0, p*||h_cross||^2], and
-    NumericalError if a loading search fails or any solution misses its
-    delivered-power, power-budget or power-boundary constraint by more than
-    `optimal_weights` allows.  A leakage beyond the float range is inf.
+    NumericalError if a loading search fails or any solution fails
+    `_solve_curve`'s checks of its delivered power, power budget and power
+    boundary.  A leakage beyond the float range is inf.
     """
     prob = DecoupledProblem(h_self=h_self, h_cross=h_cross, p=p, z=0.0)
     return _solve_curve(prob, zs)[3]

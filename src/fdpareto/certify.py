@@ -5,7 +5,11 @@ The per-node leakage problem in SDP form is
     minimize    tr(C Q)
     subject to  tr(A Q) = z,   tr(Q) <= p,   Q >= 0,
 
-with C = Diag(c) PSD and A = h h† of rank one.  Its Lagrange dual (in the
+with C = Diag(c), c = |h_self|^2, and A = h h† of rank one, h = h_cross.
+An instance is the `DecoupledProblem` (h_self, h_cross, p, z): the two
+channel vectors fix C and A, and only the routines that need dense
+matrices (`dual_value_at`, `kkt_check`, `rank_reduce`) build them, with
+`leakage_matrix` and `covariance_of`.  Its Lagrange dual (in the
 sign convention that makes weak duality hold for the trace inequality) is
 
     maximize    lam1 * z + lam2 * p
@@ -59,56 +63,6 @@ KKT_TOL = 1e-7
 # relaxed one order.
 GAP_TOL_INTERIOR = 1e-6
 GAP_TOL_ENDPOINT = 1e-5
-
-
-@dataclass(frozen=True)
-class SdpInstance:
-    """Data of one per-node SDP: diagonal C, rank-one A, target z, budget p."""
-
-    c: np.ndarray
-    a: np.ndarray
-    z: float
-    p: float
-
-    def __post_init__(self):
-        c = numlin.hermitianize(numlin.check_finite(self.c, "c"))
-        a = numlin.hermitianize(numlin.check_finite(self.a, "a"))
-        if c.shape != a.shape:
-            raise ValueError("c and a must have the same shape")
-        if np.any(np.abs(c - np.diag(np.diag(c))) > 1e-12 * max(1.0, numlin.frobenius_norm(c))):
-            raise ValueError("c must be diagonal")
-        if np.any(np.real(np.diag(c)) < -1e-12 * max(1.0, numlin.frobenius_norm(c))):
-            raise ValueError("c must be PSD")
-        c = np.diag(np.maximum(np.real(np.diag(c)), 0.0)).astype(np.complex128)
-        lam = numlin.eigvals_hermitian(a)
-        scale = max(1.0, float(np.max(np.abs(lam))))
-        if lam[0] < -1e-9 * scale or np.count_nonzero(lam > 1e-9 * scale) > 1:
-            raise ValueError("a must be PSD with rank <= 1")
-        if self.p <= 0:
-            raise ValueError("power budget must be positive")
-        z_max = self.p * float(np.trace(a).real)
-        if self.z < -1e-12 or self.z > z_max * (1.0 + 1e-12) + 1e-12:
-            raise ValueError(f"z={self.z} outside [0, {z_max:.12g}]")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "z", float(min(max(self.z, 0.0), z_max)))
-
-    @classmethod
-    def from_channels(cls, h_self, h_cross, z: float, p: float) -> "SdpInstance":
-        return cls(c=leakage_matrix(h_self), a=covariance_of(h_cross), z=z, p=p)
-
-    @property
-    def dim(self) -> int:
-        return self.c.shape[0]
-
-    def channels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Recover (h_self, h_cross) vectors realizing (C, A), up to phase."""
-        h_self = np.sqrt(np.maximum(np.real(np.diag(self.c)), 0.0)).astype(np.complex128)
-        dec = numlin.hermitian_eig(self.a)
-        top = dec.eigenvalues[-1]
-        if top <= 0.0:
-            return h_self, np.zeros(self.dim, dtype=np.complex128)
-        return h_self, dec.eigenvectors[:, -1] * math.sqrt(top)
 
 
 @dataclass(frozen=True)
@@ -214,10 +168,11 @@ class CertificateCurve:
             self.complementarity_residual.tolist())]
 
 
-def dual_value_at(inst: SdpInstance, lam1: float) -> float:
+def dual_value_at(prob: DecoupledProblem, lam1: float) -> float:
     """The dual function g(lam1) = lam1*z + p*min(0, lambda_min(C - lam1*A))."""
-    lam_min = numlin.min_eigenvalue(inst.c - lam1 * inst.a)
-    val = lam1 * inst.z + inst.p * min(0.0, lam_min)
+    c, a = leakage_matrix(prob.h_self), covariance_of(prob.h_cross)
+    lam_min = numlin.min_eigenvalue(c - lam1 * a)
+    val = lam1 * prob.z + prob.p * min(0.0, lam_min)
     if not math.isfinite(val):
         raise NumericalError(f"dual objective non-finite at lambda1={lam1!r}")
     return val
@@ -269,7 +224,7 @@ def certify_curve(h_self, h_cross, p: float, zs) -> CertificateCurve:
     return _certify(np.abs(prob.h_self) ** 2, prob.h_cross, prob.p, z, eps, w)
 
 
-def dual_certificate(inst: SdpInstance, primal_value: float) -> Certificate:
+def dual_certificate(prob: DecoupledProblem, primal_value: float) -> Certificate:
     """The optimal dual of an instance and its gap to primal_value.
 
     The gap of a feasible primal point is nonnegative up to round-off (weak
@@ -277,17 +232,18 @@ def dual_certificate(inst: SdpInstance, primal_value: float) -> Certificate:
     """
     if primal_value < 0:
         raise ValueError("primal_value must be nonnegative")
-    cert = certify_instance(inst)[2]
+    cert = certify_instance(prob)[2]
     return replace(cert, gap=primal_value - cert.dual_value)
 
 
-def kkt_check(inst: SdpInstance, q, cert: Certificate) -> KktReport:
+def kkt_check(prob: DecoupledProblem, q, cert: Certificate) -> KktReport:
     """Report-only residuals of the stationarity system for (q, cert)."""
+    c, a = leakage_matrix(prob.h_self), covariance_of(prob.h_cross)
     q = numlin.hermitianize(numlin.check_finite(q, "q"))
-    if q.shape != inst.c.shape:
+    if q.shape != c.shape:
         raise ValueError("q dimension does not match the instance")
-    slack = inst.c - cert.lambda1 * inst.a - cert.lambda2 * np.eye(inst.dim)
-    residuals = _kkt_residuals(inst.a, inst.z, inst.p, q[None], slack[None])
+    slack = c - cert.lambda1 * a - cert.lambda2 * np.eye(c.shape[0])
+    residuals = _kkt_residuals(a, prob.z, prob.p, q[None], slack[None])
     return KktReport(*(float(r[0]) for r in residuals))
 
 
@@ -339,27 +295,28 @@ def _null_direction(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
     return x / n
 
 
-def rank_reduce(inst: SdpInstance, q, rank_tol: float = 1e-9) -> RankReductionTrace:
+def rank_reduce(prob: DecoupledProblem, q, rank_tol: float = 1e-9) -> RankReductionTrace:
     """Deflate a feasible PSD solution to rank one.
 
     Each step preserves tr(A q) and tr(q), keeps q PSD, strictly reduces the
     numeric rank, and never increases tr(C q); from rank r it finishes in at
     most r-1 steps.  A rank <= 1 input is returned unchanged.
     """
+    c, a = leakage_matrix(prob.h_self), covariance_of(prob.h_cross)
     q = numlin.hermitianize(numlin.check_finite(q, "q"))
-    if q.shape != inst.c.shape:
+    if q.shape != c.shape:
         raise ValueError("q dimension does not match the instance")
     iterations: list[tuple[int, float, float]] = []
-    for _ in range(inst.dim + 1):
+    for _ in range(c.shape[0] + 1):
         rank = numlin.numeric_rank(q, rank_tol) if np.any(q) else 0
         if rank <= 1:
             return RankReductionTrace(iterations=iterations, final_q=q)
         v = numlin.gram_factor(q, rank_tol)
-        m_a = numlin.hermitianize(v.conj().T @ inst.a @ v)
+        m_a = numlin.hermitianize(v.conj().T @ a @ v)
         m_t = numlin.hermitianize(v.conj().T @ v)
         x_vec = _null_direction(_herm_to_vec(m_a), _herm_to_vec(m_t))
         x = _vec_to_herm(x_vec, rank)
-        m_c = numlin.hermitianize(v.conj().T @ inst.c @ v)
+        m_c = numlin.hermitianize(v.conj().T @ c @ v)
         if float(np.trace(m_c @ x).real) < 0.0:
             x = -x
         sigma1 = float(numlin.eigvals_hermitian(x)[-1])
@@ -369,26 +326,24 @@ def rank_reduce(inst: SdpInstance, q, rank_tol: float = 1e-9) -> RankReductionTr
                 "constraint should force indefiniteness"
             )
         q = numlin.hermitianize(v @ (np.eye(rank) - x / sigma1) @ v.conj().T)
-        iterations.append((rank, sigma1, float(np.trace(inst.c @ q).real)))
+        iterations.append((rank, sigma1, float(np.trace(c @ q).real)))
     raise NumericalError("rank reduction failed to reach rank one")
 
 
-def certify_instance(inst: SdpInstance):
+def certify_instance(prob: DecoupledProblem):
     """Solve one instance in closed form and certify it: `certify_curve` at one z.
 
     Returns (q, solution, certificate, kkt_report) without gating on the gap;
     `gap_tolerance` gives the gate.
     """
-    h_self, h_cross = inst.channels()
-    sol = optimal_weights(DecoupledProblem(h_self=h_self, h_cross=h_cross,
-                                           p=inst.p, z=inst.z))
-    curve = _certify(np.abs(h_self) ** 2, h_cross, inst.p, np.array([inst.z]),
+    sol = optimal_weights(prob)
+    curve = _certify(np.abs(prob.h_self) ** 2, prob.h_cross, prob.p, np.array([prob.z]),
                      np.array([sol.epsilon]), sol.w[None, :])
     return covariance_of(sol.w), sol, curve.certificates()[0], curve.kkt_reports()[0]
 
 
-def gap_tolerance(inst: SdpInstance) -> float:
+def gap_tolerance(prob: DecoupledProblem) -> float:
     """Relative gap gate for an instance: interior vs endpoint z."""
-    z_max = inst.p * float(np.trace(inst.a).real)
-    at_endpoint = inst.z <= 1e-9 * max(1.0, z_max) or inst.z >= z_max * (1.0 - 1e-9)
+    z_max = prob.z_max
+    at_endpoint = prob.z <= 1e-9 * max(1.0, z_max) or prob.z >= z_max * (1.0 - 1e-9)
     return GAP_TOL_ENDPOINT if at_endpoint else GAP_TOL_INTERIOR

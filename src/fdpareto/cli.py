@@ -33,7 +33,6 @@ from .certify import (
     GAP_TOL_INTERIOR,
     KKT_TOL,
     CertificateCurve,
-    SdpInstance,
     certify_curve,
     rank_reduce,
 )
@@ -228,7 +227,6 @@ def cmd_compare_zf(config: RunConfig, out_dir: Path) -> int:
 def _rank_demo(ch: ChannelSet, node: int, z: float, seed: int) -> dict:
     """Rank-reduce a deliberately rank-inflated feasible covariance."""
     prob = node_problem(ch, node, z)
-    inst = SdpInstance.from_channels(prob.h_self, prob.h_cross, z=z, p=prob.p)
     q_opt = covariance_of(optimal_weights(prob).w)
     slack = prob.p - float(np.trace(q_opt).real)
     if slack <= 1e-9 or ch.m < 2:
@@ -240,9 +238,10 @@ def _rank_demo(ch: ChannelSet, node: int, z: float, seed: int) -> dict:
     junk = numlin.hermitianize(proj @ g @ g.conj().T @ proj.conj().T)
     junk *= 0.5 * slack / float(np.trace(junk).real)
     q0 = numlin.hermitianize(q_opt + junk)
-    z0 = float(np.trace(inst.a @ q0).real)
+    a = covariance_of(prob.h_cross)
+    z0 = float(np.trace(a @ q0).real)
     t0 = float(np.trace(q0).real)
-    trace = rank_reduce(inst, q0)
+    trace = rank_reduce(prob, q0)
     qf = trace.final_q
     history = trace.to_dict()
     return {
@@ -250,7 +249,7 @@ def _rank_demo(ch: ChannelSet, node: int, z: float, seed: int) -> dict:
         "start_rank": int(numlin.numeric_rank(q0, 1e-9)),
         "iterations": history["iterations"],
         "final_rank": history["final_rank"],
-        "target_residual": abs(float(np.trace(inst.a @ qf).real) - z0),
+        "target_residual": abs(float(np.trace(a @ qf).real) - z0),
         "trace_residual": abs(float(np.trace(qf).real) - t0),
         "min_eigenvalue": numlin.min_eigenvalue(qf),
     }

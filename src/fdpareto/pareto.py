@@ -24,10 +24,10 @@ sub-grid rows and columns lies below the block's outer corner, so a block
 whose corner the staircase strictly dominates is never rated.  The cells of
 the blocks left are rated, those the staircase strictly dominates are
 dropped, and the rest go through the O(N log N) array sort
-(`pareto_indices`) in index order, so the result is exactly that of
-sorting the whole grid, ties and duplicates included.  When many blocks are
-left, or the grid is not provably valid, the whole grid is rated, checked
-and sieved by the same staircase (`_maximal_cells`).
+(`pareto_indices`), so the result is exactly that of sorting the whole
+grid, ties and duplicates included.  When many blocks are left, or the
+grid is not provably valid, the whole grid is rated, checked and sieved by
+the same staircase (`_maximal_cells`).
 Survivors whose rates, at the 12 significant digits of the CSV, are
 dominated by another survivor's are dropped too, so the written curve is
 strictly monotone.
@@ -240,7 +240,7 @@ def _is_valid_curve(x: np.ndarray) -> bool:
 
 def _block_cells(rows: np.ndarray, cols: np.ndarray, live: np.ndarray,
                  shape: tuple[int, int]) -> np.ndarray:
-    """Row-major indices, ascending, of the cells of the live blocks, each once.
+    """Row-major indices of the cells of the live blocks, each once, block by block.
 
     Block (i, j) spans the rows rows[i] to rows[i + 1] and the columns
     cols[j] to cols[j + 1], so neighbouring blocks share their edge rows and
@@ -257,7 +257,7 @@ def _block_cells(rows: np.ndarray, cols: np.ndarray, live: np.ndarray,
     r = (rows[bi, None] + span)[:, :, None]
     c = (cols[bj, None] + span)[:, None, :]
     inside = (r < row_end[bi, None, None]) & (c < col_end[bj, None, None])
-    return np.sort((r * n2 + c)[inside])
+    return (r * n2 + c)[inside]
 
 
 def _maximal_cells(z1s: np.ndarray, z2s: np.ndarray, leak1: np.ndarray,
@@ -277,8 +277,14 @@ def _maximal_cells(z1s: np.ndarray, z2s: np.ndarray, leak1: np.ndarray,
     cell.  A block whose corner the staircase strictly dominates holds only
     strictly dominated cells, which are never maximal, so it is dropped.  The
     cells of the blocks that are left are rated once each, sieved by the
-    same staircase, and sorted in index order (`_block_cells`); as in
-    `_sieved`, the result is that of sorting the whole grid.
+    same staircase, and sorted; as in `_sieved`, the result is that of
+    sorting the whole grid.  `_block_cells` lists the cells block by block,
+    which differs from index order only for cells of one block row in two
+    blocks, and the sort's input order matters only through which copy of
+    an equal maximal pair it keeps (the first).  If that pair sits at A
+    and at B above and right of A, the cell at B's row and A's column lies
+    between them in both rates, so it is another copy; it sits in A's
+    block and comes first in both orders.
     When more than a quarter of the blocks are left, or the grid is not
     provably valid, the whole grid is rated, checked by `_check_rates`
     (which raises for its first invalid cell in row-major order) and sieved

@@ -30,6 +30,8 @@ from fdpareto.beamform import (
     _Z_CLAMP_REL,
     BeamformerSolution,
     _loading_for_zero_eps,
+    covariance_of,
+    leakage_matrix,
     mrt_weights,
 )
 from fdpareto.certify import Certificate, dual_value_at
@@ -231,7 +233,7 @@ _BRACKET_CAP_DOUBLINGS = 24
 _GOLDEN_MAX_ITERS = 200
 
 
-def dual_certificate_reference(inst, primal_value):
+def dual_certificate_reference(prob, primal_value):
     """Maximize the dual by golden section on an expanding lambda1 bracket.
 
     The reference for the closed-form certificate.  g(lam1) = lam1*z +
@@ -242,18 +244,19 @@ def dual_certificate_reference(inst, primal_value):
     """
     if primal_value < 0:
         raise ValueError("primal_value must be nonnegative")
-    tr_a = float(np.trace(inst.a).real)
-    best_x, best_val = 0.0, dual_value_at(inst, 0.0)
+    c_mat, a_mat = leakage_matrix(prob.h_self), covariance_of(prob.h_cross)
+    tr_a = float(np.trace(a_mat).real)
+    best_x, best_val = 0.0, dual_value_at(prob, 0.0)
 
     if tr_a > 0.0:
-        scale = max(1.0, float(np.max(np.real(np.diag(inst.c))))) / tr_a
+        scale = max(1.0, float(np.max(np.real(np.diag(c_mat))))) / tr_a
         cap = scale * 2.0**_BRACKET_CAP_DOUBLINGS
         # Expand until g turns downward (or the endpoint cap is reached).
         xs = [0.0, scale]
-        vals = [best_val, dual_value_at(inst, scale)]
+        vals = [best_val, dual_value_at(prob, scale)]
         while vals[-1] > vals[-2] and xs[-1] < cap:
             xs.append(min(2.0 * xs[-1], cap))
-            vals.append(dual_value_at(inst, xs[-1]))
+            vals.append(dual_value_at(prob, xs[-1]))
         if vals[-1] > best_val:
             best_x, best_val = xs[-1], vals[-1]
         lo = xs[-3] if len(xs) >= 3 else 0.0
@@ -262,8 +265,8 @@ def dual_certificate_reference(inst, primal_value):
         a, b = lo, hi
         c_pt = b - _GOLDEN * (b - a)
         d_pt = a + _GOLDEN * (b - a)
-        fc = dual_value_at(inst, c_pt)
-        fd = dual_value_at(inst, d_pt)
+        fc = dual_value_at(prob, c_pt)
+        fd = dual_value_at(prob, d_pt)
         for _ in range(_GOLDEN_MAX_ITERS):
             if fc > best_val:
                 best_x, best_val = c_pt, fc
@@ -274,16 +277,16 @@ def dual_certificate_reference(inst, primal_value):
             if fc < fd:
                 a, c_pt, fc = c_pt, d_pt, fd
                 d_pt = a + _GOLDEN * (b - a)
-                fd = dual_value_at(inst, d_pt)
+                fd = dual_value_at(prob, d_pt)
             else:
                 b, d_pt, fd = d_pt, c_pt, fc
                 c_pt = b - _GOLDEN * (b - a)
-                fc = dual_value_at(inst, c_pt)
+                fc = dual_value_at(prob, c_pt)
 
     lam1 = best_x
-    lam_min_b = jacobi_min_eigenvalue(inst.c - lam1 * inst.a)
+    lam_min_b = jacobi_min_eigenvalue(c_mat - lam1 * a_mat)
     lam2 = min(0.0, lam_min_b)
-    dual_value = lam1 * inst.z + inst.p * lam2
+    dual_value = lam1 * prob.z + prob.p * lam2
     return Certificate(
         lambda1=lam1,
         lambda2=lam2,

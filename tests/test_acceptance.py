@@ -12,10 +12,11 @@ from fdpareto import numlin
 from fdpareto.beamform import (
     DecoupledProblem,
     covariance_of,
+    leakage_matrix,
     optimal_weights,
     zf_weights,
 )
-from fdpareto.certify import SdpInstance, certify_instance, rank_reduce
+from fdpareto.certify import certify_instance, rank_reduce
 from fdpareto.channel import ScenarioSpec, generate_scenario, ideal_frontend
 from fdpareto.cli import main
 from fdpareto.pareto import (
@@ -70,14 +71,14 @@ def test_criterion_1_closed_form_optimality_certified():
         p = float(rng.uniform(0.5, 2.0))
         z_max = p * float(np.linalg.norm(h_cross)) ** 2
         z = float(rng.uniform(0.02, 0.98)) * z_max
-        inst = SdpInstance.from_channels(h_self, h_cross, z=z, p=p)
+        inst = DecoupledProblem(h_self=h_self, h_cross=h_cross, p=p, z=z)
         _, sol, cert, _ = certify_instance(inst)
         rel = abs(cert.gap) / max(1.0, sol.leakage)
         worst_interior = max(worst_interior, rel)
         assert rel <= 1e-6
         if k % 10 == 0:
             for z_end in (0.0, z_max):
-                inst = SdpInstance.from_channels(h_self, h_cross, z=z_end, p=p)
+                inst = DecoupledProblem(h_self=h_self, h_cross=h_cross, p=p, z=z_end)
                 _, sol, cert, _ = certify_instance(inst)
                 rel = abs(cert.gap) / max(1.0, sol.leakage)
                 worst_endpoint = max(worst_endpoint, rel)
@@ -132,8 +133,7 @@ def test_criterion_4_hand_instance():
     prob = DecoupledProblem(h_self=np.array([1.0, 2.0]),
                             h_cross=np.array([1.0, 1.0]), p=1.0, z=1.0)
     sol = optimal_weights(prob)
-    inst = SdpInstance.from_channels(prob.h_self, prob.h_cross, z=1.0, p=1.0)
-    _, _, cert, report_kkt = certify_instance(inst)
+    _, _, cert, report_kkt = certify_instance(prob)
     ok = (np.allclose(sol.w, [0.8, 0.2], atol=1e-12)
           and abs(sol.leakage - 0.8) <= 1e-12
           and abs(cert.dual_value - 0.8) <= 1e-6
@@ -144,8 +144,8 @@ def test_criterion_4_hand_instance():
 
 def test_criterion_5_rank_reduction():
     rng = np.random.default_rng(505)
-    hand_inst = SdpInstance.from_channels(np.array([1.0, 2.0]),
-                                          np.array([1.0, 0.0]), z=1.0, p=2.0)
+    hand_inst = DecoupledProblem(h_self=np.array([1.0, 2.0]),
+                                 h_cross=np.array([1.0, 0.0]), p=2.0, z=1.0)
     hand = rank_reduce(hand_inst, np.eye(2))
     assert len(hand.iterations) == 1
     assert numlin.numeric_rank(hand.final_q, 1e-9) == 1
@@ -158,16 +158,17 @@ def test_criterion_5_rank_reduction():
         g = rng.standard_normal((3, rank)) + 1j * rng.standard_normal((3, rank))
         q0 = numlin.hermitianize(g @ g.conj().T)
         q0 *= float(rng.uniform(0.3, 1.0)) * p / float(np.trace(q0).real)
-        z0 = float(np.trace(np.outer(h_cross, h_cross.conj()) @ q0).real)
-        inst = SdpInstance.from_channels(h_self, h_cross, z=z0, p=p)
+        a = covariance_of(h_cross)
+        z0 = float(np.trace(a @ q0).real)
+        inst = DecoupledProblem(h_self=h_self, h_cross=h_cross, p=p, z=z0)
         t0 = float(np.trace(q0).real)
-        c0 = float(np.trace(inst.c @ q0).real)
+        c0 = float(np.trace(leakage_matrix(h_self) @ q0).real)
         trace = rank_reduce(inst, q0)
         q = trace.final_q
         scale = max(1.0, abs(z0), t0)
         assert len(trace.iterations) <= rank - 1
         assert numlin.numeric_rank(q, 1e-9) == 1
-        assert abs(float(np.trace(inst.a @ q).real) - z0) <= 1e-9 * scale
+        assert abs(float(np.trace(a @ q).real) - z0) <= 1e-9 * scale
         assert abs(float(np.trace(q).real) - t0) <= 1e-9 * scale
         assert numlin.min_eigenvalue(q) >= -1e-9 * max(1.0, t0)
         objs = [c0] + [o for _, _, o in trace.iterations]

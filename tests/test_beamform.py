@@ -50,6 +50,18 @@ class TestLeakageMatrix:
         assert np.allclose(leakage_matrix(np.array([3.0, 4.0])), np.diag([9.0, 16.0]))
 
 
+class TestDecoupledProblem:
+    args = dict(h_self=np.ones(2), h_cross=np.array([1.0, 0.0]), p=1.0)
+
+    def test_rejects_out_of_range_z(self):
+        with pytest.raises(InfeasibleError, match=r"z=2 outside the feasible range \[0, 1\]"):
+            DecoupledProblem(z=2.0, **self.args)
+
+    def test_clamps_z_into_its_range(self):
+        assert DecoupledProblem(z=-1e-13, **self.args).z == 0.0
+        assert DecoupledProblem(z=1.0 + 1e-13, **self.args).z == 1.0
+
+
 class TestOptimalWeights:
     def test_silent_node(self):
         prob = DecoupledProblem(h_self=np.array([1.0, 2.0]),
@@ -217,6 +229,22 @@ def test_array_kernel_matches_scalar_reference(m, gamma_db, beta_db, p1, p2,
             (ref.epsilon, ref.leakage, ref.achieved_z, ref.achieved_power)
 
 
+# C = diag(1, 4), h = (1, 1), p = 1: z = 1 is unloaded, z = 1.9 loaded;
+# v = (1, -1)/sqrt(2) is orthogonal to h, so adding it keeps |w†h|^2
+_SPOILED_WEIGHTS = {
+    "delivered-power": (1.0, lambda w, v: 1.1 * w, "delivered-power"),
+    "nan-weights": (1.0, lambda w, v: np.full_like(w, np.nan), "delivered-power"),
+    "power-budget": (1.0, lambda w, v: w + v, "power constraint"),
+    "power-boundary": (1.9, lambda w, v: w - 0.5 * np.vdot(v, w) * v,
+                       "off the power boundary"),
+}
+# Both solves run the one constraint checker of `_solve_curve`.
+_CHECKED_SOLVES = {
+    "": lambda args, z: leakage_curve(zs=[0.5, z], **args),
+    "optimal_weights-": lambda args, z: optimal_weights(DecoupledProblem(z=z, **args)),
+}
+
+
 class TestLeakageCurve:
     args = dict(h_self=np.array([1.0, 2.0]), h_cross=np.array([1.0, 1.0]), p=1.0)
 
@@ -232,15 +260,11 @@ class TestLeakageCurve:
         with pytest.raises(InfeasibleError, match=r"z=2\.5 outside"):
             leakage_curve(zs=[1.0, 2.5, -1.0], **self.args)
 
-    @pytest.mark.parametrize("z, spoil, message", [
-        # C = diag(1, 4), h = (1, 1), p = 1: z = 1 is unloaded, z = 1.9 loaded;
-        # v = (1, -1)/sqrt(2) is orthogonal to h, so adding it keeps |w†h|^2
-        (1.0, lambda w, v: 1.1 * w, "delivered-power"),
-        (1.0, lambda w, v: np.full_like(w, np.nan), "delivered-power"),
-        (1.0, lambda w, v: w + v, "power constraint"),
-        (1.9, lambda w, v: w - 0.5 * np.vdot(v, w) * v, "off the power boundary"),
-    ], ids=["delivered-power", "nan-weights", "power-budget", "power-boundary"])
-    def test_constraint_checks(self, monkeypatch, z, spoil, message):
+    @pytest.mark.parametrize("solve_at, z, spoil, message", [
+        pytest.param(solve_at, *case, id=prefix + name)
+        for prefix, solve_at in _CHECKED_SOLVES.items()
+        for name, case in _SPOILED_WEIGHTS.items()])
+    def test_constraint_checks(self, monkeypatch, solve_at, z, spoil, message):
         solve = beamform._solve
         v = np.array([1.0, -1.0]) / np.sqrt(2.0)
 
@@ -250,7 +274,7 @@ class TestLeakageCurve:
 
         monkeypatch.setattr(beamform, "_solve", spoiled)
         with pytest.raises(NumericalError, match=message):
-            leakage_curve(zs=[0.5, z], **self.args)
+            solve_at(self.args, z)
 
     @pytest.mark.parametrize("solve_at", [
         lambda args, z: optimal_weights(DecoupledProblem(z=z, **args)),

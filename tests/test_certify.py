@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdpareto import numlin
-from fdpareto.beamform import mrt_weights
+from fdpareto.beamform import DecoupledProblem, covariance_of, leakage_matrix, mrt_weights
 from fdpareto.certify import (
     GAP_TOL_ENDPOINT,
-    SdpInstance,
     certify_curve,
     certify_instance,
     dual_certificate,
@@ -27,7 +26,12 @@ HAND = dict(h_self=np.array([1.0, 2.0]), h_cross=np.array([1.0, 1.0]))
 
 
 def hand_instance(z=1.0, p=1.0):
-    return SdpInstance.from_channels(HAND["h_self"], HAND["h_cross"], z=z, p=p)
+    return DecoupledProblem(p=p, z=z, **HAND)
+
+
+def dense(inst):
+    """The SDP's (C, A) of an instance."""
+    return leakage_matrix(inst.h_self), covariance_of(inst.h_cross)
 
 
 def random_instance(rng, m, z_frac=None):
@@ -36,19 +40,20 @@ def random_instance(rng, m, z_frac=None):
     p = float(rng.uniform(0.5, 2.0))
     z_max = p * float(np.linalg.norm(h_cross)) ** 2
     frac = float(rng.uniform(0.05, 0.95)) if z_frac is None else z_frac
-    return SdpInstance.from_channels(h_self, h_cross, z=frac * z_max, p=p)
+    return DecoupledProblem(h_self=h_self, h_cross=h_cross, p=p, z=frac * z_max)
 
 
 def feasible_covariance(rng, inst, rank):
     """Random PSD q with tr(q) <= p; the instance target is set to tr(A q)."""
-    m = inst.dim
+    m = inst.h_cross.size
+    _, a = dense(inst)
     while True:
         g = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
         q = numlin.hermitianize(g @ g.conj().T)
         q *= float(rng.uniform(0.3, 1.0)) * inst.p / float(np.trace(q).real)
-        z = float(np.trace(inst.a @ q).real)
+        z = float(np.trace(a @ q).real)
         if z > 1e-9:
-            return q, SdpInstance(c=inst.c, a=inst.a, z=z, p=inst.p)
+            return q, DecoupledProblem(inst.h_self, inst.h_cross, inst.p, z)
 
 
 class TestDualCertificate:
@@ -73,8 +78,8 @@ class TestDualCertificate:
         rng = np.random.default_rng(1)
         h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         p = 1.5
-        inst = SdpInstance.from_channels(np.ones(3), h,
-                                         z=p * np.linalg.norm(h) ** 2, p=p)
+        inst = DecoupledProblem(h_self=np.ones(3), h_cross=h, p=p,
+                                z=p * np.linalg.norm(h) ** 2)
         cert = dual_certificate(inst, primal_value=p)
         assert cert.dual_value == pytest.approx(p, rel=1e-6)
         assert abs(cert.gap) <= 1e-6 * p
@@ -84,7 +89,7 @@ class TestDualCertificate:
         for _ in range(15):
             inst = random_instance(rng, int(rng.integers(2, 5)))
             _, sol, cert, _ = certify_instance(inst)
-            grid = dual_value_on_grid(inst.c, inst.a, inst.z, inst.p,
+            grid = dual_value_on_grid(*dense(inst), inst.z, inst.p,
                                       np.linspace(0.0, 50.0, 2000))
             assert cert.dual_value >= grid - 1e-7
             assert cert.gap >= -1e-8 * max(1.0, sol.leakage)
@@ -95,24 +100,25 @@ class TestDualCertificate:
             inst = random_instance(rng, 3)
             cert = dual_certificate(inst, primal_value=1.0)
             assert cert.lambda2 <= 0.0
-            slack = inst.c - cert.lambda1 * inst.a - cert.lambda2 * np.eye(3)
+            c, a = dense(inst)
+            slack = c - cert.lambda1 * a - cert.lambda2 * np.eye(3)
             assert numlin.min_eigenvalue(slack) >= -1e-9
 
     def test_weak_duality_on_random_pairs(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             inst = random_instance(rng, 3)
-            _, h_cross = inst.channels()
-            w = sample_feasible_weights(rng, h_cross, inst.p, inst.z, 40)
+            c, a = dense(inst)
+            w = sample_feasible_weights(rng, inst.h_cross, inst.p, inst.z, 40)
             if w.shape[0] == 0:
                 continue
             # convex mixtures are feasible and can have rank > 1
             t = rng.dirichlet(np.ones(min(3, w.shape[0])))
             q = sum(ti * np.outer(wi, wi.conj()) for ti, wi in zip(t, w))
-            primal = float(np.trace(inst.c @ q).real)
+            primal = float(np.trace(c @ q).real)
             for _ in range(5):
                 lam1 = float(rng.uniform(0.0, 20.0))
-                lam_min = numlin.min_eigenvalue(inst.c - lam1 * inst.a)
+                lam_min = numlin.min_eigenvalue(c - lam1 * a)
                 lam2 = min(0.0, lam_min) - float(rng.uniform(0.0, 2.0))
                 assert primal >= lam1 * inst.z + lam2 * inst.p - 1e-9 * max(1.0, primal)
 
@@ -149,7 +155,7 @@ def test_closed_form_matches_golden_section(m, gamma_db, beta_db, p1, p2, symmet
     assert (curve.lambda2 <= 0.0).all()
     for z, primal, gap, lam1, lam2 in zip(zs, curve.primal, curve.gap,
                                           curve.lambda1, curve.lambda2):
-        inst = SdpInstance.from_channels(h_self, prob.h_cross, z=float(z), p=prob.p)
+        inst = DecoupledProblem(h_self, prob.h_cross, prob.p, float(z))
         ref = dual_certificate_reference(inst, float(primal))
         scale = max(1.0, primal)
         if z < z_max:
@@ -160,6 +166,33 @@ def test_closed_form_matches_golden_section(m, gamma_db, beta_db, p1, p2, symmet
             assert abs(gap) <= abs(ref.gap) + 1e-13 * scale + rounding
         else:
             assert abs(gap) <= GAP_TOL_ENDPOINT * scale
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0),
+       beta_db=st.floats(-80.0, 0.0), p1=st.floats(0.05, 20.0),
+       p2=st.floats(0.05, 20.0), symmetric=st.booleans(),
+       seed=st.integers(0, 2**16), node=st.sampled_from((1, 2)),
+       zero_self=st.integers(0, 8),
+       fracs=st.lists(st.floats(0.0, 1.0), max_size=3))
+def test_certify_instance_is_certify_curve_at_one_z(m, gamma_db, beta_db, p1, p2,
+                                                    symmetric, seed, node, zero_self,
+                                                    fracs):
+    # every certificate and KKT field, to the last bit
+    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
+                                        p1=p1, p2=p2, symmetric=symmetric, seed=seed))
+    prob = node_problem(ch, node, 0.0)
+    h_self = prob.h_self.copy()
+    h_self[:zero_self] = 0.0
+    z_max = prob.z_max
+    zs = [0.0, 1e-300, np.nextafter(z_max, 0.0), z_max] + [f * z_max for f in fracs]
+    curve = certify_curve(h_self, prob.h_cross, prob.p, zs)
+    for k, z in enumerate(zs):
+        _, sol, cert, report = certify_instance(
+            DecoupledProblem(h_self, prob.h_cross, prob.p, z))
+        assert (sol.epsilon, sol.leakage) == (curve.epsilon[k], curve.primal[k])
+        assert repr(cert) == repr(curve.certificates()[k])
+        assert repr(report) == repr(curve.kkt_reports()[k])
 
 
 class TestKktCheck:
@@ -191,8 +224,8 @@ class TestRankReduce:
     def test_hand_instance_single_step(self):
         # A from h=(1,0), q=I: the deflation direction is forced to the pure
         # off-diagonal, so one step lands on [[1,+-1],[+-1,1]].
-        inst = SdpInstance.from_channels(np.array([1.0, 2.0]),
-                                         np.array([1.0, 0.0]), z=1.0, p=2.0)
+        inst = DecoupledProblem(h_self=np.array([1.0, 2.0]),
+                                h_cross=np.array([1.0, 0.0]), p=2.0, z=1.0)
         trace = rank_reduce(inst, np.eye(2))
         assert len(trace.iterations) == 1
         q = trace.final_q
@@ -220,15 +253,16 @@ class TestRankReduce:
         for _ in range(40):
             base = random_instance(rng, 3)
             q0, inst = feasible_covariance(rng, base, rank)
-            z0 = float(np.trace(inst.a @ q0).real)
+            c, a = dense(inst)
+            z0 = float(np.trace(a @ q0).real)
             t0 = float(np.trace(q0).real)
-            c0 = float(np.trace(inst.c @ q0).real)
+            c0 = float(np.trace(c @ q0).real)
             trace = rank_reduce(inst, q0)
             q = trace.final_q
             assert len(trace.iterations) <= rank - 1
             assert numlin.numeric_rank(q, 1e-9) <= 1
             scale = max(1.0, abs(z0), abs(t0))
-            assert abs(float(np.trace(inst.a @ q).real) - z0) <= 1e-9 * scale
+            assert abs(float(np.trace(a @ q).real) - z0) <= 1e-9 * scale
             assert abs(float(np.trace(q).real) - t0) <= 1e-9 * scale
             assert numlin.min_eigenvalue(q) >= -1e-9 * max(1.0, t0)
             objs = [c0] + [obj for _, _, obj in trace.iterations]
@@ -266,31 +300,8 @@ class TestSolveSdpViaReduction:
         h_self = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         h_cross = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         p = 1.2
-        inst = SdpInstance.from_channels(h_self, h_cross,
-                                         z=p * np.linalg.norm(h_cross) ** 2, p=p)
+        inst = DecoupledProblem(h_self=h_self, h_cross=h_cross, p=p,
+                                z=p * np.linalg.norm(h_cross) ** 2)
         q = gated_covariance(inst)
         w = mrt_weights(h_cross, p)
         assert np.allclose(q, np.outer(w, w.conj()), atol=1e-6 * p)
-
-
-class TestSdpInstanceValidation:
-    def test_rejects_nondiagonal_c(self):
-        with pytest.raises(ValueError):
-            SdpInstance(c=np.ones((2, 2)), a=np.eye(2) * 0.0, z=0.0, p=1.0)
-
-    def test_rejects_rank_two_a(self):
-        with pytest.raises(ValueError):
-            SdpInstance(c=np.eye(2), a=np.eye(2), z=0.5, p=1.0)
-
-    def test_rejects_out_of_range_z(self):
-        with pytest.raises(ValueError):
-            SdpInstance.from_channels(np.ones(2), np.array([1.0, 0.0]), z=2.0, p=1.0)
-
-    def test_channels_roundtrip(self):
-        rng = np.random.default_rng(33)
-        h_self = np.abs(rng.standard_normal(3))
-        h_cross = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        inst = SdpInstance.from_channels(h_self, h_cross, z=0.1, p=1.0)
-        hs, hc = inst.channels()
-        assert np.allclose(hs, h_self, atol=1e-12)
-        assert np.allclose(np.outer(hc, hc.conj()), inst.a, atol=1e-9)
