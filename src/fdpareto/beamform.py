@@ -18,9 +18,13 @@ diagonal everything reduces to elementwise arithmetic, and ||w(eps)||^2 is
 nonincreasing in eps (Cauchy-Schwarz), so a doubling bracket plus bisection
 finds the loading reliably.
 
-All functions are pure.  A sweep over z is one array solve: `leakage_curve`
-runs every z's bracket and bisection together on (n, m) arrays, each z
-stopping at its own step, and `optimal_weights` is the same solve at one z.
+All functions are pure.  A sweep over z is one array solve: `_solve` runs
+every z's bracket and bisection together on (n, m) arrays, one row per z,
+each row carrying its own node's |h_self|^2, h_cross and budget and
+stopping at its own step.  `leakage_curves` solves several nodes' z arrays
+in that one call (a boundary solves both nodes' grids at once), and
+`leakage_curve`, `certify_curve` and `optimal_weights` are its one-node
+cases.
 """
 
 from __future__ import annotations
@@ -101,26 +105,28 @@ def _clamped_z(zs: np.ndarray, z_max: float) -> np.ndarray:
     return np.minimum(np.maximum(zs, 0.0), z_max)
 
 
-def _loading_for_zero_eps(c: np.ndarray) -> float:
-    """Effective loading used to evaluate the eps=0 closed form."""
-    if np.min(c) > 0.0:
-        return 0.0
-    return _SINGULAR_DELTA_REL * max(1.0, float(np.max(c)))
+def _loading_for_zero_eps(c: np.ndarray) -> np.ndarray:
+    """Effective loading used to evaluate the eps=0 closed form, per row of c."""
+    return np.where(c.min(axis=1) > 0.0, 0.0,
+                    _SINGULAR_DELTA_REL * np.maximum(1.0, c.max(axis=1)))
 
 
 def _filter_sums(c: np.ndarray, habs2: np.ndarray,
                  load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(h† (C + l I)^{-1} h, h† (C + l I)^{-2} h) for each loading l, C = Diag(c).
+    """(h† (C + l I)^{-1} h, h† (C + l I)^{-2} h) for each row, C = Diag(c).
 
-    The sums run along the rows of a C-contiguous (n, m) array, so each
-    loading gets the same pairwise summation as a 1-D sum over m entries.
+    Row k takes its own node's c[k] and |h|^2 habs2[k] at its loading
+    load[k].  c and habs2 must be C-contiguous (n, m) arrays: the sums then
+    run along contiguous rows, so each row gets the same pairwise summation
+    as a 1-D sum over its m entries.  Fortran-ordered rows are summed in
+    another order, which moves loadings at m = 8 in their last bits.
     """
     d = c + load[:, None]
     return (habs2 / d).sum(axis=1), (habs2 / d**2).sum(axis=1)
 
 
 def _power_at(c, habs2, z, load) -> np.ndarray:
-    """||w||^2 of the loaded filter delivering z, for each (z, load) pair."""
+    """||w||^2 of the loaded filter delivering z, for each row's (z, load) pair."""
     s1, s2 = _filter_sums(c, habs2, load)
     power = z * s2 / (s1 * s1)
     if not np.isfinite(power).all():
@@ -128,17 +134,18 @@ def _power_at(c, habs2, z, load) -> np.ndarray:
     return power
 
 
-def _bisect_loading(c, habs2, p: float, z: np.ndarray) -> np.ndarray:
-    """The loading eps > 0 with ||w(eps)||^2 = p, for each z above the low-z bound.
+def _bisect_loading(c, habs2, p: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The loading eps > 0 with ||w(eps)||^2 = p, for each row above its low-z bound.
 
-    Each element doubles its own bracket and then bisects it until
-    hi - lo <= 1e-12 hi; np.where freezes the elements that have stopped,
-    so every element takes exactly the steps a one-z search would take.
+    Row k solves the node of c[k], habs2[k] and budget p[k] at z[k].  Each
+    row doubles its own bracket and then bisects it until
+    hi - lo <= 1e-12 hi; np.where freezes the rows that have stopped, so
+    every row takes exactly the steps a one-z search would take.
     """
     # For z just below z_max the power curve crosses p only at enormous
     # eps and the crossing flattens into round-off noise; the widened
     # accept window keeps the expansion finite there.
-    hi = np.full(z.shape, max(1.0, float(np.max(c))))
+    hi = np.maximum(1.0, c.max(axis=1))
     accept = p * (1.0 + 8.0 * np.finfo(np.float64).eps)
     for _ in range(_MAX_DOUBLINGS):
         short = _power_at(c, habs2, z, hi) > accept
@@ -158,42 +165,45 @@ def _bisect_loading(c, habs2, p: float, z: np.ndarray) -> np.ndarray:
     return hi
 
 
-def _solve(c: np.ndarray, h: np.ndarray, p: float, z_max: float,
+def _solve(c: np.ndarray, h: np.ndarray, p: np.ndarray, z_max: np.ndarray,
            zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Loading and weights for each clamped z: (eps of shape (n,), w of shape (n, m)).
 
-    eps is 0 where the unloaded solution fits the power budget (the low-z
-    condition; z = 0 gives exact zero weights), inf at z = z_max above that
-    bound (the MRT beam), and the bisected loading otherwise.  Raises
-    NumericalError on a non-finite power or a failed bracket.
+    Row k solves the node whose |h_self|^2, h_cross, budget and z_max are
+    c[k], h[k], p[k] and z_max[k], at zs[k]; c and h are C-contiguous
+    (n, m) arrays (see `_filter_sums`).  eps is 0 where the unloaded
+    solution fits the power budget (the low-z condition; z = 0 gives exact
+    zero weights), inf at z = z_max above that bound (the MRT beam), and
+    the bisected loading otherwise.  Raises NumericalError on a non-finite
+    power or a failed bracket.
     """
     eps = np.zeros(zs.shape)
-    w = np.zeros((zs.shape[0], h.shape[0]), dtype=np.complex128)
+    w = np.zeros(h.shape, dtype=np.complex128)
     live = np.flatnonzero(zs != 0.0)
-    z = zs[live]
+    z, c, h, p, z_max = zs[live], c[live], h[live], p[live], z_max[live]
     habs2 = np.abs(h) ** 2
     with np.errstate(all="ignore"):
         # Low-z condition: the unloaded solution already fits the power budget.
-        load = np.full(z.shape, _loading_for_zero_eps(c))
+        load = _loading_for_zero_eps(c)
         loaded = _power_at(c, habs2, z, load) > p
-        if not c.any():
-            # C = 0: the filter's power z/||h||^2 does not depend on the
-            # loading, so every z below z_max fits unloaded (leakage 0), even
-            # where that power rounds one ulp above p.
-            loaded &= z == z_max
+        # C = 0: the filter's power z/||h||^2 does not depend on the loading,
+        # so every z below z_max fits unloaded (leakage 0), even where that
+        # power rounds one ulp above p.
+        loaded &= c.any(axis=1) | (z == z_max)
         # Cauchy-Schwarz leaves a single feasible point at z_max: full-power
         # weights along the cross channel (the eps -> inf limit of the closed form).
         at_max = loaded & (z == z_max)
         loaded &= ~at_max
         if loaded.any():
-            load[loaded] = _bisect_loading(c, habs2, p, z[loaded])
+            load[loaded] = _bisect_loading(c[loaded], habs2[loaded], p[loaded], z[loaded])
         eps[live] = np.where(at_max, np.inf, np.where(loaded, load, 0.0))
         rows = ~at_max  # the loaded-filter closed form, at eps or the eps=0 load
-        s1, _ = _filter_sums(c, habs2, load[rows])
-        w[live[rows]] = (np.sqrt(z[rows])[:, None] * (h / (c + load[rows][:, None]))
+        c, habs2, load = c[rows], habs2[rows], load[rows]
+        s1, _ = _filter_sums(c, habs2, load)
+        w[live[rows]] = (np.sqrt(z[rows])[:, None] * (h[rows] / (c + load[:, None]))
                          / s1[:, None])
-    if at_max.any():
-        w[live[at_max]] = mrt_weights(h, p)
+    for k in np.flatnonzero(at_max):
+        w[live[k]] = mrt_weights(h[k], p[k])
     return eps, w
 
 
@@ -217,21 +227,43 @@ def min_leakage(prob: DecoupledProblem) -> float:
     return optimal_weights(prob).leakage
 
 
-def _solve_curve(prob: DecoupledProblem, zs) -> tuple[np.ndarray, ...]:
-    """Clamped z, loading, weights and leakage for each z of an array, checked.
+def _solve_curves(probs, z_arrays) -> list[tuple[np.ndarray, ...]]:
+    """Clamped z, loading, weights and leakage for each z of each node, checked.
 
-    One masked `_solve` covers the whole array.  These are the package's
-    only constraint checks, written so that a NaN fails them.  An extreme
-    budget may overflow the leakage or the achieved powers to inf: that
-    happens silently here, every finite value keeps its bits, and an inf
-    achieved power fails its check like a NaN.
+    probs[i] is solved at every z of z_arrays[i]; the nodes must share one
+    antenna count.  Every node's z array is clamped first (InfeasibleError
+    for the first z outside its window), then one `_solve` covers all of
+    them, node after node along its rows, and then each node's rows are
+    checked in turn.  So a failed search of a later node is raised before
+    an earlier node's failed check.  These are the package's only
+    constraint checks, written so that a NaN fails them.  An extreme budget
+    may overflow the leakage or the achieved powers to inf: that happens
+    silently here, every finite value keeps its bits, and an inf achieved
+    power fails its check like a NaN.  Returns one (z, eps, w, leakage)
+    tuple per node.
     """
-    c = np.abs(prob.h_self) ** 2
+    zs = [_clamped_z(np.asarray(z, dtype=np.float64).reshape(-1), prob.z_max)
+          for prob, z in zip(probs, z_arrays)]
+    counts = [z.size for z in zs]
+    cs = [np.abs(prob.h_self) ** 2 for prob in probs]
+
+    def rows(values) -> np.ndarray:
+        # np.repeat returns C-contiguous rows, as `_filter_sums` needs.
+        return np.repeat(np.array(values), counts, axis=0)
+
+    eps, w = _solve(rows(cs), rows([prob.h_cross for prob in probs]),
+                    rows([prob.p for prob in probs]), rows([prob.z_max for prob in probs]),
+                    np.concatenate(zs))
+    ends = np.cumsum(counts)
+    return [_checked(prob, c, z, eps[end - z.size:end], w[end - z.size:end])
+            for prob, c, z, end in zip(probs, cs, zs, ends.tolist())]
+
+
+def _checked(prob: DecoupledProblem, c: np.ndarray, z: np.ndarray, eps: np.ndarray,
+             w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(z, eps, w, leakage) of one node's solves, after its constraint checks."""
     h = prob.h_cross
     p = prob.p
-    z = _clamped_z(np.asarray(zs, dtype=np.float64).reshape(-1), prob.z_max)
-    eps, w = _solve(c, h, p, prob.z_max, z)
-
     with np.errstate(over="ignore", invalid="ignore"):
         achieved_z = np.abs(w @ h.conj()) ** 2
         achieved_power = np.linalg.norm(w, axis=1) ** 2
@@ -257,6 +289,25 @@ def _solve_curve(prob: DecoupledProblem, zs) -> tuple[np.ndarray, ...]:
     return z, eps, w, leakage
 
 
+def _solve_curve(prob: DecoupledProblem, zs) -> tuple[np.ndarray, ...]:
+    """Clamped z, loading, weights and leakage for each z of an array, checked.
+
+    `_solve_curves` of the one node.
+    """
+    return _solve_curves([prob], [zs])[0]
+
+
+def leakage_curves(probs, z_arrays) -> list[np.ndarray]:
+    """Minimal self-leakage G(z) of each node over its own z array, in one solve.
+
+    probs[i] is a `DecoupledProblem` (its z is not used) and z_arrays[i] its
+    delivered powers; the nodes must share one antenna count.  Each node
+    gets exactly the values `leakage_curve` gives it alone; errors are
+    those of `_solve_curves`.
+    """
+    return [leakage for *_, leakage in _solve_curves(probs, z_arrays)]
+
+
 def leakage_curve(h_self, h_cross, p: float, zs) -> np.ndarray:
     """Minimal self-leakage G(z) for every delivered power z of an array.
 
@@ -264,7 +315,7 @@ def leakage_curve(h_self, h_cross, p: float, zs) -> np.ndarray:
     and leakage as `optimal_weights` at each z, to the last bit.  Raises
     InfeasibleError for the first z outside [0, p*||h_cross||^2], and
     NumericalError if a loading search fails or any solution fails
-    `_solve_curve`'s checks of its delivered power, power budget and power
+    `_solve_curves`' checks of its delivered power, power budget and power
     boundary.  A leakage beyond the float range is inf.
     """
     prob = DecoupledProblem(h_self=h_self, h_cross=h_cross, p=p, z=0.0)

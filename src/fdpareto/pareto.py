@@ -11,8 +11,8 @@ one rate formula, `rates._rate`, applied to whole grids).  Every
 point of that sweep is achievable, and every Pareto-optimal rate pair appears
 in it, so filtering the swept grid to its non-dominated subset approximates
 the Pareto boundary to grid resolution.  G_i is evaluated once per grid value
-(n1 + n2 solves, not n1 * n2), as one array solve per node
-(`beamform.leakage_curve`) over that node's whole z grid.
+(n1 + n2 solves, not n1 * n2), as one array solve over both nodes' whole z
+grids (`beamform.leakage_curves`).
 
 The rate grid is doubly monotone: G_i is nondecreasing, so along a row
 (z2 rising) r1 rises and r2 falls, and down a column (z1 rising) r1 falls
@@ -30,12 +30,15 @@ grid is not provably valid, the whole grid is rated, checked and sieved by
 the same staircase (`_maximal_cells`).
 Survivors whose rates, at the 12 significant digits of the CSV, are
 dominated by another survivor's are dropped too, so the written curve is
-strictly monotone.
+strictly monotone (`_written_maxima`).  Rounding is monotone and the
+survivors are strictly monotone, so only neighbours closer than the
+rounding can tie; only those are formatted for the filter.
 
 A `BoundaryCurve` holds its points as arrays.  `RatePoint`s are built only
 at the API edges (`BoundaryCurve(points=...)`, `.points` and
-`equal_rate_point`).  A boundary keeps the CSV text of its rates from the
-filter, so each rate is formatted once.
+`equal_rate_point`).  `curve_to_csv` writes a curve's rows in one `%`
+call: each rate is formatted once, when it is written, and each distinct z
+once.
 
 The module also provides the half-duplex TDMA segment, the equal-rate point,
 and a random-covariance domination oracle that checks no sampled achievable
@@ -50,13 +53,14 @@ comparing it with every curve point.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 # min_leakage stays importable here for callers of the scalar solve.
-from .beamform import DecoupledProblem, leakage_curve, min_leakage  # noqa: F401
+from .beamform import DecoupledProblem, leakage_curves, min_leakage  # noqa: F401
 from .channel import ChannelSet
 from .rates import (RatePoint, _check_rates, _power_limit, _rate, _trace_message,
                     single_link_max)
@@ -64,6 +68,13 @@ from .rates import (RatePoint, _check_rates, _power_limit, _rate, _trace_message
 CSV_HEADER = "r1,r2,z1,z2,label"
 # printf-style: the same text as format(v, ".12g"), at two thirds of its cost.
 _FMT = "%.12g"
+# One CSV row: two rates, then the z fields' and the label's text as arguments.
+_ROW = f"{_FMT},{_FMT},%s,%s,%s\n"
+# Neighbouring values further apart than this fraction of the larger
+# modulus never share their 12-significant-digit text: each rounds by at
+# most half a unit in its 12th digit, 5e-12 of its modulus, so two move
+# together by half this at most.
+_WRITTEN_GAP_REL = 2e-11
 # A sample escapes the curve by more than this (past the grid slack) to
 # count as an oracle violation.
 ORACLE_TOL = 1e-6
@@ -117,11 +128,11 @@ class BoundaryCurve:
     (a TDMA point); `labels` holds each point's label.
     `BoundaryCurve(points=...)` builds a curve from RatePoints, and
     `.point(k)` and `.points` give them back.  A curve made by `boundary`
-    also keeps the CSV text of its rates, the strings its filter compared,
-    for `curve_to_csv`.
+    is strictly monotone at the 12 significant digits that `curve_to_csv`
+    writes.
     """
 
-    __slots__ = ("r1", "r2", "z1", "z2", "labels", "_rate_text")
+    __slots__ = ("r1", "r2", "z1", "z2", "labels")
 
     def __init__(self, points: Iterable[RatePoint] = ()):
         points = list(points)
@@ -132,16 +143,14 @@ class BoundaryCurve:
                   tuple(p.label for p in points))
 
     @classmethod
-    def _of(cls, r1, r2, z1, z2, labels: tuple[str, ...],
-            rate_text: tuple[list[str], list[str]] | None = None) -> "BoundaryCurve":
+    def _of(cls, r1, r2, z1, z2, labels: tuple[str, ...]) -> "BoundaryCurve":
         curve = cls.__new__(cls)
-        curve._set(r1, r2, z1, z2, labels, rate_text)
+        curve._set(r1, r2, z1, z2, labels)
         return curve
 
-    def _set(self, r1, r2, z1, z2, labels, rate_text=None) -> None:
+    def _set(self, r1, r2, z1, z2, labels) -> None:
         self.r1, self.r2, self.z1, self.z2 = (_frozen(v) for v in (r1, r2, z1, z2))
         self.labels = labels
-        self._rate_text = rate_text
 
     def __len__(self) -> int:
         return self.r1.size
@@ -336,10 +345,35 @@ def pareto_filter(points: list[RatePoint]) -> list[RatePoint]:
     return [points[k] for k in pareto_indices(r1, r2)]
 
 
-def _as_written(x: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The CSV text of each value, and the values `curve_from_csv` reads back."""
-    text = [_FMT % v for v in x.tolist()]
-    return text, np.array([float(s) for s in text])
+def _near(x: np.ndarray) -> np.ndarray:
+    """For each neighbouring pair of x, whether the two may share their CSV text."""
+    return np.abs(x[1:] - x[:-1]) <= _WRITTEN_GAP_REL * np.maximum(np.abs(x[1:]),
+                                                                    np.abs(x[:-1]))
+
+
+def _written_maxima(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """`pareto_indices` of the rates as written: each formatted `.12g` and read back.
+
+    r1 must be strictly ascending and r2 strictly descending, as the
+    maximal cells are.  Rounding to 12 significant digits is monotone, so
+    the written rates are monotone too, and whether `pareto_indices` keeps
+    a point depends only on which neighbours' written rates are equal.
+    Neighbours further apart than `_WRITTEN_GAP_REL` in a rate never share
+    its text, and the rounding keeps their order in it strict.  So only the
+    points with a near neighbour (`_near`, in either rate) are formatted
+    and read back; the rest keep their rates, which sort as their written
+    rates do.
+    """
+    near = _near(r1) | _near(r2)
+    if not near.any():
+        return np.arange(r1.size)
+    at = np.flatnonzero(np.append(near, False) | np.insert(near, 0, False))
+    written = []
+    for x in (r1, r2):
+        x = x.copy()
+        x[at] = [float(_FMT % v) for v in x[at].tolist()]
+        written.append(x)
+    return pareto_indices(*written)
 
 
 def boundary(ch: ChannelSet, grid: SweepGrid) -> BoundaryCurve:
@@ -353,22 +387,17 @@ def boundary(ch: ChannelSet, grid: SweepGrid) -> BoundaryCurve:
     """
     z1s = grid.z1_values()
     z2s = grid.z2_values()
-    node1, node2 = node_problem(ch, 1, 0.0), node_problem(ch, 2, 0.0)
-    leak1 = leakage_curve(node1.h_self, node1.h_cross, node1.p, z1s)
-    leak2 = leakage_curve(node2.h_self, node2.h_cross, node2.p, z2s)
+    leak1, leak2 = leakage_curves((node_problem(ch, 1, 0.0), node_problem(ch, 2, 0.0)),
+                                  (z1s, z2s))
     keep, r1, r2 = _maximal_cells(z1s, z2s, leak1, leak2, ch.frontend.sigma2,
                                   ch.frontend.beta)
     # Along a flat stretch of the boundary, neighbouring maximal points can
     # differ only below the digits the CSV keeps; filter once more on the
     # rates as written, so the file stays strictly monotone.
-    text1, written1 = _as_written(r1)
-    text2, written2 = _as_written(r2)
-    final = pareto_indices(written1, written2)
+    final = _written_maxima(r1, r2)
     rows, cols = np.divmod(keep[final], grid.n2)
-    at = final.tolist()
     return BoundaryCurve._of(r1[final], r2[final], z1s[rows], z2s[cols],
-                             ("optimal",) * len(at),
-                             ([text1[k] for k in at], [text2[k] for k in at]))
+                             ("optimal",) * final.size)
 
 
 def tdma_boundary(ch: ChannelSet, n: int) -> BoundaryCurve:
@@ -623,14 +652,17 @@ def _texts(x: np.ndarray) -> list[str]:
 
 
 def curve_to_csv(curve: BoundaryCurve) -> str:
-    """Render a curve as CSV with 12-significant-digit fields."""
-    if curve._rate_text is not None:
-        text1, text2 = curve._rate_text
-    else:
-        text1, text2 = _texts(curve.r1), _texts(curve.r2)
-    rows = map(",".join, zip(text1, text2, _texts(curve.z1), _texts(curve.z2),
-                             curve.labels))
-    return "\n".join([CSV_HEADER, *rows]) + "\n"
+    """Render a curve as CSV with 12-significant-digit fields.
+
+    The whole body is one `%` call over a flat tuple.  Each rate is
+    formatted there (a curve's rates are finite).  Each z field's text, ""
+    for NaN, comes from `_texts`; those texts and the labels are `%s`
+    arguments, so a label may hold a "%".
+    """
+    fields = zip(curve.r1.tolist(), curve.r2.tolist(), _texts(curve.z1),
+                 _texts(curve.z2), curve.labels)
+    return (CSV_HEADER + "\n"
+            + _ROW * len(curve) % tuple(itertools.chain.from_iterable(fields)))
 
 
 def curve_from_csv(text: str) -> BoundaryCurve:

@@ -9,6 +9,9 @@ kernels (`optimal_weights_reference`, `sweep_rate_point`,
 `domination_oracle_reference`, `escape_distances_reference`,
 `curve_to_csv_reference`, `equal_rate_point_reference`,
 `certificate_records_reference`) evaluate one point at a time,
+`written_maxima_reference` formats and reads back every rate where the
+package formats only neighbours that can tie, `joined_csv_reference` joins
+every field's text where the package formats whole rows at once,
 `maximal_cells_reference` rates and sorts the whole grid where the package
 prunes it by blocks, and `dual_certificate_reference` maximizes the dual
 numerically where the package uses its closed form.  `jacobi_eigh`, a cyclic
@@ -26,18 +29,17 @@ from fdpareto import numlin
 from fdpareto.beamform import (
     _EPS_BISECT_REL,
     _MAX_DOUBLINGS,
+    _SINGULAR_DELTA_REL,
     _Z_CLAMP_ABS,
     _Z_CLAMP_REL,
     BeamformerSolution,
-    _loading_for_zero_eps,
     covariance_of,
     leakage_matrix,
     mrt_weights,
 )
 from fdpareto.certify import Certificate, dual_value_at
 from fdpareto.errors import InfeasibleError, NumericalError
-from fdpareto.pareto import (CSV_HEADER, ORACLE_TOL, OracleReport, grid_slack, node_problem,
-                             pareto_indices)
+from fdpareto.pareto import CSV_HEADER, ORACLE_TOL, OracleReport, grid_slack, pareto_indices
 from fdpareto.rates import PSD_TOL, RatePoint, _check_rates, _power_limit, _rate, _trace_message
 
 # Off-diagonal elements below this fraction of ||A||_F are left unrotated.
@@ -353,6 +355,28 @@ def _fmt(x):
     return "" if x is None else format(x, ".12g")
 
 
+def written_maxima_reference(r1, r2):
+    """The written filter `pareto._written_maxima` replaces.
+
+    Formats every rate with "%.12g", reads each text back, and keeps the
+    indices that `pareto_indices` keeps of the values read back.
+    """
+    written = [np.array([float("%.12g" % v) for v in x.tolist()]) for x in (r1, r2)]
+    return pareto_indices(*written)
+
+
+def joined_csv_reference(curve):
+    """The field-by-field renderer `pareto.curve_to_csv` replaces.
+
+    Formats every value of the curve's arrays with "%.12g", or "" for NaN,
+    and joins each row's fields and then the rows.
+    """
+    texts = [["" if v != v else "%.12g" % v for v in x.tolist()]
+             for x in (curve.r1, curve.r2, curve.z1, curve.z2)]
+    rows = map(",".join, zip(*texts, curve.labels))
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
+
+
 def curve_to_csv_reference(points):
     """RatePoint-list CSV renderer, kept as the reference for `curve_to_csv`.
 
@@ -400,21 +424,26 @@ def sweep_rate_point(ch, z1, z2):
     """
     sigma2 = ch.frontend.sigma2
     beta = ch.frontend.beta
-    leakage1 = min_leakage_reference(node_problem(ch, 1, z1))
-    leakage2 = min_leakage_reference(node_problem(ch, 2, z2))
+    leakage1 = min_leakage_reference(ch.h11, ch.h12, ch.p1, z1)
+    leakage2 = min_leakage_reference(ch.h22, ch.h21, ch.p2, z2)
     r1 = float(np.log2(1.0 + z2 / (sigma2 + beta * leakage1)))
     r2 = float(np.log2(1.0 + z1 / (sigma2 + beta * leakage2)))
     return RatePoint(r1=r1, r2=r2, z1=float(z1), z2=float(z2), label="optimal")
 
 
-def _clamped_z(prob):
-    z_max = prob.z_max
-    z = prob.z
+def _clamped_z(z, z_max):
     if z < -_Z_CLAMP_ABS or z > z_max * (1.0 + _Z_CLAMP_REL) + _Z_CLAMP_ABS:
         raise InfeasibleError(
             f"z={z:.12g} outside the feasible range [0, {z_max:.12g}]"
         )
     return min(max(z, 0.0), z_max)
+
+
+def _loading_for_zero_eps(c):
+    """Loading that evaluates the eps=0 closed form: 0, or a tiny one for singular C."""
+    if np.min(c) > 0.0:
+        return 0.0
+    return _SINGULAR_DELTA_REL * max(1.0, float(np.max(c)))
 
 
 def _filter_sums(c, habs2, load):
@@ -423,18 +452,20 @@ def _filter_sums(c, habs2, load):
     return float(np.sum(habs2 / d)), float(np.sum(habs2 / d**2))
 
 
-def optimal_weights_reference(prob):
+def optimal_weights_reference(h_self, h_cross, p, z):
     """Scalar loading search, one z at a time: the reference for the array kernel.
 
-    Returns the eps=0 solution when it satisfies the power budget (the
-    low-z condition); otherwise bisects the loading until ||w||^2 = p to
-    1e-10 relative.  Raises InfeasibleError for z outside [0, p*||h_cross||^2]
-    and NumericalError if the bracket or the final constraint check fails.
+    Takes the raw instance, so it clamps z into its own copy of the
+    feasible window.  Returns the eps=0 solution when it satisfies the
+    power budget (the low-z condition); otherwise bisects the loading until
+    ||w||^2 = p to 1e-10 relative.  Raises InfeasibleError for z outside
+    [0, p*||h_cross||^2] (past the clamp fuzz) and NumericalError if the
+    bracket or the final constraint check fails.
     """
-    c = np.abs(prob.h_self) ** 2
-    h = prob.h_cross
-    p = prob.p
-    z = _clamped_z(prob)
+    c = np.abs(np.asarray(h_self, dtype=np.complex128).reshape(-1)) ** 2
+    h = np.asarray(h_cross, dtype=np.complex128).reshape(-1)
+    z_max = p * float(np.linalg.norm(h)) ** 2
+    z = _clamped_z(float(z), z_max)
     m = h.shape[0]
 
     if z == 0.0:
@@ -443,7 +474,6 @@ def optimal_weights_reference(prob):
                                   achieved_z=0.0, achieved_power=0.0)
 
     habs2 = np.abs(h) ** 2
-    z_max = prob.z_max
 
     def power_at(load: float) -> float:
         s1, s2 = _filter_sums(c, habs2, load)
@@ -507,9 +537,9 @@ def optimal_weights_reference(prob):
                               achieved_z=achieved_z, achieved_power=achieved_power)
 
 
-def min_leakage_reference(prob):
+def min_leakage_reference(h_self, h_cross, p, z):
     """Minimal self-leakage at delivered power z, from the scalar reference."""
-    return optimal_weights_reference(prob).leakage
+    return optimal_weights_reference(h_self, h_cross, p, z).leakage
 
 
 def validate_covariance(q, m, p, name):

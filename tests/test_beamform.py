@@ -168,22 +168,32 @@ class TestOptimalWeights:
         assert sol.leakage == pytest.approx(0.0, abs=1e-15)
         assert sol.epsilon == 0.0
 
-    def test_infeasible_z_raises(self):
+    # z_max = 1; the window is [-1e-12, 1 + 2e-12], just past it on both sides
+    @pytest.mark.parametrize("z", [-0.5, 1.1, -2e-12, 1.0 + 3e-12])
+    def test_infeasible_z_raises(self, z):
+        # the package's window and the reference's own copy reject the same z
         prob_args = dict(h_self=np.array([1.0, 1.0]),
                          h_cross=np.array([1.0, 0.0]), p=1.0)
-        with pytest.raises(InfeasibleError):
-            optimal_weights(DecoupledProblem(z=-0.5, **prob_args))
-        with pytest.raises(InfeasibleError):
-            optimal_weights(DecoupledProblem(z=1.1, **prob_args))
+        with pytest.raises(InfeasibleError) as got:
+            optimal_weights(DecoupledProblem(z=z, **prob_args))
+        with pytest.raises(InfeasibleError) as want:
+            optimal_weights_reference(z=z, **prob_args)
+        assert str(got.value) == str(want.value)
 
     def test_endpoint_clamp_tolerance(self):
         prob_args = dict(h_self=np.array([1.0, 2.0]),
                          h_cross=np.array([1.0, 1.0]), p=1.0)
-        sol = optimal_weights(DecoupledProblem(z=-1e-13, **prob_args))
-        assert sol.achieved_z == 0.0
         z_max = 2.0
-        sol = optimal_weights(DecoupledProblem(z=z_max * (1 + 1e-13), **prob_args))
-        assert sol.achieved_z == pytest.approx(z_max, rel=1e-10)
+        sols = []
+        for z in (-1e-13, z_max * (1 + 1e-13)):
+            sol = optimal_weights(DecoupledProblem(z=z, **prob_args))
+            ref = optimal_weights_reference(z=z, **prob_args)
+            assert _bits(sol.w) == _bits(ref.w)
+            assert (sol.epsilon, sol.leakage, sol.achieved_z, sol.achieved_power) == \
+                (ref.epsilon, ref.leakage, ref.achieved_z, ref.achieved_power)
+            sols.append(sol)
+        assert sols[0].achieved_z == 0.0
+        assert sols[1].achieved_z == pytest.approx(z_max, rel=1e-10)
 
 
 def _bits(a):
@@ -214,10 +224,11 @@ def test_array_kernel_matches_scalar_reference(m, gamma_db, beta_db, p1, p2,
              np.nextafter(bound, 0.0), np.nextafter(bound, np.inf)]
     zs = np.minimum(np.array(edges + [f * z_max for f in fracs]), z_max)
 
-    refs = [optimal_weights_reference(DecoupledProblem(h_self, prob.h_cross,
-                                                       prob.p, float(z)))
-            for z in zs]
-    eps, w = beamform._solve(np.abs(h_self) ** 2, prob.h_cross, prob.p, z_max, zs)
+    refs = [optimal_weights_reference(h_self, prob.h_cross, prob.p, z) for z in zs]
+    n = zs.size
+    eps, w = beamform._solve(np.tile(np.abs(h_self) ** 2, (n, 1)),
+                             np.tile(prob.h_cross, (n, 1)), np.full(n, prob.p),
+                             np.full(n, z_max), zs)
     assert _bits(eps) == _bits(np.array([r.epsilon for r in refs]))
     assert _bits(w) == _bits(np.array([r.w for r in refs]))
     g = leakage_curve(h_self, prob.h_cross, prob.p, zs)
@@ -227,6 +238,78 @@ def test_array_kernel_matches_scalar_reference(m, gamma_db, beta_db, p1, p2,
         assert _bits(sol.w) == _bits(ref.w)
         assert (sol.epsilon, sol.leakage, sol.achieved_z, sol.achieved_power) == \
             (ref.epsilon, ref.leakage, ref.achieved_z, ref.achieved_power)
+
+
+def _node_grids(ch, n, fracs=()):
+    """Both nodes' problems, and each node's z grid with its edges and fractions."""
+    probs = (node_problem(ch, 1, 0.0), node_problem(ch, 2, 0.0))
+    grids = []
+    for prob in probs:
+        z_max = prob.z_max
+        bound = low_z_condition_bound(prob.h_self, prob.h_cross, prob.p)
+        edges = [bound, np.nextafter(bound, 0.0), np.nextafter(z_max, 0.0)]
+        extra = np.minimum(np.array(edges + [f * z_max for f in fracs]), z_max)
+        grids.append(np.concatenate([np.linspace(0.0, z_max, n), extra]))
+    return probs, grids
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0),
+       beta_db=st.floats(-80.0, 0.0), p1=st.floats(0.05, 20.0),
+       p2=st.floats(0.05, 20.0), symmetric=st.booleans(),
+       seed=st.integers(0, 2**16), n=st.integers(2, 60),
+       fracs=st.lists(st.floats(0.0, 1.0), max_size=6))
+def test_stacked_solve_matches_one_node_solves(m, gamma_db, beta_db, p1, p2, symmetric,
+                                               seed, n, fracs):
+    # both nodes in one `_solve` give each node's one-node solve to the last
+    # bit, and the leakage of the scalar reference at every z
+    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
+                                        p1=p1, p2=p2, symmetric=symmetric, seed=seed))
+    probs, grids = _node_grids(ch, n, fracs)
+    stacked = beamform._solve_curves(probs, grids)
+    for prob, zs, got in zip(probs, grids, stacked):
+        want = beamform._solve_curve(prob, zs)
+        assert [_bits(a) for a in got] == [_bits(a) for a in want]
+        ref = [min_leakage_reference(prob.h_self, prob.h_cross, prob.p, z) for z in zs]
+        assert _bits(got[3]) == _bits(np.array(ref))
+    assert [_bits(g) for g in beamform.leakage_curves(probs, grids)] == \
+        [_bits(g) for *_, g in stacked]
+
+
+@pytest.mark.parametrize("gamma_db, beta_db, symmetric, seed", [
+    (40.0, -40.0, True, 1), (110.0, -80.0, False, 2), (7.5, -3.0, False, 3),
+    (75.0, -55.0, True, 4), (0.0, 0.0, False, 5), (101.0, -20.0, True, 6),
+])
+def test_stacked_leakage_equals_two_curves_at_m8(gamma_db, beta_db, symmetric, seed):
+    # m = 8 is where the row sums' order depends on the memory layout
+    ch = generate_scenario(ScenarioSpec(m=8, gamma_db=gamma_db, beta_db=beta_db,
+                                        p1=0.7, p2=2.3, symmetric=symmetric, seed=seed))
+    probs, grids = _node_grids(ch, 200)
+    got = beamform.leakage_curves(probs, grids)
+    want = [leakage_curve(prob.h_self, prob.h_cross, prob.p, zs)
+            for prob, zs in zip(probs, grids)]
+    assert [_bits(g) for g in got] == [_bits(g) for g in want]
+
+
+def test_kernel_rows_are_c_contiguous(monkeypatch):
+    # Fortran-ordered rows sum in another order and move m = 8 loadings
+    solve, filter_sums = beamform._solve, beamform._filter_sums
+    layouts = []
+
+    def solve_spy(c, h, p, z_max, zs):
+        layouts.append(("_solve", c.flags.c_contiguous, h.flags.c_contiguous))
+        return solve(c, h, p, z_max, zs)
+
+    def filter_sums_spy(c, habs2, load):
+        layouts.append(("_filter_sums", c.flags.c_contiguous, habs2.flags.c_contiguous))
+        return filter_sums(c, habs2, load)
+
+    monkeypatch.setattr(beamform, "_solve", solve_spy)
+    monkeypatch.setattr(beamform, "_filter_sums", filter_sums_spy)
+    ch = generate_scenario(ScenarioSpec(m=8, gamma_db=60.0, beta_db=-40.0, seed=3))
+    beamform.leakage_curves(*_node_grids(ch, 200))
+    assert {name for name, *_ in layouts} == {"_solve", "_filter_sums"}
+    assert all(c_order and h_order for _, c_order, h_order in layouts)
 
 
 # C = diag(1, 4), h = (1, 1), p = 1: z = 1 is unloaded, z = 1.9 loaded;
@@ -305,7 +388,7 @@ class TestLeakageCurve:
         z_max = DecoupledProblem(h_self, h_cross, 1.0, 0.0).z_max
         zs = np.linspace(0.0, z_max, 9)
         assert _bits(leakage_curve(h_self, h_cross, 1.0, zs)) == _bits(np.array([
-            min_leakage_reference(DecoupledProblem(h_self, h_cross, 1.0, z))
+            min_leakage_reference(h_self, h_cross, 1.0, z)
             for z in zs]))
         # the power z/||h||^2 does not depend on the loading, so one ulp below
         # z_max is unloaded too, even where that power rounds above p
@@ -319,6 +402,20 @@ class TestLeakageCurve:
         z_max = DecoupledProblem(np.zeros(2), h_cross, 1.0, 0.0).z_max
         assert leakage_curve(np.zeros(2), h_cross, 1.0,
                              [np.nextafter(z_max, 0.0)]).tolist() == [0.0]
+
+    def test_zero_self_node_stacked_with_a_loaded_node(self):
+        # C = 0 is decided per row: one ulp below z_max, the zero self channel
+        # stays unloaded beside a node whose z = 1.9 is loaded
+        h_cross = node_problem(generate_scenario(
+            ScenarioSpec(m=2, gamma_db=0.0, beta_db=-40.0, seed=1)), 1, 0.0).h_cross
+        probs = (DecoupledProblem(np.zeros(2), h_cross, 1.0, 0.0),
+                 DecoupledProblem(z=0.0, **self.args))
+        grids = ([np.nextafter(probs[0].z_max, 0.0)], [1.0, 1.9])
+        stacked = beamform._solve_curves(probs, grids)
+        assert stacked[0][1].tolist() == [0.0] and stacked[1][1][1] > 0.0
+        for prob, zs, got in zip(probs, grids, stacked):
+            want = beamform._solve_curve(prob, zs)
+            assert [_bits(a) for a in got] == [_bits(a) for a in want]
 
     def test_non_finite_power_raises_without_warning(self):
         # |h_self|^2 = 1e300: s1^2 underflows to 0 and the power is not finite

@@ -36,11 +36,13 @@ from oracles import (
     domination_oracle_reference,
     equal_rate_point_reference,
     escape_distances_reference,
+    joined_csv_reference,
     maximal_cells_reference,
     pareto_filter_reference,
     sampled_covariances,
     sampled_rates_reference,
     sweep_rate_point,
+    written_maxima_reference,
 )
 
 
@@ -399,10 +401,8 @@ class TestValidationFallback:
         grid = SweepGrid.for_channel(ch, 40)
         curve = leakage_curve(ch.h22, ch.h21, ch.p2, grid.z2_values())
         curve[17] = np.nan
-        calls = itertools.count()
-        monkeypatch.setattr(pareto, "leakage_curve",
-                            lambda h_self, h_cross, p, zs:
-                            curve if next(calls) % 2 else np.zeros(zs.size))
+        monkeypatch.setattr(pareto, "leakage_curves",
+                            lambda probs, z_arrays: [np.zeros(z_arrays[0].size), curve])
         with np.errstate(invalid="ignore"):
             got, want, seen = self.outcomes(ch, grid)
         assert got == want == "rates must be finite"
@@ -524,9 +524,9 @@ def reference_boundary_points(ch, grid):
     """
     z1s = grid.z1_values()
     z2s = grid.z2_values()
-    leak1 = np.array([oracles.min_leakage_reference(pareto.node_problem(ch, 1, z))
+    leak1 = np.array([oracles.min_leakage_reference(ch.h11, ch.h12, ch.p1, z)
                       for z in z1s])
-    leak2 = np.array([oracles.min_leakage_reference(pareto.node_problem(ch, 2, z))
+    leak2 = np.array([oracles.min_leakage_reference(ch.h22, ch.h21, ch.p2, z)
                       for z in z2s])
     sigma2 = ch.frontend.sigma2
     beta = ch.frontend.beta
@@ -576,11 +576,12 @@ class TestBoundaryMatchesReference:
             # the same leakage sequence reaches the node curves of `boundary`
             # and the per-z reference solves, in z order, node 1 first
             calls = itertools.count()
-            monkeypatch.setattr(pareto, "leakage_curve",
-                                lambda h_self, h_cross, p, zs:
-                                np.array([leakage(next(calls)) for _ in zs]))
+            monkeypatch.setattr(pareto, "leakage_curves",
+                                lambda probs, z_arrays:
+                                [np.array([leakage(next(calls)) for _ in zs])
+                                 for zs in z_arrays])
             monkeypatch.setattr(oracles, "min_leakage_reference",
-                                lambda prob: leakage(next(calls)))
+                                lambda *instance: leakage(next(calls)))
             with np.errstate(all="ignore"), pytest.raises(ValueError) as exc:
                 build(ch, grid)
             errors.append(str(exc.value))
@@ -617,6 +618,101 @@ def test_written_curve_stays_strictly_monotone():
     assert curve.points[0] == ref[0] and curve.points[-1].r1 == ref[-1].r1
 
 
+def test_written_filter_drops_49_of_399_at_the_flat_config():
+    # test_written_curve_stays_strictly_monotone's config: 49 maximal cells
+    # share their r1 text with a neighbour and are dropped
+    ch = scenario(m=4, gamma_db=7.149, beta_db=-62.171, p1=0.5933, p2=1.3341,
+                  seed=1643434257)
+    grid = SweepGrid.for_channel(ch, 200)
+    z1s, z2s = grid.z1_values(), grid.z2_values()
+    leak1, leak2 = pareto.leakage_curves((node_problem(ch, 1, 0.0), node_problem(ch, 2, 0.0)),
+                                         (z1s, z2s))
+    _, r1, r2 = pareto._maximal_cells(z1s, z2s, leak1, leak2, ch.frontend.sigma2,
+                                      ch.frontend.beta)
+    got = pareto._written_maxima(r1, r2)
+    assert got.tolist() == written_maxima_reference(r1, r2).tolist()
+    assert (r1.size, got.size) == (399, 350)
+
+
+@pytest.mark.parametrize("r1, r2, kept", [
+    # r1 ties at 12 digits: the tied point with the higher r2 is kept
+    ([1.0, 1.0 + 1e-13, 2.0], [3.0, 2.0, 1.0], [0, 2]),
+    # r2 ties: the tied point with the higher r1 is kept
+    ([1.0, 2.0, 3.0], [3.0, 2.0 + 1e-13, 2.0], [0, 2]),
+    # both tie: written duplicates collapse to the first
+    ([1.0, 1.0 + 1e-13], [2.0 + 1e-13, 2.0], [0]),
+    # a run of r1 ties that ends in an r2 tie with the next point
+    ([1.0, 1.0 + 1e-13, 1.0 + 2e-13, 5.0], [2.0 + 2e-13, 2.0 + 1e-13, 2.0, 2.0 - 1e-13],
+     [3]),
+    # across a decade: 9.9999999999996 is written "10", 9.99999999999 is not
+    ([9.99999999999, 9.9999999999996, 10.0], [3.0, 2.0, 1.0], [0, 1]),
+    ([9.99999999999, 10.0], [2.0, 1.0], [0, 1]),
+    # zeros and subnormals are written apart from their neighbours
+    ([0.0, 5e-324, 1e-300, 1.0], [1.0, 1e-13, 5e-324, 0.0], [0, 1, 2, 3]),
+    # gaps of 1.5e-11 relative: near, yet written apart
+    ([1.0, 1.0 + 1.5e-11], [1.0, 1.0 - 1.5e-11], [0, 1]),
+    ([], [], []),
+    ([0.5], [0.5], [0]),
+], ids=["r1-tie", "r2-tie", "both-tie", "tie-run", "decade-tie", "decade-apart", "zeros",
+        "near-apart", "empty", "one"])
+def test_written_filter_on_built_ties(r1, r2, kept):
+    r1, r2 = np.array(r1, dtype=float), np.array(r2, dtype=float)
+    assert written_maxima_reference(r1, r2).tolist() == kept
+    assert pareto._written_maxima(r1, r2).tolist() == kept
+
+
+@st.composite
+def _antichain(draw):
+    """r1 strictly ascending and r2 strictly descending, with steps near 12-digit ties."""
+    n = draw(st.integers(1, 40))
+    start = st.sampled_from([0.0, 5e-324, 1e-300, 1e-3, 0.5, 1.0, 9.99999999999,
+                             9.9999999999996, 99.99999999995, 1234.56789012345, 1e300])
+    step = st.sampled_from([0.0, 3e-13, 1e-12, 4e-12, 9e-12, 1e-11, 1.9e-11, 2.1e-11,
+                            5e-11, 1e-9, 0.01, 1.0])
+
+    def ascending():
+        x = [draw(start)]
+        for _ in range(n - 1):
+            x.append(max(np.nextafter(x[-1], np.inf), x[-1] * (1.0 + draw(step))))
+        return np.array(x)
+
+    return ascending(), ascending()[::-1].copy()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_antichain())
+def test_written_filter_matches_reference(pairs):
+    r1, r2 = pairs
+    assert pareto._written_maxima(r1, r2).tolist() == \
+        written_maxima_reference(r1, r2).tolist()
+
+
+_csv_value = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 9.9999999999996, 1e308]),
+                       st.floats(0.0, 1e6))
+_csv_z = st.one_of(st.just(np.nan), st.sampled_from([-0.0, np.inf, -np.inf]),
+                   st.floats(allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(_csv_value, _csv_value, _csv_z, _csv_z,
+                               st.text(alphabet="%sdg.,_-ab 0", max_size=6)),
+                     max_size=30))
+def test_csv_equals_joined_renderer(rows):
+    # labels may hold "%", which must reach the text as it is
+    r1, r2, z1, z2, labels = zip(*rows) if rows else ((),) * 5
+    curve = BoundaryCurve._of(r1, r2, z1, z2, tuple(labels))
+    assert curve_to_csv(curve) == joined_csv_reference(curve)
+
+
+def test_csv_keeps_percent_in_labels():
+    points = [RatePoint(r1=0.0, r2=2.0, z1=0.5, z2=1.0, label="50%"),
+              RatePoint(r1=1.0, r2=1.0, z1=0.25, z2=0.75, label="%s%%d"),
+              RatePoint(r1=2.0, r2=0.0, label="%.12g")]
+    text = curve_to_csv(BoundaryCurve(points=points))
+    assert text == curve_to_csv_reference(points)
+    assert text.splitlines()[1:] == ["0,2,0.5,1,50%", "1,1,0.25,0.75,%s%%d", "2,0,,,%.12g"]
+
+
 @pytest.mark.parametrize("make_channel, n1, n2", [
     (lambda: scenario(m=1), 60, 60),
     (lambda: scenario(m=3, p1=1.0, p2=4.0, symmetric=False), 47, 71),
@@ -624,7 +720,7 @@ def test_written_curve_stays_strictly_monotone():
     (_fig4_channel, 200, 200),
 ], ids=["m1", "m3-asymmetric", "ideal-frontend", "fig4"])
 def test_csv_equals_point_list_renderer(make_channel, n1, n2):
-    # the rate text kept from the filter renders as each point formatted anew
+    # one format call over whole rows renders as each point formatted anew
     ch = make_channel()
     curve = boundary(ch, SweepGrid.for_channel(ch, n1, n2))
     assert curve_to_csv(curve) == curve_to_csv_reference(curve.points)
