@@ -254,9 +254,8 @@ def _solve_curves(probs, z_arrays) -> list[tuple[np.ndarray, ...]]:
     eps, w = _solve(rows(cs), rows([prob.h_cross for prob in probs]),
                     rows([prob.p for prob in probs]), rows([prob.z_max for prob in probs]),
                     np.concatenate(zs))
-    ends = np.cumsum(counts)
-    return [_checked(prob, c, z, eps[end - z.size:end], w[end - z.size:end])
-            for prob, c, z, end in zip(probs, cs, zs, ends.tolist())]
+    starts = np.cumsum(counts)[:-1]
+    return list(map(_checked, probs, cs, zs, np.split(eps, starts), np.split(w, starts)))
 
 
 def _checked(prob: DecoupledProblem, c: np.ndarray, z: np.ndarray, eps: np.ndarray,

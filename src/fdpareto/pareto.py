@@ -368,11 +368,9 @@ def _written_maxima(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     if not near.any():
         return np.arange(r1.size)
     at = np.flatnonzero(np.append(near, False) | np.insert(near, 0, False))
-    written = []
-    for x in (r1, r2):
-        x = x.copy()
+    written = (r1.copy(), r2.copy())
+    for x in written:
         x[at] = [float(_FMT % v) for v in x[at].tolist()]
-        written.append(x)
     return pareto_indices(*written)
 
 
