@@ -168,17 +168,17 @@ class TestOptimalWeights:
         assert sol.leakage == pytest.approx(0.0, abs=1e-15)
         assert sol.epsilon == 0.0
 
-    # z_max = 1; the window is [-1e-12, 1 + 2e-12], just past it on both sides
-    @pytest.mark.parametrize("z", [-0.5, 1.1, -2e-12, 1.0 + 3e-12])
-    def test_infeasible_z_raises(self, z):
-        # the package's window and the reference's own copy reject the same z
+    def test_infeasible_z_raises(self):
+        # the package's window and the reference's own copy reject the same
+        # z; z_max = 1, so the window is [-1e-12, 1 + 2e-12]
         prob_args = dict(h_self=np.array([1.0, 1.0]),
                          h_cross=np.array([1.0, 0.0]), p=1.0)
-        with pytest.raises(InfeasibleError) as got:
-            optimal_weights(DecoupledProblem(z=z, **prob_args))
-        with pytest.raises(InfeasibleError) as want:
-            optimal_weights_reference(z=z, **prob_args)
-        assert str(got.value) == str(want.value)
+        for z in (-0.5, 1.1, -2e-12, 1.0 + 3e-12):
+            with pytest.raises(InfeasibleError) as got:
+                optimal_weights(DecoupledProblem(z=z, **prob_args))
+            with pytest.raises(InfeasibleError) as want:
+                optimal_weights_reference(z=z, **prob_args)
+            assert str(got.value) == str(want.value)
 
     def test_endpoint_clamp_tolerance(self):
         prob_args = dict(h_self=np.array([1.0, 2.0]),
