@@ -21,10 +21,10 @@ finds the loading reliably.
 All functions are pure.  A sweep over z is one array solve: `_solve` runs
 every z's bracket and bisection together on (n, m) arrays, one row per z,
 each row carrying its own node's |h_self|^2, h_cross and budget and
-stopping at its own step.  `leakage_curves` solves several nodes' z arrays
-in that one call (a boundary solves both nodes' grids at once), and
-`leakage_curve`, `certify_curve` and `optimal_weights` are its one-node
-cases.
+stopping at its own step.  `leakage_curves` and `certify.certify_curves`
+solve several nodes' z arrays in that one call (a boundary, or a
+certificate sweep, solves both nodes' grids at once); `leakage_curve`,
+`optimal_weights` and `certify.certify_curve` are their one-node cases.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ import numpy as np
 from . import numlin
 from .beamform import (
     DecoupledProblem,
-    _solve_curve,
+    _solve_curves,
     covariance_of,
     leakage_matrix,
     optimal_weights,
@@ -135,7 +135,10 @@ class RankReductionTrace:
 
 @dataclass(frozen=True)
 class CertificateCurve:
-    """One node's solutions, certificates and KKT residuals, as arrays over z."""
+    """One node's solutions, certificates and KKT residuals, as arrays over z.
+
+    w holds the optimal weights, one row of shape (m,) per z.
+    """
 
     epsilon: np.ndarray
     primal: np.ndarray
@@ -148,6 +151,7 @@ class CertificateCurve:
     power_excess: np.ndarray
     q_min_eigenvalue: np.ndarray
     complementarity_residual: np.ndarray
+    w: np.ndarray
 
     def certificates(self) -> list[Certificate]:
         return [Certificate(*row) for row in zip(
@@ -214,14 +218,29 @@ def _certify(c, h, p: float, z, eps, w) -> CertificateCurve:
                             dual_value=dual, gap=primal - dual,
                             slack_min_eig=kkt[3], primal_target_residual=kkt[0],
                             power_excess=kkt[1], q_min_eigenvalue=kkt[2],
-                            complementarity_residual=kkt[4])
+                            complementarity_residual=kkt[4], w=w)
+
+
+def certify_curves(probs, z_arrays) -> list[CertificateCurve]:
+    """Solve every z of each node as `leakage_curves` does, in one solve, and certify each.
+
+    probs[i] is a `DecoupledProblem` (its z is not used) and z_arrays[i] its
+    delivered powers; the nodes must share one antenna count.  Each node
+    gets exactly the curve `certify_curve` gives it alone.  The solve's
+    errors come first, as `_solve_curves` raises them; then each node's
+    certificates are checked in turn.
+    """
+    return [_certify(np.abs(prob.h_self) ** 2, prob.h_cross, prob.p, z, eps, w)
+            for prob, (z, eps, w, _) in zip(probs, _solve_curves(probs, z_arrays))]
 
 
 def certify_curve(h_self, h_cross, p: float, zs) -> CertificateCurve:
-    """Solve every z of one node as `leakage_curve` does, and certify each one."""
+    """Solve every z of one node as `leakage_curve` does, and certify each one.
+
+    `certify_curves` of the one node.
+    """
     prob = DecoupledProblem(h_self=h_self, h_cross=h_cross, p=p, z=0.0)
-    z, eps, w, _ = _solve_curve(prob, zs)
-    return _certify(np.abs(prob.h_self) ** 2, prob.h_cross, prob.p, z, eps, w)
+    return certify_curves([prob], [zs])[0]
 
 
 def dual_certificate(prob: DecoupledProblem, primal_value: float) -> Certificate:

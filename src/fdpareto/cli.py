@@ -19,6 +19,7 @@ All outputs are byte-deterministic for a fixed config.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -27,13 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, numlin
-from .beamform import covariance_of, optimal_weights, zf_weights
+from .beamform import DecoupledProblem, covariance_of, optimal_weights, zf_weights
 from .certify import (
     GAP_TOL_ENDPOINT,
     GAP_TOL_INTERIOR,
     KKT_TOL,
     CertificateCurve,
-    certify_curve,
+    certify_curves,
     rank_reduce,
 )
 from .channel import ChannelSet, ScenarioSpec, generate_scenario, ideal_frontend, require_int
@@ -224,17 +225,20 @@ def cmd_compare_zf(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _rank_demo(ch: ChannelSet, node: int, z: float, seed: int) -> dict:
-    """Rank-reduce a deliberately rank-inflated feasible covariance."""
-    prob = node_problem(ch, node, z)
-    q_opt = covariance_of(optimal_weights(prob).w)
+def _rank_demo(prob: DecoupledProblem, w: np.ndarray, z: float, seed: int) -> dict:
+    """Rank-reduce a deliberately rank-inflated feasible covariance.
+
+    w is the node's optimal beam at delivered power z; prob's z is not used.
+    """
+    q_opt = covariance_of(w)
     slack = prob.p - float(np.trace(q_opt).real)
-    if slack <= 1e-9 or ch.m < 2:
+    m = w.size
+    if slack <= 1e-9 or m < 2:
         return {"skipped": "no power slack for rank inflation", "z": z}
     rng = np.random.default_rng(seed)
     h = prob.h_cross / np.linalg.norm(prob.h_cross)
-    proj = np.eye(ch.m) - np.outer(h, h.conj())
-    g = rng.standard_normal((ch.m, 2)) + 1j * rng.standard_normal((ch.m, 2))
+    proj = np.eye(m) - np.outer(h, h.conj())
+    g = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
     junk = numlin.hermitianize(proj @ g @ g.conj().T @ proj.conj().T)
     junk *= 0.5 * slack / float(np.trace(junk).real)
     q0 = numlin.hermitianize(q_opt + junk)
@@ -283,14 +287,25 @@ _CERTIFICATE_RECORD = """\
           "primal": %s,
           "z": %s
         }"""
-# json's tokens for the floats whose repr is not valid JSON
-_NONFINITE_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# json's tokens for the nonnegative floats whose repr is not valid JSON
+_NONFINITE_TOKENS = {"nan": "NaN", "inf": "Infinity"}
 _RECORDS_PLACEHOLDER = "<certificates of %s>"
 
 
 def _float_tokens(values: np.ndarray) -> list[str]:
-    """The JSON token json.dumps writes for each element of a float array."""
-    return [_NONFINITE_TOKENS.get(t, t) for t in map(float.__repr__, values.tolist())]
+    """The JSON token json.dumps writes for each element of a float64 array.
+
+    Each distinct magnitude (by bit pattern) is formatted once.  A negative
+    value other than NaN takes its magnitude's token behind a "-":
+    repr(-x) is "-" + repr(x), and json writes -inf as "-Infinity".
+    """
+    magnitude = np.abs(values)
+    distinct, at = np.unique(magnitude.view(np.int64), return_inverse=True)
+    texts = [_NONFINITE_TOKENS.get(t, t)
+             for t in map(float.__repr__, distinct.view(np.float64).tolist())]
+    texts += ["-" + t for t in texts]
+    at[np.signbit(values) & (magnitude == magnitude)] += distinct.size
+    return [texts[k] for k in at.tolist()]
 
 
 def _bool_tokens(values: np.ndarray) -> list[str]:
@@ -299,19 +314,20 @@ def _bool_tokens(values: np.ndarray) -> list[str]:
 
 def _certificate_records(curve: CertificateCurve, zs, endpoint, rel, tol, ok) -> str:
     """One node's "certificates" list, as _json_text writes it in the document."""
-    eps = _float_tokens(curve.epsilon)
+    n = len(zs)
+    tokens = _float_tokens(np.concatenate((
+        curve.dual_value, curve.gap, curve.lambda1, curve.lambda2, curve.slack_min_eig,
+        curve.epsilon, rel, tol, curve.complementarity_residual, curve.power_excess,
+        curve.primal_target_residual, curve.q_min_eigenvalue, curve.primal, zs)))
+    (dual, gap, lam1, lam2, slack, eps, gap_rel, gap_tol, comp, power, target, q_min,
+     primal, z) = (tokens[k:k + n] for k in range(0, 14 * n, n))
     # the MRT beam at z_max is the eps -> inf limit: no finite loading
     for i in np.flatnonzero(np.isinf(curve.epsilon)).tolist():
         eps[i] = "null"
-    slack = _float_tokens(curve.slack_min_eig)
     columns = (
-        _float_tokens(curve.dual_value), _float_tokens(curve.gap),
-        _float_tokens(curve.lambda1), _float_tokens(curve.lambda2), slack,
-        _bool_tokens(endpoint), eps, _bool_tokens(ok), _float_tokens(rel), _float_tokens(tol),
-        _float_tokens(curve.complementarity_residual), _bool_tokens(curve.kkt_passed()),
-        _float_tokens(curve.power_excess), _float_tokens(curve.primal_target_residual),
-        _float_tokens(curve.q_min_eigenvalue), slack, [float.__repr__(KKT_TOL)] * len(zs),
-        _float_tokens(curve.primal), _float_tokens(zs),
+        dual, gap, lam1, lam2, slack, _bool_tokens(endpoint), eps, _bool_tokens(ok), gap_rel,
+        gap_tol, comp, _bool_tokens(curve.kkt_passed()), power, target, q_min, slack,
+        [float.__repr__(KKT_TOL)] * n, primal, z,
     )
     return "[\n%s\n      ]" % ",\n".join(_CERTIFICATE_RECORD % row for row in zip(*columns))
 
@@ -334,9 +350,10 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
     max_rel = {"interior": 0.0, "endpoint": 0.0}
     max_kkt = 0.0
     failed = False
-    for node, zs in ((1, grid.z1_values()), (2, grid.z2_values())):
-        prob = node_problem(ch, node, 0.0)
-        curve = certify_curve(prob.h_self, prob.h_cross, prob.p, zs)
+    probs = (node_problem(ch, 1, 0.0), node_problem(ch, 2, 0.0))
+    z_arrays = (grid.z1_values(), grid.z2_values())
+    for node, prob, zs, curve in zip((1, 2), probs, z_arrays,
+                                     certify_curves(probs, z_arrays)):
         rel = np.abs(curve.gap) / np.maximum(1.0, curve.primal)
         endpoint = np.zeros(len(zs), dtype=bool)
         endpoint[[0, -1]] = True
@@ -351,10 +368,11 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
             curve.complementarity_residual])))
         key = f"node{node}"
         records[key] = _certificate_records(curve, zs, endpoint, rel, tol, ok)
-        demo_z = float(zs[len(zs) // 2])
+        demo = len(zs) // 2
         nodes[key] = {
             "certificates": _RECORDS_PLACEHOLDER % key,
-            "rank_demo": _rank_demo(ch, node, demo_z, seed=config.scenario.seed),
+            "rank_demo": _rank_demo(prob, curve.w[demo], float(zs[demo]),
+                                    seed=config.scenario.seed),
         }
     doc = {
         "nodes": nodes,
@@ -387,7 +405,9 @@ def _load_config(args) -> RunConfig:
     return config
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fdpareto",
         description="Rate-region Pareto boundaries for the MISO full-duplex "

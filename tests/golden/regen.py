@@ -70,7 +70,8 @@ def versions() -> dict:
     blas = config["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
             "blas": {"name": blas["name"], "version": blas["version"]},
-            "simd_found": config["SIMD Extensions"]["found"]}
+            # numpy leaves out "found" when it finds no optional feature
+            "simd_found": config["SIMD Extensions"].get("found", [])}
 
 
 def run_case(name: str, work: Path) -> Path:

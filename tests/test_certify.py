@@ -3,11 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import fields
+
 from fdpareto import numlin
-from fdpareto.beamform import DecoupledProblem, covariance_of, leakage_matrix, mrt_weights
+from fdpareto.beamform import (
+    DecoupledProblem,
+    covariance_of,
+    leakage_matrix,
+    mrt_weights,
+    optimal_weights,
+)
 from fdpareto.certify import (
     GAP_TOL_ENDPOINT,
+    CertificateCurve,
     certify_curve,
+    certify_curves,
     certify_instance,
     dual_certificate,
     gap_tolerance,
@@ -15,7 +25,7 @@ from fdpareto.certify import (
     rank_reduce,
 )
 from fdpareto.channel import ScenarioSpec, generate_scenario
-from fdpareto.pareto import node_problem
+from fdpareto.pareto import SweepGrid, node_problem
 from oracles import (
     dual_certificate_reference,
     dual_value_on_grid,
@@ -193,6 +203,64 @@ def test_certify_instance_is_certify_curve_at_one_z(m, gamma_db, beta_db, p1, p2
         assert (sol.epsilon, sol.leakage) == (curve.epsilon[k], curve.primal[k])
         assert repr(cert) == repr(curve.certificates()[k])
         assert repr(report) == repr(curve.kkt_reports()[k])
+
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+_north_star = dict(
+    m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0), beta_db=st.floats(-80.0, 0.0),
+    p1=st.floats(0.05, 20.0), p2=st.floats(0.05, 20.0), symmetric=st.booleans(),
+    seed=st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(**_north_star, zero_self=st.integers(0, 8), n1=st.integers(2, 40),
+       n2=st.integers(2, 40), fracs=st.lists(st.floats(0.0, 1.0), max_size=4))
+def test_certify_curves_equal_one_node_curves(m, gamma_db, beta_db, p1, p2, symmetric,
+                                              seed, zero_self, n1, n2, fracs):
+    # both nodes in one solve: every field of each node's curve, w included,
+    # to the last bit of its own `certify_curve`
+    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
+                                        p1=p1, p2=p2, symmetric=symmetric, seed=seed))
+    probs, z_arrays = [], []
+    for node, n in ((1, n1), (2, n2)):
+        prob = node_problem(ch, node, 0.0)
+        h_self = prob.h_self.copy()
+        h_self[:zero_self] = 0.0  # singular C, or C = 0
+        probs.append(DecoupledProblem(h_self, prob.h_cross, prob.p, 0.0))
+        z_max = prob.z_max
+        ends = [0.0, 1e-300, 1e-9 * z_max, z_max * (1.0 - 1e-9),
+                np.nextafter(z_max, 0.0), z_max]
+        z_arrays.append(np.concatenate([np.linspace(0.0, z_max, n), ends,
+                                        [f * z_max for f in fracs]]))
+    stacked = certify_curves(probs, z_arrays)
+    for prob, zs, got in zip(probs, z_arrays, stacked):
+        want = certify_curve(prob.h_self, prob.h_cross, prob.p, zs)
+        assert got.w.shape == (zs.size, m)
+        for f in fields(CertificateCurve):
+            assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(**_north_star, grid_n=st.integers(2, 60))
+def test_curve_weights_are_optimal_weights(m, gamma_db, beta_db, p1, p2, symmetric, seed,
+                                           grid_n):
+    # the rank demo takes its beam from the curve's middle row in place of a
+    # second solve; every row, the grid ends included, is `optimal_weights`
+    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
+                                        p1=p1, p2=p2, symmetric=symmetric, seed=seed))
+    grid = SweepGrid.for_channel(ch, grid_n)
+    probs = (node_problem(ch, 1, 0.0), node_problem(ch, 2, 0.0))
+    z_arrays = (grid.z1_values(), grid.z2_values())
+    for node, zs, curve in zip((1, 2), z_arrays, certify_curves(probs, z_arrays)):
+        demo = len(zs) // 2
+        want = optimal_weights(node_problem(ch, node, float(zs[demo]))).w
+        assert _bits(curve.w[demo]) == _bits(want)
+        for z, w in zip(zs.tolist(), curve.w):
+            assert _bits(w) == _bits(optimal_weights(node_problem(ch, node, z)).w)
 
 
 class TestKktCheck:

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 
 from fdpareto.certify import GAP_TOL_ENDPOINT, GAP_TOL_INTERIOR, certify_curve
 from fdpareto.channel import ScenarioSpec, generate_scenario
+from fdpareto import beamform
 from fdpareto.cli import (
     RunConfig,
     _certificate_records,
     _float_tokens,
     _splice,
+    build_parser,
     main,
     preset_config,
 )
@@ -161,13 +163,13 @@ class TestCertifyCommand:
     def test_gap_failure_exits_2(self, tmp_path, monkeypatch):
         # a certificate that cannot close the gap must trip the nonzero exit
         import fdpareto.cli as cli_mod
-        from fdpareto.certify import certify_curve
+        from fdpareto.certify import certify_curves
 
         def broken(*args):
-            curve = certify_curve(*args)
-            return replace(curve, dual_value=curve.dual_value - 1.0, gap=curve.gap + 1.0)
+            return [replace(curve, dual_value=curve.dual_value - 1.0, gap=curve.gap + 1.0)
+                    for curve in certify_curves(*args)]
 
-        monkeypatch.setattr(cli_mod, "certify_curve", broken)
+        monkeypatch.setattr(cli_mod, "certify_curves", broken)
         cfg = write_config(tmp_path, grid_n=5)
         out = tmp_path / "out"
         assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
@@ -393,6 +395,84 @@ def test_certificate_records_match_json_dumps(m, gamma_db, beta_db, p1, p2, symm
 @pytest.mark.parametrize("x", _SPECIAL_FLOATS)
 def test_float_tokens_match_json_dumps(x):
     assert _float_tokens(np.array([x])) == [json.dumps(x)]
+
+
+# zeros, infinities, NaNs and subnormals of both signs; the NaN with its
+# sign bit set is not -math.nan, which Python may fold to the plain NaN
+_SIGNED_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan,
+                    float(np.copysign(np.nan, -1.0)), 5e-324, -5e-324,
+                    2.2250738585072014e-308, -1e-310)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                       | st.sampled_from(_SIGNED_SPECIALS), max_size=40),
+       repeats=st.lists(st.integers(0, 2**16), max_size=40), negate=st.booleans())
+def test_float_tokens_of_repeated_values_match_json_dumps(values, repeats, negate):
+    # each distinct magnitude is formatted once and shared by both signs
+    a = np.array(values, dtype=np.float64)
+    if a.size:
+        a = np.concatenate([a, a[np.array(repeats, dtype=int) % a.size]])
+        if negate:
+            a = np.concatenate([a, -a])
+    assert _float_tokens(a) == [json.dumps(x) for x in a.tolist()]
+
+
+def _solve_calls(monkeypatch):
+    calls = []
+    solve = beamform._solve
+
+    def counted(*args):
+        calls.append(args[-1].size)
+        return solve(*args)
+
+    monkeypatch.setattr(beamform, "_solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["certify", "boundary"])
+def test_one_solve_per_job(tmp_path, monkeypatch, command):
+    # both nodes' z grids go through one loading solve, which the rank demo
+    # reuses, so a job runs no second bisection
+    cfg = write_config(tmp_path, grid_n=30)
+    calls = _solve_calls(monkeypatch)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [60]
+
+
+def _main_result(argv, capsys):
+    """Exit code, stdout and stderr of one in-process run, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def test_cached_parser_serves_jobs_in_sequence(tmp_path, capsys):
+    # one parser per process: a job after a usage error gets the exit code,
+    # messages and bytes that a freshly built parser gives it
+    cfg = str(write_config(tmp_path, grid_n=8))
+    jobs = (["boundary", "--config", cfg], ["certify", "--config", cfg],
+            ["certify"], ["boundary"], ["boundary", "--config", cfg],
+            ["certify", "--config", cfg])
+
+    def run(tag, fresh):
+        results = []
+        for k, argv in enumerate(jobs):
+            if fresh:
+                build_parser.cache_clear()
+            out = tmp_path / f"{tag}{k}"
+            results.append((*_main_result([*argv, "--out", str(out)], capsys),
+                            read_all_bytes(out) if out.exists() else None))
+        return results
+
+    cached = run("cached", fresh=False)
+    assert build_parser() is build_parser()
+    assert [code for code, *_ in cached] == [0, 0, 2, 1, 0, 0]
+    assert "the following arguments are required: --config" in cached[2][2]
+    assert cached[3][2].startswith("fdpareto: error:")
+    assert cached == run("fresh", fresh=True)
 
 
 def test_splice_needs_exactly_one_placeholder():

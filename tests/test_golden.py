@@ -3,8 +3,10 @@
 The cases and the script that rewrites the files live in golden/regen.py.
 """
 
+import copy
 import json
 
+import numpy as np
 import pytest
 
 from golden.regen import CASES, GOLDEN, VERSIONS, run_case, versions
@@ -39,3 +41,12 @@ def test_golden_artefacts(case, tmp_path):
             problems.append(f"note: the golden files were written with {recorded}, "
                             f"this run uses {versions()}")
         pytest.fail("\n".join(problems))
+
+
+def test_versions_without_simd_found(monkeypatch):
+    # numpy's baseline dispatch (NPY_DISABLE_CPU_FEATURES) finds no optional
+    # SIMD feature, and show_config then has no "found" key
+    config = copy.deepcopy(np.show_config(mode="dicts"))
+    config["SIMD Extensions"].pop("found", None)
+    monkeypatch.setattr(np, "show_config", lambda mode="stdout": config)
+    assert versions()["simd_found"] == []
