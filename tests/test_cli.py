@@ -399,9 +399,8 @@ def test_float_tokens_match_json_dumps(x):
 
 # zeros, infinities, NaNs and subnormals of both signs; the NaN with its
 # sign bit set is not -math.nan, which Python may fold to the plain NaN
-_SIGNED_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan,
-                    float(np.copysign(np.nan, -1.0)), 5e-324, -5e-324,
-                    2.2250738585072014e-308, -1e-310)
+_SIGNED_SPECIALS = _SPECIAL_FLOATS + (0.0, float(np.copysign(np.nan, -1.0)), -5e-324,
+                                      2.2250738585072014e-308, -1e-310)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

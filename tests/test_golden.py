@@ -45,7 +45,8 @@ def test_golden_artefacts(case, tmp_path):
 
 def test_versions_without_simd_found(monkeypatch):
     # numpy's baseline dispatch (NPY_DISABLE_CPU_FEATURES) finds no optional
-    # SIMD feature, and show_config then has no "found" key
+    # SIMD feature, and show_config then has no "found" key; it returns
+    # numpy's own dict, so edit a copy
     config = copy.deepcopy(np.show_config(mode="dicts"))
     config["SIMD Extensions"].pop("found", None)
     monkeypatch.setattr(np, "show_config", lambda mode="stdout": config)
