@@ -5,37 +5,26 @@ The per-node leakage problem in SDP form is
     minimize    tr(C Q)
     subject to  tr(A Q) = z,   tr(Q) <= p,   Q >= 0,
 
-with C = Diag(c), c = |h_self|^2, and A = h h† of rank one, h = h_cross.
-An instance is the `DecoupledProblem` (h_self, h_cross, p, z): the two
-channel vectors fix C and A, and only the routines that need dense
-matrices (`dual_value_at`, `kkt_check`, `rank_reduce`) build them, with
-`leakage_matrix` and `covariance_of`.  Its Lagrange dual (in the
-sign convention that makes weak duality hold for the trace inequality) is
+with C = Diag(c), c = |h_self|^2, and A = h h†, h = h_cross, for the
+`DecoupledProblem` (h_self, h_cross, p, z).  Its Lagrange dual (in the sign
+convention that makes weak duality hold for the trace inequality) is
 
     maximize    lam1 * z + lam2 * p
     subject to  Z = C - lam1*A - lam2*I >= 0,   lam2 <= 0.
 
 Like the primal optimum (the filter of `beamform` loaded by eps), the dual
-optimum is closed form: with s1 = h† (C + eps I)^{-1} h, lam1 = 1/s1 and
-lam2 = -eps.  Z = (C + eps I) - h h†/s1 is PSD by Cauchy-Schwarz and
-annihilates (C + eps I)^{-1} h, the direction of w, so the dual value
-z/s1 - eps*p equals the leakage.  Unloaded filters take s1 at its eps -> 0
-limit, infinite (lam1 = 0, zero leakage) when h reaches an antenna with
-c = 0; z = 0 takes the dual (0, 0).  At z = z_max the optimum is the MRT
-beam (eps -> inf) and the dual supremum is not attained: the certificate
-takes eps = 2^27 max(1, max c), with a gap of at most about 2^-27 of the
-primal, and evaluates lam1*z + lam2*p as p * sum(c_k |h_k|^2/(c_k + eps)) / s1
-to avoid its cancellation.  That Z has entries of size eps, so its smallest
-computed eigenvalue carries round-off of size eps * 1e-16 (report-only).
-
-rank_reduce turns any feasible PSD solution into a rank-one one without
-touching tr(A Q), tr(Q), or increasing tr(C Q): factor Q = V V†, pick a
-nonzero Hermitian X with tr(V†AV X) = tr(V†V X) = 0 (always possible for
-rank >= 2: two real equations in rank^2 real unknowns), flip its sign so the
-objective correction is nonpositive, and deflate Q <- V (I - X/sigma1) V†
-with sigma1 the largest positive eigenvalue of X.  Such an eigenvalue always
-exists: tr(V†V X) = 0 against the positive-definite V†V forces X to be
-indefinite.
+optimum is two scalars: with s1 = h† (C + eps I)^{-1} h, lam1 = 1/s1 and
+lam2 = -eps.  Z is diagonal plus rank one, so it is PSD exactly when the
+Schur margin 1 - lam1 * sum_k |h_k|^2 / (c_k + eps) is >= 0 (0 at
+lam1 = 1/s1), and it annihilates (C + eps I)^{-1} h, the direction of w,
+so the dual value z/s1 - eps*p equals the leakage.  Unloaded filters take
+s1 at its eps -> 0 limit, infinite (lam1 = 0) when h reaches an antenna
+with c = 0; z = 0 takes the dual (0, 0).  At z = z_max the optimum is the
+MRT beam (eps -> inf) and the dual supremum is not attained: the
+certificate takes eps = 2^27 max(1, max c).  The reported lam1 is exactly
+feasible for the float c and the exact h h† of the float h (see `_certify`).
+No m x m matrix is formed and no eigenvalue computed: the KKT residuals of
+Q = w w† need only |w|^2, |h†w|^2 and ||w||^2 (`_kkt_residuals`).
 """
 
 from __future__ import annotations
@@ -57,6 +46,7 @@ from .errors import NumericalError
 
 # The finite loading, in units of max(1, max c), that certifies the MRT point.
 _MRT_LOADING = 2.0**27
+_UNIT_ROUNDOFF = 2.0**-53
 KKT_TOL = 1e-7
 # Gap gates: Slater holds strictly inside the z range, so the certificate is
 # sharp there; at the range endpoints conditioning degrades and the gate is
@@ -73,7 +63,7 @@ class Certificate:
     lambda2: float
     dual_value: float
     gap: float
-    slack_min_eig: float
+    slack_margin: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -81,38 +71,34 @@ class Certificate:
 
 @dataclass(frozen=True)
 class KktReport:
-    """Stationarity-system residuals, each checked at a common tolerance."""
+    """Stationarity-system residuals of (Q, lam1, lam2), as `_kkt_residuals` defines them.
+
+    q_min_eigenvalue is the identity 0 (m >= 2) or ||w||^2 (m = 1) for Q = w w†.
+    """
 
     primal_target_residual: float
     power_excess: float
     q_min_eigenvalue: float
-    slack_min_eigenvalue: float
+    slack_margin: float
     complementarity_residual: float
     tol: float = KKT_TOL
 
-    def checks(self) -> dict[str, bool]:
-        return kkt_checks(self.primal_target_residual, self.power_excess,
-                          self.q_min_eigenvalue, self.slack_min_eigenvalue,
-                          self.complementarity_residual, self.tol)
-
     @property
     def passed(self) -> bool:
-        return all(self.checks().values())
+        return bool(kkt_passed(self.primal_target_residual, self.power_excess,
+                               self.q_min_eigenvalue, self.slack_margin,
+                               self.complementarity_residual, self.tol))
 
     def to_dict(self) -> dict:
         return {**asdict(self), "passed": self.passed}
 
 
-def kkt_checks(primal_target_residual, power_excess, q_min_eigenvalue,
-               slack_min_eigenvalue, complementarity_residual, tol=KKT_TOL) -> dict:
-    """The KktReport checks of residuals at tol: bools for floats, boolean arrays for arrays."""
-    return {
-        "primal_target": primal_target_residual <= tol,
-        "power": power_excess <= tol,
-        "q_psd": q_min_eigenvalue >= -tol,
-        "slack_psd": slack_min_eigenvalue >= -tol,
-        "complementarity": complementarity_residual <= tol,
-    }
+def kkt_passed(primal_target_residual, power_excess, q_min_eigenvalue, slack_margin,
+               complementarity_residual, tol=KKT_TOL):
+    """KktReport.passed, elementwise: the scale-free margin against round-off, the rest at tol."""
+    return ((primal_target_residual <= tol) & (power_excess <= tol)
+            & (q_min_eigenvalue >= -tol) & (slack_margin >= -numlin.ROUNDOFF)
+            & (complementarity_residual <= tol))
 
 
 @dataclass(frozen=True)
@@ -135,10 +121,7 @@ class RankReductionTrace:
 
 @dataclass(frozen=True)
 class CertificateCurve:
-    """One node's solutions, certificates and KKT residuals, as arrays over z.
-
-    w holds the optimal weights, one row of shape (m,) per z.
-    """
+    """One node's weights w (one row per z), certificates and KKT residuals, as arrays over z."""
 
     epsilon: np.ndarray
     primal: np.ndarray
@@ -146,7 +129,7 @@ class CertificateCurve:
     lambda2: np.ndarray
     dual_value: np.ndarray
     gap: np.ndarray
-    slack_min_eig: np.ndarray
+    slack_margin: np.ndarray
     primal_target_residual: np.ndarray
     power_excess: np.ndarray
     q_min_eigenvalue: np.ndarray
@@ -156,19 +139,18 @@ class CertificateCurve:
     def certificates(self) -> list[Certificate]:
         return [Certificate(*row) for row in zip(
             self.lambda1.tolist(), self.lambda2.tolist(), self.dual_value.tolist(),
-            self.gap.tolist(), self.slack_min_eig.tolist())]
+            self.gap.tolist(), self.slack_margin.tolist())]
 
     def kkt_passed(self) -> np.ndarray:
-        """KktReport.passed at every z, from the same checks."""
-        checks = kkt_checks(self.primal_target_residual, self.power_excess,
-                            self.q_min_eigenvalue, self.slack_min_eig,
-                            self.complementarity_residual)
-        return np.logical_and.reduce(list(checks.values()))
+        """KktReport.passed at every z."""
+        return kkt_passed(self.primal_target_residual, self.power_excess,
+                          self.q_min_eigenvalue, self.slack_margin,
+                          self.complementarity_residual)
 
     def kkt_reports(self) -> list[KktReport]:
         return [KktReport(*row) for row in zip(
             self.primal_target_residual.tolist(), self.power_excess.tolist(),
-            self.q_min_eigenvalue.tolist(), self.slack_min_eig.tolist(),
+            self.q_min_eigenvalue.tolist(), self.slack_margin.tolist(),
             self.complementarity_residual.tolist())]
 
 
@@ -182,43 +164,75 @@ def dual_value_at(prob: DecoupledProblem, lam1: float) -> float:
     return val
 
 
-def _kkt_residuals(a, z, p, q, slack):
-    """The five KKT residuals of KktReport for Hermitian stacks q, slack (n, m, m)."""
+def _kkt_residuals(c, habs2, z, p, q_diag, hqh, tr_q, lam1, lam2):
+    """(target, power excess, slack margin, complementarity) of each row's Q.
+
+    Row k gives diag(Q) (q_diag[k], of the node's m), h†Q h and tr Q, at the
+    dual (lam1[k], lam2[k]).  With d = c - lam2: the target residual
+    |h†Q h - z| and the power excess max(0, tr Q - p) are absolute; the
+    margin 1 - lam1 * sum_k habs2_k / d_k is >= 0 exactly when Z >= 0 (for
+    lam1 >= 0): -inf where some d_k < 0 or d_k = 0 < habs2_k with lam1 > 0,
+    and 1 at lam1 = 0; tr(Q Z) = sum_k d_k Q_kk - lam1 h†Q h is taken
+    relative to tr Q * max_k d_k.
+    """
+    d = c - lam2[:, None]
     with np.errstate(all="ignore"):
-        return (
-            np.abs(np.einsum("ij,nji->n", a, q).real - z),
-            np.maximum(0.0, np.einsum("nii->n", q).real - p),
-            np.linalg.eigvalsh(q)[:, 0],
-            np.linalg.eigvalsh(slack)[:, 0],
-            np.abs(np.einsum("nij,nji->n", q, slack).real),
-        )
+        terms = np.where(habs2 == 0.0, 0.0, habs2 / d)  # inf where d_k = 0 < habs2_k
+        margin = np.where((d < 0.0).any(axis=1), -np.inf,
+                          np.where(lam1 == 0.0, 1.0, 1.0 - lam1 * terms.sum(axis=1)))
+        comp = np.abs(np.sum(d * q_diag, axis=1) - lam1 * hqh)
+        comp = np.where(comp == 0.0, 0.0, comp / (tr_q * d.max(axis=1)))
+    return np.abs(hqh - z), np.maximum(0.0, tr_q - p), margin, comp
 
 
 def _certify(c, h, p: float, z, eps, w) -> CertificateCurve:
-    """Certificates of weights w (n, m) solved at loadings eps; NumericalError if not finite."""
-    a_abs2 = np.abs(h) ** 2
+    """Certificates of weights w (n, m) solved at loadings eps; NumericalError if not finite.
+
+    lam1 is fl(1/s1) shrunk by 2(m + 4) units of round-off, which covers the
+    rounding of s1, so the exact margin is >= 0.  At z_max, where lam1*z
+    and eps*p are 2^27 times the dual value, that shrink could cost 1e-5 of
+    it, so lam1 is the largest float with margin >= 0 in rational
+    arithmetic.  Where lam1*z is over 64 times max(1, primal), the float sum
+    would lose more than 2^-46 of it, so the dual value is lam1*z + lam2*p
+    in rational arithmetic, rounded once.
+    """
+    from fractions import Fraction
+
+    m = c.size
+    habs2 = np.abs(h) ** 2
     at_max = np.isinf(eps)
     load = np.where(at_max, max(1.0, float(np.max(c))) * _MRT_LOADING, eps)
     with np.errstate(all="ignore"):
         # inf where load = c_k = 0 < |h_k|^2 (the eps -> 0 limit), 0 where h_k = 0
-        terms = np.where(a_abs2 == 0.0, 0.0, a_abs2 / (c + load[:, None]))
-        s1 = terms.sum(axis=1)
-        lam1 = np.where(z == 0.0, 0.0, 1.0 / s1)
+        s1 = np.where(habs2 == 0.0, 0.0, habs2 / (c + load[:, None])).sum(axis=1)
+        lam1 = np.where(z == 0.0, 0.0, (1.0 / s1) * (1.0 - 2 * (m + 4) * _UNIT_ROUNDOFF))
         lam2 = np.where(load > 0.0, -load, 0.0)
+        for k in np.flatnonzero(at_max & np.isfinite(lam1)):
+            d = Fraction(load[k])
+            s1_k = sum((Fraction(a.real) ** 2 + Fraction(a.imag) ** 2) / (Fraction(b) + d)
+                       for a, b in zip(h.tolist(), c.tolist()))
+            lam1[k] = float(1 / s1_k)  # the nearest float: the one below is below 1/s1_k
+            if Fraction(lam1[k]) * s1_k > 1:
+                lam1[k] = np.nextafter(lam1[k], 0.0)
+        w_abs2 = np.abs(w) ** 2
+        primal = np.sum(c * w_abs2, axis=1)
         dual = lam1 * z + lam2 * p
-        dual[at_max] = p * (c * terms[at_max]).sum(axis=1) / s1[at_max]
-        primal = np.sum(c * np.abs(w) ** 2, axis=1)
-        a = np.outer(h, h.conj())
-        slack = np.diag(c) - lam1[:, None, None] * a - lam2[:, None, None] * np.eye(c.size)
-    kkt = _kkt_residuals(a, z, p, w[:, :, None] * w.conj()[:, None, :], slack)
+        for k in np.flatnonzero(np.isfinite(dual) & (lam1 * z > 64.0 * np.maximum(1.0, primal))):
+            dual[k] = float(Fraction(lam1[k]) * Fraction(z[k]) + Fraction(lam2[k]) * Fraction(p))
+        tr_q = w_abs2.sum(axis=1)
+        # h†w by rows in real arithmetic, neither a BLAS product nor a complex
+        # multiply, whose loops may fuse: one z and a whole grid round alike
+        re = np.sum(w.real * h.real + w.imag * h.imag, axis=1)
+        im = np.sum(w.imag * h.real - w.real * h.imag, axis=1)
+        kkt = _kkt_residuals(c, habs2, z, p, w_abs2, re * re + im * im, tr_q, lam1, lam2)
     bad = ~np.isfinite([lam1, lam2, dual, primal, *kkt]).all(axis=0)
     if bad.any():
         raise NumericalError(f"certificate not finite at z={z[np.argmax(bad)]:.12g}")
+    q_min = tr_q if m == 1 else np.zeros_like(tr_q)  # the eigenvalues of w w†
     return CertificateCurve(epsilon=eps, primal=primal, lambda1=lam1, lambda2=lam2,
-                            dual_value=dual, gap=primal - dual,
-                            slack_min_eig=kkt[3], primal_target_residual=kkt[0],
-                            power_excess=kkt[1], q_min_eigenvalue=kkt[2],
-                            complementarity_residual=kkt[4], w=w)
+                            dual_value=dual, gap=primal - dual, slack_margin=kkt[2],
+                            primal_target_residual=kkt[0], power_excess=kkt[1],
+                            q_min_eigenvalue=q_min, complementarity_residual=kkt[3], w=w)
 
 
 def certify_curves(probs, z_arrays) -> list[CertificateCurve]:
@@ -235,10 +249,7 @@ def certify_curves(probs, z_arrays) -> list[CertificateCurve]:
 
 
 def certify_curve(h_self, h_cross, p: float, zs) -> CertificateCurve:
-    """Solve every z of one node as `leakage_curve` does, and certify each one.
-
-    `certify_curves` of the one node.
-    """
+    """`certify_curves` of one node: solve every z as `leakage_curve` does, certify each."""
     prob = DecoupledProblem(h_self=h_self, h_cross=h_cross, p=p, z=0.0)
     return certify_curves([prob], [zs])[0]
 
@@ -257,13 +268,17 @@ def dual_certificate(prob: DecoupledProblem, primal_value: float) -> Certificate
 
 def kkt_check(prob: DecoupledProblem, q, cert: Certificate) -> KktReport:
     """Report-only residuals of the stationarity system for (q, cert)."""
-    c, a = leakage_matrix(prob.h_self), covariance_of(prob.h_cross)
+    h = prob.h_cross
     q = numlin.hermitianize(numlin.check_finite(q, "q"))
-    if q.shape != c.shape:
+    if q.shape != (h.size, h.size):
         raise ValueError("q dimension does not match the instance")
-    slack = c - cert.lambda1 * a - cert.lambda2 * np.eye(c.shape[0])
-    residuals = _kkt_residuals(a, prob.z, prob.p, q[None], slack[None])
-    return KktReport(*(float(r[0]) for r in residuals))
+    q_diag = np.diagonal(q).real
+    target, power, margin, comp = _kkt_residuals(
+        np.abs(prob.h_self) ** 2, np.abs(h) ** 2, prob.z, prob.p, q_diag[None],
+        np.array([(h.conj() @ q @ h).real]), np.array([q_diag.sum()]),
+        np.array([cert.lambda1]), np.array([cert.lambda2]))
+    return KktReport(float(target[0]), float(power[0]), numlin.min_eigenvalue(q),
+                     float(margin[0]), float(comp[0]))
 
 
 def _herm_to_vec(m: np.ndarray) -> np.ndarray:
@@ -317,9 +332,14 @@ def _null_direction(a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
 def rank_reduce(prob: DecoupledProblem, q, rank_tol: float = 1e-9) -> RankReductionTrace:
     """Deflate a feasible PSD solution to rank one.
 
-    Each step preserves tr(A q) and tr(q), keeps q PSD, strictly reduces the
-    numeric rank, and never increases tr(C q); from rank r it finishes in at
-    most r-1 steps.  A rank <= 1 input is returned unchanged.
+    Each step factors q = V V†, picks a nonzero Hermitian X with
+    tr(V†AV X) = tr(V†V X) = 0 (two real equations in rank^2 unknowns),
+    flips its sign so that tr(V†CV X) >= 0, and deflates
+    q <- V (I - X/sigma1) V†, sigma1 the largest eigenvalue of X, which is
+    positive: tr(V†V X) = 0 against the positive-definite V†V makes X
+    indefinite.  So each step keeps tr(A q), tr(q) and q PSD, strictly
+    reduces the numeric rank and never increases tr(C q); from rank r it
+    finishes in at most r-1 steps.  A rank <= 1 input is returned unchanged.
     """
     c, a = leakage_matrix(prob.h_self), covariance_of(prob.h_cross)
     q = numlin.hermitianize(numlin.check_finite(q, "q"))

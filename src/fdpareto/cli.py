@@ -268,7 +268,7 @@ _CERTIFICATE_RECORD = """\
             "gap": %s,
             "lambda1": %s,
             "lambda2": %s,
-            "slack_min_eig": %s
+            "slack_margin": %s
           },
           "endpoint": %s,
           "epsilon": %s,
@@ -281,7 +281,7 @@ _CERTIFICATE_RECORD = """\
             "power_excess": %s,
             "primal_target_residual": %s,
             "q_min_eigenvalue": %s,
-            "slack_min_eigenvalue": %s,
+            "slack_margin": %s,
             "tol": %s
           },
           "primal": %s,
@@ -316,7 +316,7 @@ def _certificate_records(curve: CertificateCurve, zs, endpoint, rel, tol, ok) ->
     """One node's "certificates" list, as _json_text writes it in the document."""
     n = len(zs)
     tokens = _float_tokens(np.concatenate((
-        curve.dual_value, curve.gap, curve.lambda1, curve.lambda2, curve.slack_min_eig,
+        curve.dual_value, curve.gap, curve.lambda1, curve.lambda2, curve.slack_margin,
         curve.epsilon, rel, tol, curve.complementarity_residual, curve.power_excess,
         curve.primal_target_residual, curve.q_min_eigenvalue, curve.primal, zs)))
     (dual, gap, lam1, lam2, slack, eps, gap_rel, gap_tol, comp, power, target, q_min,
@@ -364,7 +364,7 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
         max_rel["endpoint"] = max(max_rel["endpoint"], float(max(rel[0], rel[-1])))
         max_kkt = max(max_kkt, float(np.max([
             curve.primal_target_residual, curve.power_excess,
-            -np.minimum(0.0, curve.q_min_eigenvalue), -np.minimum(0.0, curve.slack_min_eig),
+            -np.minimum(0.0, curve.q_min_eigenvalue), -np.minimum(0.0, curve.slack_margin),
             curve.complementarity_residual])))
         key = f"node{node}"
         records[key] = _certificate_records(curve, zs, endpoint, rel, tol, ok)
@@ -405,10 +405,16 @@ def _load_config(args) -> RunConfig:
     return config
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """argparse's usage error, but exit 1 like any invalid input: 2 means a failed gap."""
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fdpareto",
         description="Rate-region Pareto boundaries for the MISO full-duplex "
                     "two-way channel, with certified optimal beamforming.",

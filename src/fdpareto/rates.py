@@ -17,8 +17,7 @@ stays above float round-off at large budgets), and it is PSD up to
 `PSD_TOL * max(1, ||Q||_F)` plus round-off, judged on its Hermitian part
 (Q + Q†) / 2, the part that is rated.  There is one PSD rule for
 explicit covariances: `rate_pair` is `rate_pairs` of one pair, and
-`_covariance_faults` certifies a stack with one batched Cholesky, falling
-back to the eigenvalue rule itself only when some matrix is not certified.
+`_covariance_faults` judges a stack with one `eigvalsh` call.
 """
 
 from __future__ import annotations
@@ -70,23 +69,12 @@ def _covariance_faults(qs: np.ndarray, p: float) -> tuple[np.ndarray, ...]:
     """(trace, over budget, non-finite, not PSD) of each matrix of a stack.
 
     A finite Q is judged by its Hermitian part H = (Q + Q†) / 2, which is
-    what `_rates_of` rates: Re(h† Q h) = h† H h and diag(H) = Re(diag(Q)).
-    It is PSD when lambda_min(H) >= -tol, with
-    tol = PSD_TOL * max(1, ||H||_F) + ROUNDOFF * ||H||_F (the rule of
-    `numlin.is_psd`, which runs on the same LAPACK eigensolver), both sides
-    taken in units of Q's largest modulus b, where
-    ||H / b||_F <= m, so tol cannot overflow: lambda_min(H / b) >=
-    -(PSD_TOL * max(1 / b, ||H / b||_F) + ROUNDOFF * ||H / b||_F).  H / b
-    is formed from Q / b, whose entries are at most 1, so the sum cannot
-    overflow; for an exactly Hermitian Q it equals Q / b bit for bit, up to
-    the imaginary part of the diagonal, which neither LAPACK routine reads.
-
-    One batched Cholesky of every H / b + (tol/2) I certifies the stack
-    first.  It is backward stable, so a factor exists only if lambda_min >=
-    -tol/2 - O(m u), u the unit round-off; tol/2 >= 5e-10 is over 10^4 times
-    that and `eigvalsh`'s error for m <= 8, so the rule accepts every
-    certified matrix.  Otherwise the rule decides for the whole stack (one
-    `eigvalsh` call).
+    what `_rates_of` rates, with the rule of `numlin.is_psd`:
+    lambda_min(H) >= -(PSD_TOL * max(1, ||H||_F) + ROUNDOFF * ||H||_F).
+    Both sides are taken in units of Q's largest modulus b, so neither H / b
+    (entries at most 1) nor its norm (at most m) can overflow.  For an
+    exactly Hermitian Q, H / b equals Q / b bit for bit, up to the imaginary
+    part of the diagonal, which LAPACK does not read.
     """
     tr = np.trace(qs, axis1=1, axis2=2).real
     over = tr > _power_limit(p)
@@ -99,25 +87,7 @@ def _covariance_faults(qs: np.ndarray, p: float) -> tuple[np.ndarray, ...]:
     norms = np.sqrt(np.sum(herm.real ** 2 + herm.imag ** 2, axis=(1, 2)))
     with np.errstate(over="ignore"):  # 1 / b is inf only where every |lambda| < PSD_TOL
         tol = PSD_TOL * np.maximum(1.0 / unit[:, 0, 0], norms) + numlin.ROUNDOFF * norms
-    if _cholesky_certifies(herm, 0.5 * tol):
-        not_psd = np.zeros(len(qs), dtype=bool)
-    else:
-        not_psd = ~(np.linalg.eigvalsh(herm)[:, 0] >= -tol)
-    return tr, over, ~finite, finite & not_psd
-
-
-def _cholesky_certifies(herm: np.ndarray, shift: np.ndarray) -> bool:
-    """True when every herm[k] + shift[k] I has a Cholesky factor.
-
-    A non-finite shift certifies nothing; NaN entries would not raise.
-    """
-    if not np.isfinite(shift).all():
-        return False
-    try:
-        np.linalg.cholesky(herm + shift[:, None, None] * np.eye(herm.shape[-1]))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return tr, over, ~finite, finite & ~(np.linalg.eigvalsh(herm)[:, 0] >= -tol)
 
 
 def _rate(z, leakage, sigma2: float, beta: float):

@@ -10,9 +10,10 @@ LAPACK results and numpy's vector loops can move with the BLAS kernel and
 SIMD level.
 
 Regenerate from the repository root, only in a change that means to move
-output bytes (and say which fields moved):
+output bytes (and say which fields moved), every case or only the named ones:
 
     PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python tests/golden/regen.py certify_m1 certify_m3
 """
 
 from __future__ import annotations
@@ -86,16 +87,28 @@ def run_case(name: str, work: Path) -> Path:
     return out
 
 
-def regenerate() -> None:
+def regenerate(names=()) -> list[str]:
+    """Rewrite the named cases (every case when none is named); return their names.
+
+    An unknown name raises ValueError before any file is touched.
+    """
+    names = list(names) or list(CASES)
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise ValueError(f"unknown golden cases {unknown}; the cases are {sorted(CASES)}")
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CASES:
+        for name in names:
             out = run_case(name, Path(tmp))
             dest = GOLDEN / name
             shutil.rmtree(dest, ignore_errors=True)
             shutil.copytree(out, dest)
     VERSIONS.write_text(json.dumps(versions(), indent=2, sort_keys=True) + "\n")
+    return names
 
 
 if __name__ == "__main__":
-    regenerate()
-    print(f"wrote {len(CASES)} golden cases under {GOLDEN}", file=sys.stderr)
+    try:
+        written = regenerate(sys.argv[1:])
+    except ValueError as err:
+        sys.exit(f"regen: {err}")
+    print(f"wrote {len(written)} golden cases under {GOLDEN}", file=sys.stderr)

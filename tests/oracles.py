@@ -22,6 +22,7 @@ package's LAPACK eigen-solves; `low_z_condition_bound`, `self_leakage` and
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -286,16 +287,47 @@ def dual_certificate_reference(prob, primal_value):
                 fc = dual_value_at(prob, c_pt)
 
     lam1 = best_x
-    lam_min_b = jacobi_min_eigenvalue(c_mat - lam1 * a_mat)
-    lam2 = min(0.0, lam_min_b)
+    lam2 = min(0.0, jacobi_min_eigenvalue(c_mat - lam1 * a_mat))
     dual_value = lam1 * prob.z + prob.p * lam2
     return Certificate(
         lambda1=lam1,
         lambda2=lam2,
         dual_value=dual_value,
         gap=primal_value - dual_value,
-        slack_min_eig=max(0.0, lam_min_b),
+        slack_margin=float(exact_slack_margin(prob.h_self, prob.h_cross, lam1, lam2)),
     )
+
+
+def exact_slack_margin(h_self, h_cross, lam1, lam2):
+    """The Schur margin of Z = C - lam1 A - lam2 I in exact rational arithmetic.
+
+    The verifier of the certificate's feasibility.  C = Diag(c) is the
+    package's leakage matrix, c = |h_self|^2 in float64, and A = h h† is
+    taken exactly from the float64 h = h_cross: |h_k|^2 = Re(h_k)^2 +
+    Im(h_k)^2 as a Fraction.  With d_k = c_k - lam2, the margin is
+    1 - lam1 * sum_k |h_k|^2 / d_k (a Fraction), -inf where some d_k < 0 or
+    d_k = 0 < |h_k|^2 with lam1 > 0, and 1 at lam1 = 0.  For lam1 >= 0 it
+    is >= 0 exactly when Z >= 0.
+    """
+    terms = []
+    for c_k, h_k in zip((np.abs(h_self) ** 2).tolist(), np.asarray(h_cross).tolist()):
+        h_k = complex(h_k)
+        a_k = Fraction(h_k.real) ** 2 + Fraction(h_k.imag) ** 2
+        d_k = Fraction(c_k) - Fraction(lam2)
+        if d_k < 0:
+            return -math.inf
+        if a_k:
+            terms.append((a_k, d_k))
+    if lam1 == 0:
+        return Fraction(1)
+    if any(d_k == 0 for _, d_k in terms):
+        return -math.inf if lam1 > 0 else math.inf
+    return 1 - Fraction(lam1) * sum(a_k / d_k for a_k, d_k in terms)
+
+
+def exact_dual_objective(lam1, z, lam2, p):
+    """lam1*z + lam2*p of float64 inputs, as an exact Fraction."""
+    return Fraction(lam1) * Fraction(z) + Fraction(lam2) * Fraction(p)
 
 
 def certificate_records_reference(curve, zs, endpoint, rel, tol, ok):
@@ -579,9 +611,9 @@ def rate_pair_reference(ch, q1, q2, label="optimal"):
 def covariance_faults_reference(qs, p):
     """(trace, over budget, non-finite, not PSD) of each matrix of a stack.
 
-    The reference for `rates._covariance_faults`: the eigenvalue rule
-    alone, with every smallest eigenvalue from one LAPACK `eigvalsh` call
-    over the stack.  A finite Q is judged by its Hermitian part
+    The reference for `rates._covariance_faults`, written on its own: the
+    eigenvalue rule, with every smallest eigenvalue from one LAPACK
+    `eigvalsh` call over the stack.  A finite Q is judged by its Hermitian part
     H = (Q + Q†) / 2: it is PSD when, in units of Q's largest modulus b
     (1 for a zero matrix),
     lambda_min(H / b) >= -(PSD_TOL * max(1 / b, ||H / b||_F)

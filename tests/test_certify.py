@@ -1,9 +1,10 @@
+from dataclasses import fields, replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from dataclasses import fields
 
 from fdpareto import numlin
 from fdpareto.beamform import (
@@ -29,6 +30,8 @@ from fdpareto.pareto import SweepGrid, node_problem
 from oracles import (
     dual_certificate_reference,
     dual_value_on_grid,
+    exact_dual_objective,
+    exact_slack_margin,
     sample_feasible_weights,
 )
 
@@ -261,6 +264,101 @@ def test_curve_weights_are_optimal_weights(m, gamma_db, beta_db, p1, p2, symmetr
         assert _bits(curve.w[demo]) == _bits(want)
         for z, w in zip(zs.tolist(), curve.w):
             assert _bits(w) == _bits(optimal_weights(node_problem(ch, node, z)).w)
+
+
+def _edge_zs(z_max, fracs):
+    """z at and near both ends of [0, z_max], and at the fractions fracs of z_max."""
+    return np.array([0.0, 1e-300, 1e-9 * z_max, z_max * (1.0 - 1e-9),
+                     np.nextafter(z_max, 0.0), z_max] + [f * z_max for f in fracs])
+
+
+def _north_star_problem(m, gamma_db, beta_db, p1, p2, symmetric, seed, node, zero_self):
+    """One node's problem of a north-star scenario, its first zero_self self gains zeroed."""
+    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
+                                        p1=p1, p2=p2, symmetric=symmetric, seed=seed))
+    prob = node_problem(ch, node, 0.0)
+    h_self = prob.h_self.copy()
+    h_self[:zero_self] = 0.0  # singular C, or C = 0
+    return DecoupledProblem(h_self, prob.h_cross, prob.p, 0.0)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(**_north_star, node=st.sampled_from((1, 2)), zero_self=st.integers(0, 8),
+       fracs=st.lists(st.floats(0.0, 1.0), max_size=3))
+def test_certificates_are_exactly_feasible(m, gamma_db, beta_db, p1, p2, symmetric, seed,
+                                           node, zero_self, fracs):
+    # rational arithmetic on the float inputs: Z >= 0 for every reported
+    # (lambda1, lambda2), and the dual value is the objective of that pair
+    prob = _north_star_problem(m, gamma_db, beta_db, p1, p2, symmetric, seed, node,
+                               zero_self)
+    zs = _edge_zs(prob.z_max, fracs)
+    curve = certify_curve(prob.h_self, prob.h_cross, prob.p, zs)
+    for z, lam1, lam2, dual, primal in zip(zs.tolist(), curve.lambda1.tolist(),
+                                           curve.lambda2.tolist(), curve.dual_value.tolist(),
+                                           curve.primal.tolist()):
+        assert exact_slack_margin(prob.h_self, prob.h_cross, lam1, lam2) >= 0, z
+        exact = exact_dual_objective(lam1, z, lam2, prob.p)
+        assert abs(Fraction(dual) - exact) <= 1e-12 * max(1.0, primal), z
+
+
+def _certified_records(m, seed):
+    """(instance, weights, certificate, report) at every z of one node's edge grid."""
+    prob = _north_star_problem(m, 60.0, -40.0, 1.0, 2.0, False, seed, 1, 0)
+    zs = _edge_zs(prob.z_max, [0.3, 0.7])
+    curve = certify_curve(prob.h_self, prob.h_cross, prob.p, zs)
+    return [(replace(prob, z=z), w, cert, report) for z, w, cert, report in zip(
+        zs.tolist(), curve.w, curve.certificates(), curve.kkt_reports())]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_kkt_check_of_the_beam_matches_its_report(m):
+    # kkt_check reads diag(q), h†q h and tr q off the dense q = w w† and
+    # computes its smallest eigenvalue: the certified report, up to round-off
+    for inst, w, cert, want in _certified_records(m, seed=m):
+        got = kkt_check(inst, covariance_of(w), cert)
+        assert got.passed and want.passed
+        power = max(1.0, float(np.linalg.norm(w)) ** 2)
+        assert got.slack_margin == want.slack_margin
+        assert abs(got.q_min_eigenvalue - want.q_min_eigenvalue) <= 1e-14 * power
+        assert abs(got.primal_target_residual - want.primal_target_residual) \
+            <= 1e-14 * max(1.0, inst.z)
+        assert abs(got.power_excess - want.power_excess) <= 1e-14 * power
+        assert abs(got.complementarity_residual - want.complementarity_residual) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_kkt_check_fails_a_raised_lambda1(m):
+    # lambda1 one part in 1e12 above the certificate's leaves Z indefinite
+    for inst, w, cert, _ in _certified_records(m, seed=m):
+        if cert.lambda1 == 0.0:
+            continue
+        report = kkt_check(inst, covariance_of(w),
+                           replace(cert, lambda1=cert.lambda1 * (1.0 + 1e-12)))
+        assert report.slack_margin < 0.0 and not report.passed
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_kkt_check_fails_a_beam_that_misses_its_z(m):
+    for inst, w, cert, _ in _certified_records(m, seed=m):
+        if inst.z == 0.0:
+            continue
+        miss = 1e-6 * max(1.0, inst.z)
+        report = kkt_check(inst, covariance_of(w * np.sqrt(1.0 + miss / inst.z)), cert)
+        assert report.primal_target_residual > report.tol and not report.passed
+
+
+def test_certify_curves_run_no_eigen_solve(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("certify_curves must not call an eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    for m in range(1, 9):
+        ch = generate_scenario(ScenarioSpec(m=m, gamma_db=50.0, beta_db=-40.0, seed=m))
+        grid = SweepGrid.for_channel(ch, 30)
+        probs = (node_problem(ch, 1, 0.0), node_problem(ch, 2, 0.0))
+        for curve in certify_curves(probs, (grid.z1_values(), grid.z2_values())):
+            assert curve.kkt_passed().all()
 
 
 class TestKktCheck:

@@ -355,7 +355,7 @@ def test_certify_cli_properties(scenario, grid_n):
 # Values whose JSON token differs from a plain decimal, or that json spells itself.
 _SPECIAL_FLOATS = (-0.0, 5e-324, 1e-7, 1e16, 1e22, math.nan, math.inf, -math.inf)
 _CURVE_FIELDS = ("epsilon", "primal", "lambda1", "lambda2", "dual_value", "gap",
-                 "slack_min_eig", "primal_target_residual", "power_excess",
+                 "slack_margin", "primal_target_residual", "power_excess",
                  "q_min_eigenvalue", "complementarity_residual")
 
 
@@ -468,7 +468,7 @@ def test_cached_parser_serves_jobs_in_sequence(tmp_path, capsys):
 
     cached = run("cached", fresh=False)
     assert build_parser() is build_parser()
-    assert [code for code, *_ in cached] == [0, 0, 2, 1, 0, 0]
+    assert [code for code, *_ in cached] == [0, 0, 1, 1, 0, 0]
     assert "the following arguments are required: --config" in cached[2][2]
     assert cached[3][2].startswith("fdpareto: error:")
     assert cached == run("fresh", fresh=True)
