@@ -21,8 +21,10 @@ so the dual value z/s1 - eps*p equals the leakage.  Unloaded filters take
 s1 at its eps -> 0 limit, infinite (lam1 = 0) when h reaches an antenna
 with c = 0; z = 0 takes the dual (0, 0).  At z = z_max the optimum is the
 MRT beam (eps -> inf) and the dual supremum is not attained: the
-certificate takes eps = 2^27 max(1, max c).  The reported lam1 is exactly
-feasible for the float c and the exact h h† of the float h (see `_certify`).
+certificate takes eps = 2^25 * std, std the |h_k|^2-weighted standard
+deviation of c, and its gap is at most about 5e-8 * p * std.  The reported
+lam1 is exactly feasible for the float c and the exact h h† of the float h
+(see `_certify`).
 No m x m matrix is formed and no eigenvalue computed: the KKT residuals of
 Q = w w† need only |w|^2, |h†w|^2 and ||w||^2 (`_kkt_residuals`).
 """
@@ -44,8 +46,8 @@ from .beamform import (
 )
 from .errors import NumericalError
 
-# The finite loading, in units of max(1, max c), that certifies the MRT point.
-_MRT_LOADING = 2.0**27
+# The finite loading that certifies the MRT point, in units of the spread of c.
+_MRT_LOADING = 2.0**25
 _UNIT_ROUNDOFF = 2.0**-53
 KKT_TOL = 1e-7
 # Gap gates: Slater holds strictly inside the z range, so the certificate is
@@ -189,28 +191,38 @@ def _certify(c, h, p: float, z, eps, w) -> CertificateCurve:
     """Certificates of weights w (n, m) solved at loadings eps; NumericalError if not finite.
 
     lam1 is fl(1/s1) shrunk by 2(m + 4) units of round-off, which covers the
-    rounding of s1, so the exact margin is >= 0.  At z_max, where lam1*z
-    and eps*p are 2^27 times the dual value, that shrink could cost 1e-5 of
-    it, so lam1 is the largest float with margin >= 0 in rational
-    arithmetic.  Where lam1*z is over 64 times max(1, primal), the float sum
-    would lose more than 2^-46 of it, so the dual value is lam1*z + lam2*p
-    in rational arithmetic, rounded once.
+    rounding of s1, so the exact margin is >= 0.  At z_max any loading L > 0
+    gives a dual: p times the |h_k|^2-weighted harmonic mean of c + L, less
+    p*L.  It falls short of the MRT leakage (the arithmetic mean) by at most
+    p*var/L, var the weighted variance of c, while rounding lam1 and z moves
+    lam1*z and L*p, both about p*L, by some u*p*L.  L = 2^25*std balances the
+    two (L = 0 where c is constant on the support of h), and there lam1 is
+    the largest float with margin >= 0 in rational arithmetic.  Where lam1*z
+    is over 64 times max(1, primal), the float sum would lose more than
+    2^-46 of it, so the dual value is lam1*z + lam2*p in rational
+    arithmetic, rounded once.
     """
     from fractions import Fraction
 
     m = c.size
     habs2 = np.abs(h) ** 2
     at_max = np.isinf(eps)
-    load = np.where(at_max, max(1.0, float(np.max(c))) * _MRT_LOADING, eps)
+    load = eps
+    if at_max.any():  # the |h_k|^2-weighted spread of c, in exactly rounded sums
+        t, scale = habs2.tolist(), float(np.max(c)) or 1.0
+        cs = [b / scale for b in c.tolist()]
+        mean = math.fsum(a * b for a, b in zip(t, cs)) / math.fsum(t)
+        var = math.fsum(a * (b - mean) ** 2 for a, b in zip(t, cs)) / math.fsum(t)
+        load = np.where(at_max, _MRT_LOADING * scale * math.sqrt(var), eps)
     with np.errstate(all="ignore"):
         # inf where load = c_k = 0 < |h_k|^2 (the eps -> 0 limit), 0 where h_k = 0
         s1 = np.where(habs2 == 0.0, 0.0, habs2 / (c + load[:, None])).sum(axis=1)
         lam1 = np.where(z == 0.0, 0.0, (1.0 / s1) * (1.0 - 2 * (m + 4) * _UNIT_ROUNDOFF))
         lam2 = np.where(load > 0.0, -load, 0.0)
-        for k in np.flatnonzero(at_max & np.isfinite(lam1)):
+        for k in np.flatnonzero(at_max & (lam1 > 0.0) & np.isfinite(lam1)):
             d = Fraction(load[k])
             s1_k = sum((Fraction(a.real) ** 2 + Fraction(a.imag) ** 2) / (Fraction(b) + d)
-                       for a, b in zip(h.tolist(), c.tolist()))
+                       for a, b in zip(h.tolist(), c.tolist()) if a)
             lam1[k] = float(1 / s1_k)  # the nearest float: the one below is below 1/s1_k
             if Fraction(lam1[k]) * s1_k > 1:
                 lam1[k] = np.nextafter(lam1[k], 0.0)

@@ -608,30 +608,40 @@ def rate_pair_reference(ch, q1, q2, label="optimal"):
                      label=label)
 
 
-def covariance_faults_reference(qs, p):
+def covariance_faults_reference(qs, p, shift=0.0):
     """(trace, over budget, non-finite, not PSD) of each matrix of a stack.
 
-    The reference for `rates._covariance_faults`, written on its own: the
-    eigenvalue rule, with every smallest eigenvalue from one LAPACK
-    `eigvalsh` call over the stack.  A finite Q is judged by its Hermitian part
-    H = (Q + Q†) / 2: it is PSD when, in units of Q's largest modulus b
+    The reference for `rates._covariance_faults`: the same eigenvalue rule,
+    with each smallest eigenvalue from the Jacobi solver
+    (`jacobi_min_eigenvalue`), one matrix at a time, in place of one LAPACK
+    `eigvalsh` call over the stack.  A finite Q is judged by its Hermitian
+    part H = (Q + Q†) / 2: it is PSD when, in units of Q's largest modulus b
     (1 for a zero matrix),
     lambda_min(H / b) >= -(PSD_TOL * max(1 / b, ||H / b||_F)
-    + ROUNDOFF * ||H / b||_F).
+    + (1 + shift) * ROUNDOFF * ||H / b||_F).
+    A shift of -1 or +1 moves the bound by the round-off that two
+    eigensolvers may differ by (`psd_edge`).
     """
+    qs = np.asarray(qs, dtype=np.complex128)
     tr = np.trace(qs, axis1=1, axis2=2).real
-    over = tr > _power_limit(p)
     finite = np.isfinite(qs).all(axis=(1, 2))
-    safe = np.where(finite[:, None, None], qs, 0.0)
-    big = np.max(np.abs(safe), axis=(1, 2))
-    unit = np.where(big > 0.0, big, 1.0)
-    scaled = safe / unit[:, None, None]
-    herm = (scaled + np.conj(np.swapaxes(scaled, 1, 2))) / 2.0
-    norms = np.sqrt(np.sum(herm.real ** 2 + herm.imag ** 2, axis=(1, 2)))
-    with np.errstate(over="ignore"):
-        tol = PSD_TOL * np.maximum(1.0 / unit, norms) + numlin.ROUNDOFF * norms
-    lam_min = np.linalg.eigvalsh(herm)[:, 0]
-    return tr, over, ~finite, finite & ~(lam_min >= -tol)
+    not_psd = np.zeros(len(qs), dtype=bool)
+    for k in np.flatnonzero(finite):
+        big = float(np.max(np.abs(qs[k])))
+        unit = big if big > 0.0 else 1.0
+        herm = numlin.hermitianize(qs[k] / unit)
+        norm = numlin.frobenius_norm(herm)
+        with np.errstate(over="ignore"):
+            tol = PSD_TOL * max(1.0 / unit, norm) + (1.0 + shift) * numlin.ROUNDOFF * norm
+        not_psd[k] = not jacobi_min_eigenvalue(herm) >= -tol
+    return tr, tr > _power_limit(p), ~finite, not_psd
+
+
+def psd_edge(qs):
+    """Matrices whose smallest eigenvalue lies within round-off of the PSD
+    rule's bound, where LAPACK and Jacobi may rightly give either verdict."""
+    return (covariance_faults_reference(qs, np.inf, -1.0)[3]
+            != covariance_faults_reference(qs, np.inf, 1.0)[3])
 
 
 def sampled_covariances(rng, ch, u):

@@ -301,6 +301,24 @@ def test_certificates_are_exactly_feasible(m, gamma_db, beta_db, p1, p2, symmetr
         assert abs(Fraction(dual) - exact) <= 1e-12 * max(1.0, primal), z
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(m=st.integers(1, 8), gamma_db=st.floats(-60.0, 120.0), beta_db=st.floats(-80.0, 0.0),
+       p1=st.floats(0.01, 1e4), p2=st.floats(0.01, 1e4), symmetric=st.booleans(),
+       seed=st.integers(0, 2**16), node=st.sampled_from((1, 2)), zero_self=st.integers(0, 8))
+def test_mrt_gap_is_within_its_bound(m, gamma_db, beta_db, p1, p2, symmetric, seed, node,
+                                     zero_self):
+    # at z_max the loading 2^25 * std balances the unattained supremum,
+    # p * var / L, against the rounding of lambda1 and z, about u * p * L
+    prob = _north_star_problem(m, gamma_db, beta_db, p1, p2, symmetric, seed, node,
+                               zero_self)
+    curve = certify_curve(prob.h_self, prob.h_cross, prob.p, np.array([prob.z_max]))
+    c = np.abs(prob.h_self) ** 2
+    t = np.abs(prob.h_cross) ** 2 / np.sum(np.abs(prob.h_cross) ** 2)
+    std = np.sqrt(np.sum(t * (c - np.sum(t * c)) ** 2))
+    scale = max(1.0, float(curve.primal[0]))
+    assert abs(float(curve.gap[0])) / scale <= 2.0**-23 * prob.p * std / scale + 1e-13
+
+
 def _certified_records(m, seed):
     """(instance, weights, certificate, report) at every z of one node's edge grid."""
     prob = _north_star_problem(m, 60.0, -40.0, 1.0, 2.0, False, seed, 1, 0)

@@ -160,6 +160,19 @@ class TestCertifyCommand:
         assert main(["certify", "--config", str(cfg), "--out", str(out2)]) == 0
         assert read_all_bytes(out1) == read_all_bytes(out2)
 
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_weak_self_gains_and_a_large_budget_pass(self, tmp_path, seed):
+        # max c is about 1e-4 and p = 1000: a loading pinned to max(1, max c)
+        # rounded the z_max dual by up to 4e-5 of the primal and exited 2
+        cfg = write_config(tmp_path, grid_n=10, scenario={
+            "m": 4, "gamma_db": -40.0, "beta_db": -40.0, "p1": 1000.0, "p2": 1000.0,
+            "sigma2": 1.0, "symmetric": True, "seed": seed})
+        out = tmp_path / "out"
+        assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "certificates.json").read_text())["summary"]
+        assert summary["passed"] is True
+        assert summary["max_gap_rel_endpoint"] <= 1e-7
+
     def test_gap_failure_exits_2(self, tmp_path, monkeypatch):
         # a certificate that cannot close the gap must trip the nonzero exit
         import fdpareto.cli as cli_mod
