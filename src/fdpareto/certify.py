@@ -20,11 +20,10 @@ lam1 = 1/s1), and it annihilates (C + eps I)^{-1} h, the direction of w,
 so the dual value z/s1 - eps*p equals the leakage.  Unloaded filters take
 s1 at its eps -> 0 limit, infinite (lam1 = 0) when h reaches an antenna
 with c = 0; z = 0 takes the dual (0, 0).  At z = z_max the optimum is the
-MRT beam (eps -> inf) and the dual supremum is not attained: the
+MRT beam (eps -> inf), the dual supremum is not attained, and the
 certificate takes eps = 2^25 * std, std the |h_k|^2-weighted standard
-deviation of c, and its gap is at most about 5e-8 * p * std.  The reported
-lam1 is exactly feasible for the float c and the exact h h† of the float h
-(see `_certify`).
+deviation of c: its gap is at most about 5e-8 * p * std.  The reported lam1
+is exactly feasible for the float c and the exact h h† of the float h.
 No m x m matrix is formed and no eigenvalue computed: the KKT residuals of
 Q = w w† need only |w|^2, |h†w|^2 and ||w||^2 (`_kkt_residuals`).
 """
@@ -32,7 +31,7 @@ Q = w w† need only |w|^2, |h†w|^2 and ||w||^2 (`_kkt_residuals`).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -87,9 +86,7 @@ class KktReport:
 
     @property
     def passed(self) -> bool:
-        return bool(kkt_passed(self.primal_target_residual, self.power_excess,
-                               self.q_min_eigenvalue, self.slack_margin,
-                               self.complementarity_residual, self.tol))
+        return bool(kkt_passed(*astuple(self)))
 
     def to_dict(self) -> dict:
         return {**asdict(self), "passed": self.passed}
@@ -139,21 +136,18 @@ class CertificateCurve:
     w: np.ndarray
 
     def certificates(self) -> list[Certificate]:
-        return [Certificate(*row) for row in zip(
-            self.lambda1.tolist(), self.lambda2.tolist(), self.dual_value.tolist(),
-            self.gap.tolist(), self.slack_margin.tolist())]
+        return [Certificate(*row) for row in zip(*(a.tolist() for a in (
+            self.lambda1, self.lambda2, self.dual_value, self.gap, self.slack_margin)))]
 
     def kkt_passed(self) -> np.ndarray:
         """KktReport.passed at every z."""
-        return kkt_passed(self.primal_target_residual, self.power_excess,
-                          self.q_min_eigenvalue, self.slack_margin,
-                          self.complementarity_residual)
+        return kkt_passed(self.primal_target_residual, self.power_excess, self.q_min_eigenvalue,
+                          self.slack_margin, self.complementarity_residual)
 
     def kkt_reports(self) -> list[KktReport]:
-        return [KktReport(*row) for row in zip(
-            self.primal_target_residual.tolist(), self.power_excess.tolist(),
-            self.q_min_eigenvalue.tolist(), self.slack_margin.tolist(),
-            self.complementarity_residual.tolist())]
+        return [KktReport(*row) for row in zip(*(a.tolist() for a in (
+            self.primal_target_residual, self.power_excess, self.q_min_eigenvalue,
+            self.slack_margin, self.complementarity_residual)))]
 
 
 def dual_value_at(prob: DecoupledProblem, lam1: float) -> float:
@@ -191,16 +185,13 @@ def _certify(c, h, p: float, z, eps, w) -> CertificateCurve:
     """Certificates of weights w (n, m) solved at loadings eps; NumericalError if not finite.
 
     lam1 is fl(1/s1) shrunk by 2(m + 4) units of round-off, which covers the
-    rounding of s1, so the exact margin is >= 0.  At z_max any loading L > 0
-    gives a dual: p times the |h_k|^2-weighted harmonic mean of c + L, less
-    p*L.  It falls short of the MRT leakage (the arithmetic mean) by at most
-    p*var/L, var the weighted variance of c, while rounding lam1 and z moves
-    lam1*z and L*p, both about p*L, by some u*p*L.  L = 2^25*std balances the
-    two (L = 0 where c is constant on the support of h), and there lam1 is
-    the largest float with margin >= 0 in rational arithmetic.  Where lam1*z
-    is over 64 times max(1, primal), the float sum would lose more than
-    2^-46 of it, so the dual value is lam1*z + lam2*p in rational
-    arithmetic, rounded once.
+    rounding of s1, so the exact margin is >= 0.  At z_max the loading L
+    balances the unattained supremum, at most p*var/L (var the
+    |h_k|^2-weighted variance of c), against the rounding of lam1 and z,
+    about u*p*L, and lam1 is the largest float with margin >= 0 in rational
+    arithmetic.  Where lam1*z is over 64 times max(1, primal), the float sum
+    would lose more than 2^-46 of it, so the dual value is lam1*z + lam2*p
+    in rational arithmetic, rounded once.
     """
     from fractions import Fraction
 
