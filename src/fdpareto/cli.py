@@ -3,9 +3,12 @@
 Subcommands
 -----------
 boundary     full-duplex Pareto boundary + TDMA segment as CSV, plus run
-             metadata; presets reproduce the qualitative structure of the
-             reference gamma/beta sweeps (random channels under a documented
-             seed, so ordering and containment claims only).
+             metadata and, with "oracle" in emit, the domination oracle's
+             report, whose samples are drawn and rated on a second thread
+             while the boundary is solved; presets reproduce the
+             qualitative structure of the reference gamma/beta sweeps
+             (random channels under a documented seed, so ordering and
+             containment claims only) and run no oracle.
 compare-zf   zero-forcing rate pair vs the boundary, with a beamformer
              geometry report.
 certify      dual-certificate and KKT sweep over the z grid for both nodes,
@@ -22,6 +25,7 @@ import argparse
 import functools
 import json
 import sys
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -49,6 +53,7 @@ from .pareto import (
     interpolated_r1,
     interpolated_r2,
     node_problem,
+    oracle_samples,
     tdma_boundary,
 )
 from .rates import rate_pair
@@ -149,10 +154,44 @@ def _metadata(config: RunConfig, preset: str | None, extra: dict) -> dict:
     return meta
 
 
+class _Worker(threading.Thread):
+    """fn(*args) on a thread of its own, started at once.
+
+    `result` joins the thread, then returns fn's value or raises its error
+    on the caller's thread.
+    """
+
+    def __init__(self, fn, *args):
+        super().__init__(name=f"fdpareto-{fn.__name__}")
+        self._call = functools.partial(fn, *args)
+        self._value = self._error = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self._value = self._call()
+        except BaseException as exc:  # for result() to raise
+            self._error = exc
+
+    def result(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
 def cmd_boundary(config: RunConfig, out_dir: Path, preset: str | None = None) -> int:
-    """Write boundary/TDMA CSVs (per gamma for presets) and metadata."""
+    """Write boundary/TDMA CSVs (per gamma for presets) and metadata.
+
+    With "oracle" in emit, the oracle's samples are drawn and rated on a
+    second thread while the boundary and both CSVs are computed; the report
+    follows once both are done, so an error of the boundary comes first.
+    """
     files: dict[str, str] = {}
     if preset is not None:
+        if "oracle" in config.emit:
+            raise ValueError("a --preset run writes no oracle.json: "
+                             "remove \"oracle\" from emit")
         beta_db = PRESETS[preset]["beta_db"]
         for gamma in _PRESET_GAMMAS:
             ch = generate_scenario(replace(config.scenario, gamma_db=gamma,
@@ -166,12 +205,19 @@ def cmd_boundary(config: RunConfig, out_dir: Path, preset: str | None = None) ->
                 files["ideal.csv"] = curve_to_csv(ideal)
     else:
         ch = generate_scenario(config.scenario)
-        curve = boundary(ch, SweepGrid.for_channel(ch, config.grid_n))
-        files["boundary.csv"] = curve_to_csv(curve)
-        files["tdma.csv"] = curve_to_csv(tdma_boundary(ch, config.grid_n))
-        if "oracle" in config.emit:
-            report = domination_oracle(ch, curve, samples=config.samples,
-                                       seed=config.scenario.seed)
+        seed = config.scenario.seed
+        sampling = (_Worker(oracle_samples, ch, config.samples, seed)
+                    if "oracle" in config.emit else None)
+        try:
+            curve = boundary(ch, SweepGrid.for_channel(ch, config.grid_n))
+            files["boundary.csv"] = curve_to_csv(curve)
+            files["tdma.csv"] = curve_to_csv(tdma_boundary(ch, config.grid_n))
+        finally:
+            if sampling is not None:
+                sampling.join()
+        if sampling is not None:
+            report = domination_oracle(ch, curve, samples=config.samples, seed=seed,
+                                       rates=sampling.result())
             files["oracle.json"] = _json_text(report.to_dict())
 
     files["metadata.json"] = _json_text(

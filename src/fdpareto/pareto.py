@@ -42,13 +42,18 @@ once.
 
 The module also provides the half-duplex TDMA segment, the equal-rate point,
 and a random-covariance domination oracle that checks no sampled achievable
-pair escapes a computed curve.  The oracle draws every uniform fraction in
-one call, then one normal array per block of samples.  Its covariances are
-Gram matrices Q = s g g†, PSD by construction, and each block is rated from
-the factors g in one array pass (`_sampled_rates`), forming no m x m
-matrix.  Each pair's escape distance is found by a
-bisection along the curve's staircase (`escape_distances`), not by
-comparing it with every curve point.
+pair escapes a computed curve.  The oracle has two steps.  The first,
+`oracle_samples`, draws every uniform fraction in one call, then one normal
+array per block of samples.  Its covariances are Gram matrices Q = s g g†,
+PSD by construction, and each block is rated from the factors g in one
+array pass (`_sampled_rates`), forming no m x m matrix.  It needs only the
+channel, the seed and the sample count, so the CLI runs it on a second
+thread while the boundary is solved.  The second, the report of
+`domination_oracle`, finds each pair's escape distance from the curve
+(`escape_distances`): one `searchsorted` of r1 - r2 into the curve's
+c1 - c2, widened by a rounding bound, brackets the staircase point, and a
+bisection inside the bracket settles it exactly, without comparing the pair
+with every curve point.
 """
 
 from __future__ import annotations
@@ -84,6 +89,12 @@ ORACLE_TOL = 1e-6
 # to a few MB.
 _SIEVE_STRIDE = 8
 _SIEVE_ROWS = 64
+# The escape search brackets each pair's staircase index by comparing
+# d = c1 - c2 with r1 - r2, widened by this fraction of the largest modulus
+# of the pairs and the curve, which bounds the rounding of that comparison
+# (`escape_distances`); it takes this many pairs per array pass.
+_ESCAPE_WIDEN = 2.0 ** -49
+_ESCAPE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -521,11 +532,12 @@ def _check_traces(tr: np.ndarray, ch: ChannelSet) -> None:
 
 
 def _oracle_block(m: int) -> int:
-    """Oracle samples per array pass at m antennas: 2^15 / m^2, rounded down.
+    """Oracle samples drawn and rated per array pass at m antennas: 2^13 / m^2.
 
-    A sample draws 4 m^2 normals, so each block's draws take 1 MB at any m.
+    A sample draws 4 m^2 normals, so each block's draws take 256 KB at any
+    m (rounded down), which keeps a block's passes in cache.
     """
-    return max(1, (1 << 15) // (m * m))
+    return max(1, (1 << 13) // (m * m))
 
 
 def _sampled_rates(rng: np.random.Generator, ch: ChannelSet,
@@ -569,19 +581,35 @@ def escape_distances(r1: np.ndarray, r2: np.ndarray, c1: np.ndarray,
     """min over k of max(r1 - c1[k], r2 - c2[k]) for each pair (r1, r2).
 
     c1 must be nondecreasing and c2 nonincreasing, as a curve's shifted
-    rates are.  Then r1 - c1[k] falls and r2 - c2[k] rises with k, so the
-    maximum is smallest at the first k where the second term reaches the
-    first, or at the k before it.  A vectorised bisection finds that k for
-    every pair at once; the two candidates are evaluated with the same
-    subtractions as the full (pairs x curve) minimum, so the result is equal
-    to it exactly.
+    rates are, and every value finite.  Then r1 - c1[k] falls and
+    r2 - c2[k] rises with k (rounding is monotone), so the maximum is
+    smallest at the first k where the second term reaches the first, or at
+    the k before it.  That test, r2 - c2[k] >= r1 - c1[k], is
+    d[k] >= r1 - r2 with d = c1 - c2 (nondecreasing too), up to rounding.
+    Let R be the largest |r1| or |r2|, C the largest |c1| or |c2|, and
+    u = 2^-53.  The test's two subtractions each err by at most u (R + C),
+    d[k] by 2 u C, r1 - r2 by 2 u R, and each bound r1 - r2 -+ w by
+    u (2 R + w): 6 u (R + C) + u w in all, less than
+    w = `_ESCAPE_WIDEN` (R + C), which is 16 u (R + C).  So every k whose
+    d[k] lies below the lower bound fails the test, and every k whose d[k]
+    reaches the upper bound passes it.  One `searchsorted` of both bounds
+    into d, with the pairs in order of r1 - r2 so that the keys ascend,
+    brackets the first k that passes, and a vectorised bisection of the
+    exact test inside the bracket (almost always empty) finds it.  The two
+    candidates are evaluated with the same subtractions as the full
+    (pairs x curve) minimum, so the result is equal to it exactly.
     """
     n = c1.size
     if n == 0:
         raise ValueError("empty curve")
-    lo = np.zeros(r1.shape, dtype=np.intp)
-    hi = np.full(r1.shape, n, dtype=np.intp)
-    for _ in range(n.bit_length()):
+    r = r1 - r2
+    w = _ESCAPE_WIDEN * (max(np.abs(r1).max(initial=0.0), np.abs(r2).max(initial=0.0))
+                         + max(np.abs(c1).max(), np.abs(c2).max()))
+    order = np.argsort(r)
+    bracket = np.empty((2, r.size), dtype=np.intp)
+    bracket[:, order] = np.searchsorted(c1 - c2, r[order] + [[-w], [w]])
+    lo, hi = bracket
+    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
         mid = (lo + hi) // 2
         at = np.minimum(mid, n - 1)
         reached = (mid < hi) & (r2 - c2[at] >= r1 - c1[at])
@@ -596,38 +624,60 @@ def escape_distances(r1: np.ndarray, r2: np.ndarray, c1: np.ndarray,
                       np.where(lo > 0, distance(lo - 1), np.inf))
 
 
-def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
-                      seed: int, tolerance: float = ORACLE_TOL) -> OracleReport:
-    """Check random achievable rate pairs against a computed curve.
-
-    Draws random PSD covariance pairs (Gram matrices scaled to a uniform
-    fraction of the power budgets), computes their rate pair, and measures
-    how far each escapes the curve after allowing per-axis grid slack.  The
-    violation of a sample is min over curve points of
-    max(r1 - c1 - slack1, r2 - c2 - slack2); a positive value beyond
-    `tolerance` counts as a violation.
+def oracle_samples(ch: ChannelSet, samples: int, seed: int) -> np.ndarray:
+    """The domination oracle's sampled rate pairs, as (r1, r2) rows of one array.
 
     The draws come from one generator in a fixed order: first every uniform
     fraction, as one (samples, 2) array, then the normals, one
-    (n, 2, 2, m, m) array per block of `_oracle_block(m)` samples.  A generator
-    fills an array element by element from one stream, so the report does
-    not depend on the block size.  Each block is one array pass:
-    `_sampled_rates` rates and checks every pair from its Gram factors, and
-    `escape_distances` bisects along the curve's staircase.
+    (n, 2, 2, m, m) array per block of `_oracle_block(m)` samples.  A
+    generator fills an array element by element from one stream, so the
+    rates do not depend on the block size.  `_sampled_rates` rates and
+    checks each block's pairs from their Gram factors, and its rates
+    overwrite the block's fractions, so no second (samples, 2) array is
+    made.  The result depends only on the channel, the sample count and the
+    seed.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
+    rates = rng.random((samples, 2))
+    block = _oracle_block(ch.m)
+    for start in range(0, samples, block):
+        part = rates[start:start + block]
+        part[:, 0], part[:, 1] = _sampled_rates(rng, ch, part)
+    return rates
+
+
+def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
+                      seed: int, tolerance: float = ORACLE_TOL,
+                      rates: np.ndarray | None = None) -> OracleReport:
+    """Check random achievable rate pairs against a computed curve.
+
+    Draws random PSD covariance pairs (Gram matrices scaled to a uniform
+    fraction of the power budgets) and computes their rate pairs
+    (`oracle_samples`), then measures how far each escapes the curve after
+    allowing per-axis grid slack.  The violation of a sample is min over
+    curve points of max(r1 - c1 - slack1, r2 - c2 - slack2); a positive
+    value beyond `tolerance` counts as a violation.  `escape_distances`
+    finds each one from a bracket along the curve's staircase,
+    `_ESCAPE_BLOCK` samples per array pass.
+
+    `rates`, when given, must be `oracle_samples(ch, samples, seed)`, drawn
+    beforehand (the CLI draws it on a second thread while the boundary is
+    solved); the report is the same as without it.
+    """
+    if rates is None:
+        rates = oracle_samples(ch, samples, seed)
+    elif rates.shape != (samples, 2):
+        raise ValueError(f"rates must have shape ({samples}, 2), got {rates.shape}")
     slack1, slack2 = grid_slack(curve)
     c1 = curve.r1 + slack1
     c2 = curve.r2 + slack2
 
-    fracs = rng.random((samples, 2))
     max_violation = -np.inf
     violations = 0
-    block = _oracle_block(ch.m)
-    for start in range(0, samples, block):
-        r1, r2 = _sampled_rates(rng, ch, fracs[start:start + block])
+    for start in range(0, samples, _ESCAPE_BLOCK):
+        r1, r2 = rates[start:start + _ESCAPE_BLOCK].T
         viol = escape_distances(r1, r2, c1, c2)
         max_violation = max(max_violation, float(viol.max()))
         violations += int(np.count_nonzero(viol > tolerance))

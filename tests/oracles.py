@@ -13,10 +13,12 @@ kernels (`optimal_weights_reference`, `sweep_rate_point`,
 package formats only neighbours that can tie, `joined_csv_reference` joins
 every field's text where the package formats whole rows at once,
 `maximal_cells_reference` rates and sorts the whole grid where the package
-prunes it by blocks, and `dual_certificate_reference` maximizes the dual
-numerically where the package uses its closed form.  `jacobi_eigh`, a cyclic
-Jacobi eigensolver on plain Python scalars, is the independent check of the
-package's LAPACK eigen-solves; `low_z_condition_bound`, `self_leakage` and
+prunes it by blocks, `dual_certificate_reference` maximizes the dual
+numerically where the package uses its closed form, and
+`escape_distances_bisection` bisects the whole curve where the package
+bisects only a bracket.  `jacobi_eigh`, a cyclic Jacobi eigensolver on
+plain Python scalars, is the independent check of the package's LAPACK
+eigen-solves; `low_z_condition_bound`, `self_leakage` and
 `residual_noise_variance` are closed forms that only the tests evaluate.
 """
 
@@ -712,6 +714,33 @@ def sampled_rates_reference(ch, samples, seed):
 def escape_distances_reference(r1, r2, c1, c2):
     """min over every curve point of max(r1 - c1, r2 - c2), by brute force."""
     return np.maximum(r1[:, None] - c1[None, :], r2[:, None] - c2[None, :]).min(axis=1)
+
+
+def escape_distances_bisection(r1, r2, c1, c2):
+    """`pareto.escape_distances` as a bisection over the whole curve for every pair.
+
+    Finds, per pair, the first k with r2 - c2[k] >= r1 - c1[k] by bisecting
+    all of range(len(c1)), where the package first brackets that k by
+    comparing c1 - c2 with r1 - r2, and evaluates the same two candidates.
+    """
+    n = c1.size
+    if n == 0:
+        raise ValueError("empty curve")
+    lo = np.zeros(r1.shape, dtype=np.intp)
+    hi = np.full(r1.shape, n, dtype=np.intp)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        at = np.minimum(mid, n - 1)
+        reached = (mid < hi) & (r2 - c2[at] >= r1 - c1[at])
+        hi = np.where(reached, mid, hi)
+        lo = np.where(reached | (mid >= hi), lo, mid + 1)
+
+    def distance(k):
+        k = np.clip(k, 0, n - 1)
+        return np.maximum(r1 - c1[k], r2 - c2[k])
+
+    return np.minimum(np.where(lo < n, distance(lo), np.inf),
+                      np.where(lo > 0, distance(lo - 1), np.inf))
 
 
 def domination_oracle_reference(ch, curve, samples, seed, tolerance=ORACLE_TOL):

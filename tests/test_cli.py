@@ -1,8 +1,10 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import tempfile
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,17 +16,19 @@ from hypothesis import strategies as st
 
 from fdpareto.certify import GAP_TOL_ENDPOINT, GAP_TOL_INTERIOR, certify_curve
 from fdpareto.channel import ScenarioSpec, generate_scenario
-from fdpareto import beamform
+from fdpareto import beamform, cli, pareto
 from fdpareto.cli import (
     RunConfig,
     _certificate_records,
     _float_tokens,
+    _json_text,
     _splice,
     build_parser,
     main,
     preset_config,
 )
-from fdpareto.pareto import curve_from_csv, curve_to_csv, node_problem
+from fdpareto.pareto import (SweepGrid, boundary, curve_from_csv, curve_to_csv,
+                             domination_oracle, node_problem)
 from oracles import certificate_records_reference
 
 
@@ -79,6 +83,18 @@ class TestBoundaryCommand:
         assert names == {"boundary_gamma20.csv", "boundary_gamma40.csv",
                          "boundary_gamma60.csv", "ideal.csv", "tdma.csv",
                          "metadata.json"}
+
+    def test_preset_with_oracle_exits_1(self, tmp_path, capsys):
+        # a preset sweeps three channels and runs no oracle: asking for its
+        # report is an input error, not a run that silently skips it
+        cfg = write_config(tmp_path, emit=["oracle"])
+        out = tmp_path / "out"
+        assert main(["boundary", "--config", str(cfg), "--preset", "fig4",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            'fdpareto: error: a --preset run writes no oracle.json: '
+            'remove "oracle" from emit\n')
+        assert list(out.iterdir()) == []
 
     def test_oracle_emit(self, tmp_path):
         cfg = write_config(tmp_path, emit=["boundary", "tdma", "oracle"],
@@ -561,3 +577,103 @@ def test_preset_config_shape():
     assert cfg.scenario.beta_db == -60.0
     assert cfg.scenario.m == 3
     assert cfg.scenario.symmetric
+
+
+def _failing_sampled_rates(call):
+    """`pareto._sampled_rates`, but raising a ValueError on its call-th call."""
+    calls = itertools.count(1)
+    sampled_rates = pareto._sampled_rates
+
+    def failing(rng, ch, u):
+        if next(calls) == call:
+            raise ValueError(f"sampling failed on block {call}")
+        return sampled_rates(rng, ch, u)
+
+    return failing
+
+
+class TestOracleSamplingThread:
+    # m = 8 rates 128 samples per block, so 300 samples take three blocks
+    SCENARIO = _scenario_with(m=8, gamma_db=30.0)
+
+    def argv(self, tmp_path, **overrides):
+        cfg = write_config(tmp_path, scenario=self.SCENARIO, grid_n=12, samples=300,
+                           emit=["oracle"], **overrides)
+        return ["boundary", "--config", str(cfg), "--out", str(tmp_path / "out")]
+
+    def test_sampling_error_is_reported_as_the_sequential_oracle_reports_it(
+            self, tmp_path, capsys, monkeypatch):
+        ch = generate_scenario(ScenarioSpec.from_dict(self.SCENARIO))
+        curve = boundary(ch, SweepGrid.for_channel(ch, 12))
+        monkeypatch.setattr(pareto, "_sampled_rates", _failing_sampled_rates(2))
+        with pytest.raises(ValueError) as sequential:
+            domination_oracle(ch, curve, samples=300, seed=7)
+
+        monkeypatch.setattr(pareto, "_sampled_rates", _failing_sampled_rates(2))
+        threads = threading.active_count()
+        assert main(self.argv(tmp_path)) == 1
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == f"fdpareto: error: {sequential.value}\n"
+        assert list((tmp_path / "out").iterdir()) == []  # nothing written
+
+    @pytest.mark.parametrize("error", [ValueError, RuntimeError])
+    def test_a_boundary_error_wins_over_a_sampling_error(self, tmp_path, capsys,
+                                                         monkeypatch, error):
+        def failing_boundary(ch, grid):
+            raise error("boundary failed")
+
+        monkeypatch.setattr(pareto, "_sampled_rates", _failing_sampled_rates(1))
+        monkeypatch.setattr(cli, "boundary", failing_boundary)
+        threads = threading.active_count()
+        if error is ValueError:
+            assert main(self.argv(tmp_path)) == 1
+            assert capsys.readouterr().err == "fdpareto: error: boundary failed\n"
+        else:  # not an input error: it leaves main as it came
+            with pytest.raises(RuntimeError, match="boundary failed"):
+                main(self.argv(tmp_path))
+        assert threading.active_count() == threads
+
+    def test_only_a_boundary_run_with_the_oracle_starts_a_thread(self, tmp_path,
+                                                                 monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (started.append(thread.name), start(thread))[1])
+        cfg = str(write_config(tmp_path, grid_n=8))
+        for argv in (["boundary", "--config", cfg], ["boundary", "--preset", "fig6"],
+                     ["compare-zf", "--config", cfg], ["certify", "--config", cfg]):
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert started == []
+        assert main(self.argv(tmp_path)) == 0
+        assert started == ["fdpareto-oracle_samples"]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(scenario=_scenarios, grid_n=_grid_n, extra=st.integers(1, 200))
+def test_cli_oracle_report_equals_domination_oracle(m, scenario, grid_n, extra):
+    # the samples drawn on the worker thread span three blocks or more, and
+    # the report equals the one-thread oracle's byte for byte
+    scenario = {**scenario, "m": m}
+    samples = 2 * pareto._oracle_block(m) + extra
+    ch = generate_scenario(ScenarioSpec.from_dict(scenario))
+    try:
+        curve = boundary(ch, SweepGrid.for_channel(ch, grid_n))
+        expected = _json_text(domination_oracle(ch, curve, samples=samples,
+                                                seed=scenario["seed"]).to_dict())
+    except ValueError as exc:
+        expected = exc
+    threads = threading.active_count()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps({"scenario": scenario, "grid_n": grid_n,
+                                   "samples": samples, "emit": ["oracle"]}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["boundary", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+        if isinstance(expected, ValueError):
+            assert (code, err.getvalue()) == (1, f"fdpareto: error: {expected}\n")
+        else:
+            assert code == 0
+            assert (Path(tmp) / "out" / "oracle.json").read_text() == expected
+    assert threading.active_count() == threads

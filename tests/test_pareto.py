@@ -35,6 +35,7 @@ from oracles import (
     curve_to_csv_reference,
     domination_oracle_reference,
     equal_rate_point_reference,
+    escape_distances_bisection,
     escape_distances_reference,
     joined_csv_reference,
     maximal_cells_reference,
@@ -821,6 +822,18 @@ class TestDominationOracle:
         report = domination_oracle(ch, curve, samples=5, seed=0)
         assert report.max_violation <= report.tolerance
 
+    def test_rates_drawn_beforehand_give_the_same_report(self):
+        ch = scenario(gamma_db=20.0, beta_db=-40.0)
+        curve = boundary(ch, SweepGrid.for_channel(ch, 41))
+        rates = pareto.oracle_samples(ch, 300, 4)
+        assert rates.shape == (300, 2)
+        report = domination_oracle(ch, curve, samples=300, seed=4, rates=rates)
+        assert report == domination_oracle(ch, curve, samples=300, seed=4)
+        with pytest.raises(ValueError, match=r"rates must have shape \(299, 2\)"):
+            domination_oracle(ch, curve, samples=299, seed=4, rates=rates)
+        with pytest.raises(ValueError, match="need at least one sample"):
+            pareto.oracle_samples(ch, 0, 4)
+
     def test_detects_escapes(self):
         # a deliberately wrong (shrunken) curve must be caught
         ch = scenario(gamma_db=20.0, beta_db=-40.0)
@@ -986,6 +999,48 @@ def test_escape_bisection_equals_brute_force(curve, pairs, slack):
     r2 = np.concatenate([r2, c2, c2])
     assert escape_distances(r1, r2, c1, c2).tolist() == \
         escape_distances_reference(r1, r2, c1, c2).tolist()
+
+
+_coordinate = st.one_of(st.floats(-5.0, 5.0),
+                        st.sampled_from((0.0, 1.0, 1.0 + 2.0 ** -52, 2.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(curve=st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=40),
+       pairs=st.lists(st.tuples(_coordinate, _coordinate), max_size=40),
+       slack=st.sampled_from((0.0, 1e-3, 1.0, 1e6)),
+       scale=st.sampled_from((1e-300, 1e-12, 1.0, 1e12, 1e290)),
+       shift=st.floats(-1e-3, 1e-3))
+def test_escape_bracket_equals_whole_curve_bisection(curve, pairs, slack, scale, shift):
+    # the bracketed search returns the whole-curve bisection's distances bit
+    # for bit: on the curve, at its points' float neighbours, at its corners,
+    # shifted along the diagonal (where r1 - r2 meets c1 - c2 up to
+    # rounding), between repeated c1 values and at subnormal scales
+    c1, c2 = _staircase(*zip(*curve))
+    c1, c2 = scale * (c1 + slack), scale * (c2 + slack)
+    free1, free2 = (scale * np.array(pairs, dtype=float).reshape(-1, 2)).T
+    up1, down1 = np.nextafter(c1, np.inf), np.nextafter(c1, -np.inf)
+    up2, down2 = np.nextafter(c2, np.inf), np.nextafter(c2, -np.inf)
+    step = scale * shift
+    r1 = np.concatenate([free1, c1, up1, down1, c1, c1, up1, down1, c1[1:], c1 + step])
+    r2 = np.concatenate([free2, c2, c2, c2, up2, down2, down2, up2, c2[:-1], c2 + step])
+    got = escape_distances(r1, r2, c1, c2)
+    assert got.tobytes() == escape_distances_bisection(r1, r2, c1, c2).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0),
+       beta_db=st.floats(-80.0, 0.0), seed=st.integers(0, 2**16),
+       n_grid=st.integers(2, 300), shrink=st.sampled_from((1.0, 0.5)))
+def test_escape_bracket_on_oracle_blocks(m, gamma_db, beta_db, seed, n_grid, shrink):
+    # a whole block of the oracle's own samples against its own curve
+    ch = scenario(gamma_db=gamma_db, beta_db=beta_db, m=m, seed=seed)
+    curve = boundary(ch, SweepGrid.for_channel(ch, n_grid))
+    slack1, slack2 = grid_slack(curve)
+    c1, c2 = shrink * curve.r1 + slack1, shrink * curve.r2 + slack2
+    r1, r2 = pareto.oracle_samples(ch, pareto._oracle_block(m), seed).T
+    got = escape_distances(r1, r2, c1, c2)
+    assert got.tobytes() == escape_distances_bisection(r1, r2, c1, c2).tobytes()
 
 
 def test_escape_distances_need_a_curve():
