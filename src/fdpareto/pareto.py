@@ -532,10 +532,10 @@ def _check_traces(tr: np.ndarray, ch: ChannelSet) -> None:
 
 
 def _oracle_block(m: int) -> int:
-    """Oracle samples drawn and rated per array pass at m antennas: 2^13 / m^2.
+    """Oracle samples drawn and rated per array pass at m antennas: 2^13 / m^2, rounded down.
 
-    A sample draws 4 m^2 normals, so each block's draws take 256 KB at any
-    m (rounded down), which keeps a block's passes in cache.
+    A sample draws 4 m^2 normals, so each block's draws take 256 KB at most,
+    little enough that a block's passes run in cache.
     """
     return max(1, (1 << 13) // (m * m))
 
