@@ -25,6 +25,9 @@ stopping at its own step.  `leakage_curves` and `certify.certify_curves`
 solve several nodes' z arrays in that one call (a boundary, or a
 certificate sweep, solves both nodes' grids at once); `leakage_curve`,
 `optimal_weights` and `certify.certify_curve` are their one-node cases.
+Each distinct node is solved once: on a reciprocal link with equal budgets
+the two nodes' problems and grids are bitwise equal, and the second node
+takes the first one's results.
 """
 
 from __future__ import annotations
@@ -231,19 +234,32 @@ def _solve_curves(probs, z_arrays) -> list[tuple[np.ndarray, ...]]:
     """Clamped z, loading, weights and leakage for each z of each node, checked.
 
     probs[i] is solved at every z of z_arrays[i]; the nodes must share one
-    antenna count.  Every node's z array is clamped first (InfeasibleError
-    for the first z outside its window), then one `_solve` covers all of
-    them, node after node along its rows, and then each node's rows are
-    checked in turn.  So a failed search of a later node is raised before
-    an earlier node's failed check.  These are the package's only
-    constraint checks, written so that a NaN fails them.  An extreme budget
-    may overflow the leakage or the achieved powers to inf: that happens
+    antenna count.  Every node's z array is clamped first, in node order
+    (InfeasibleError for the first z outside its window).  A node whose
+    h_self, h_cross, clamped z and p have the bytes of an earlier node's
+    (a reciprocal link with equal budgets) is repeated: it gets the earlier
+    node's tuple, the same objects, which hold the bits its own solve would
+    give, since every row takes its own steps.  One `_solve` covers the
+    distinct nodes, node after node along its rows, and then each distinct
+    node's rows are checked in turn.  So a failed search of a later node is
+    raised before an earlier node's failed check, and a repeated node's
+    error is the earlier node's.  These are the package's only constraint
+    checks, written so that a NaN fails them.  An extreme budget may
+    overflow the leakage or the achieved powers to inf: that happens
     silently here, every finite value keeps its bits, and an inf achieved
     power fails its check like a NaN.  Returns one (z, eps, w, leakage)
     tuple per node.
     """
     zs = [_clamped_z(np.asarray(z, dtype=np.float64).reshape(-1), prob.z_max)
           for prob, z in zip(probs, z_arrays)]
+    # first[i]: the first node whose bytes equal node i's (i itself if none)
+    seen: dict[tuple[bytes, ...], int] = {}
+    first = [seen.setdefault((prob.h_self.tobytes(), prob.h_cross.tobytes(), z.tobytes(),
+                              np.float64(prob.p).tobytes()), i)
+             for i, (prob, z) in enumerate(zip(probs, zs))]
+    distinct = list(seen.values())
+    probs = [probs[i] for i in distinct]
+    zs = [zs[i] for i in distinct]
     counts = [z.size for z in zs]
     cs = [np.abs(prob.h_self) ** 2 for prob in probs]
 
@@ -255,7 +271,9 @@ def _solve_curves(probs, z_arrays) -> list[tuple[np.ndarray, ...]]:
                     rows([prob.p for prob in probs]), rows([prob.z_max for prob in probs]),
                     np.concatenate(zs))
     starts = np.cumsum(counts)[:-1]
-    return list(map(_checked, probs, cs, zs, np.split(eps, starts), np.split(w, starts)))
+    solved = dict(zip(distinct, map(_checked, probs, cs, zs, np.split(eps, starts),
+                                    np.split(w, starts))))
+    return [solved[i] for i in first]
 
 
 def _checked(prob: DecoupledProblem, c: np.ndarray, z: np.ndarray, eps: np.ndarray,
@@ -302,7 +320,9 @@ def leakage_curves(probs, z_arrays) -> list[np.ndarray]:
     probs[i] is a `DecoupledProblem` (its z is not used) and z_arrays[i] its
     delivered powers; the nodes must share one antenna count.  Each node
     gets exactly the values `leakage_curve` gives it alone; errors are
-    those of `_solve_curves`.
+    those of `_solve_curves`.  A node bitwise equal to an earlier one (in
+    h_self, h_cross, p and clamped z) is solved once and gets the earlier
+    node's array, the same object; nothing in the package writes into it.
     """
     return [leakage for *_, leakage in _solve_curves(probs, z_arrays)]
 

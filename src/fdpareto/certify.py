@@ -244,11 +244,19 @@ def certify_curves(probs, z_arrays) -> list[CertificateCurve]:
     probs[i] is a `DecoupledProblem` (its z is not used) and z_arrays[i] its
     delivered powers; the nodes must share one antenna count.  Each node
     gets exactly the curve `certify_curve` gives it alone.  The solve's
-    errors come first, as `_solve_curves` raises them; then each node's
-    certificates are checked in turn.
+    errors come first, as `_solve_curves` raises them; then each distinct
+    node's certificates are checked in turn.  A node that `_solve_curves`
+    finds bitwise equal to an earlier one is certified once: it gets the
+    earlier node's `CertificateCurve`, the same object.
     """
-    return [_certify(np.abs(prob.h_self) ** 2, prob.h_cross, prob.p, z, eps, w)
-            for prob, (z, eps, w, _) in zip(probs, _solve_curves(probs, z_arrays))]
+    solved = _solve_curves(probs, z_arrays)
+    curves: dict[int, CertificateCurve] = {}  # by id of a solved tuple, all alive in `solved`
+    for prob, node in zip(probs, solved):
+        if id(node) not in curves:
+            z, eps, w, _ = node
+            curves[id(node)] = _certify(np.abs(prob.h_self) ** 2, prob.h_cross, prob.p,
+                                        z, eps, w)
+    return [curves[id(node)] for node in solved]
 
 
 def certify_curve(h_self, h_cross, p: float, zs) -> CertificateCurve:

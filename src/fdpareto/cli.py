@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, numlin
-from .beamform import DecoupledProblem, covariance_of, optimal_weights, zf_weights
+from .beamform import DecoupledProblem, _solve_curves, covariance_of, zf_weights
 from .certify import (
     GAP_TOL_ENDPOINT,
     GAP_TOL_INTERIOR,
@@ -257,15 +257,14 @@ def cmd_compare_zf(config: RunConfig, out_dir: Path) -> int:
         gap2 = float(interpolated_r2(curve, zf_pt.r1)) - zf_pt.r2
         doc["zf_point"] = {"r1": zf_pt.r1, "r2": zf_pt.r2}
         doc["rate_gap"] = [gap1, gap2]
-        geometry = {}
-        for node, w_zf in ((1, w1), (2, w2)):
-            z_eq = eq.z1 if node == 1 else eq.z2
-            entry = {"zf": _projection_report(ch, node, w_zf)}
-            if z_eq is not None:
-                w_opt = optimal_weights(node_problem(ch, node, z_eq)).w
-                entry["optimal"] = _projection_report(ch, node, w_opt)
-            geometry[f"node{node}"] = entry
-        doc["geometry"] = geometry
+        # both optimal beams at the equal-rate point, in one solve: a boundary
+        # point always has both z coordinates
+        beams = _solve_curves((node_problem(ch, 1, 0.0), node_problem(ch, 2, 0.0)),
+                              ([eq.z1], [eq.z2]))
+        doc["geometry"] = {
+            f"node{node}": {"zf": _projection_report(ch, node, w_zf),
+                            "optimal": _projection_report(ch, node, w_opt[0])}
+            for node, w_zf, (_, _, w_opt, _) in zip((1, 2), (w1, w2), beams)}
     doc["metadata"] = _metadata(config, None, {})
     (out_dir / "zf_comparison.json").write_text(_json_text(doc))
     return 0
@@ -388,11 +387,17 @@ def _splice(text: str, placeholder: str, rendered: str) -> str:
 
 
 def cmd_certify(config: RunConfig, out_dir: Path) -> int:
-    """Certificate sweep over the z grid for both nodes; exit 2 on any gap."""
+    """Certificate sweep over the z grid for both nodes; exit 2 on any gap.
+
+    A node that `certify_curves` gives an earlier node's curve (a reciprocal
+    link with equal budgets) on the same grid takes that node's rendered
+    records and rank demonstration too: each is made once per distinct curve.
+    """
     ch = generate_scenario(config.scenario)
     grid = SweepGrid.for_channel(ch, config.grid_n)
     nodes: dict[str, dict] = {}
     records: dict[str, str] = {}
+    rendered: dict[tuple[int, bytes], tuple[str, dict]] = {}  # curves alive in the loop
     max_rel = {"interior": 0.0, "endpoint": 0.0}
     max_kkt = 0.0
     failed = False
@@ -412,14 +417,15 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
             curve.primal_target_residual, curve.power_excess,
             -np.minimum(0.0, curve.q_min_eigenvalue), -np.minimum(0.0, curve.slack_margin),
             curve.complementarity_residual])))
+        shared = (id(curve), zs.tobytes())
+        if shared not in rendered:
+            demo = len(zs) // 2
+            rendered[shared] = (_certificate_records(curve, zs, endpoint, rel, tol, ok),
+                                _rank_demo(prob, curve.w[demo], float(zs[demo]),
+                                           seed=config.scenario.seed))
         key = f"node{node}"
-        records[key] = _certificate_records(curve, zs, endpoint, rel, tol, ok)
-        demo = len(zs) // 2
-        nodes[key] = {
-            "certificates": _RECORDS_PLACEHOLDER % key,
-            "rank_demo": _rank_demo(prob, curve.w[demo], float(zs[demo]),
-                                    seed=config.scenario.seed),
-        }
+        records[key], rank_demo = rendered[shared]
+        nodes[key] = {"certificates": _RECORDS_PLACEHOLDER % key, "rank_demo": rank_demo}
     doc = {
         "nodes": nodes,
         "summary": {

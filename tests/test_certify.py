@@ -1,12 +1,14 @@
 from dataclasses import fields, replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdpareto import numlin
+from fdpareto import beamform, numlin
+from fdpareto import certify as certify_mod
 from fdpareto.beamform import (
     DecoupledProblem,
     covariance_of,
@@ -245,6 +247,78 @@ def test_certify_curves_equal_one_node_curves(m, gamma_db, beta_db, p1, p2, symm
         assert got.w.shape == (zs.size, m)
         for f in fields(CertificateCurve):
             assert _bits(getattr(got, f.name)) == _bits(getattr(want, f.name)), f.name
+
+
+def _twin_nodes(prob, grid, change, k, imag, up):
+    """Two nodes made from prob, each with its z array: bitwise equal, or apart as `change` names.
+
+    The first node's z array is grid(z_max).  "h_self", "h_cross" and "p"
+    move one float by one ulp (entry k of a channel, in its imaginary or
+    real part); "z" moves z[k] one ulp inward; "signed_zero" zeroes one
+    part of h_self[k] and h_cross[k] and flips the twin's to -0.0; "z_sign"
+    makes the twin's z[0] = 0.0 a -0.0, which clamping maps back to 0.0.
+    """
+    h_self, h_cross, p = prob.h_self.copy(), prob.h_cross.copy(), prob.p
+    toward = np.inf if up else -np.inf
+
+    def nudged(v, sign=None):
+        parts = [v.real, v.imag]
+        parts[imag] = np.nextafter(parts[imag], toward) if sign is None else sign * 0.0
+        return complex(*parts)
+
+    if change == "signed_zero":
+        h_self[k], h_cross[k] = nudged(h_self[k], 1.0), nudged(h_cross[k], 1.0)
+    first = DecoupledProblem(h_self, h_cross, p, 0.0)
+    zs = grid(first.z_max)
+    twin_self, twin_cross, twin_zs = h_self.copy(), h_cross.copy(), zs.copy()
+    if change == "h_self":
+        twin_self[k] = nudged(h_self[k])
+    elif change == "h_cross":
+        twin_cross[k] = nudged(h_cross[k])
+    elif change == "signed_zero":
+        twin_self[k], twin_cross[k] = nudged(h_self[k], -1.0), nudged(h_cross[k], -1.0)
+    elif change == "p":
+        p = float(np.nextafter(p, toward))
+    elif change == "z":
+        j = k % zs.size
+        twin_zs[j] = np.nextafter(zs[j], 0.0) if zs[j] > 0.0 else 5e-324
+    elif change == "z_sign":
+        twin_zs[0] = -0.0
+    return (first, DecoupledProblem(twin_self, twin_cross, p, 0.0)), (zs, twin_zs)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(**_north_star, zero_self=st.integers(0, 8), n=st.integers(2, 40),
+       fracs=st.lists(st.floats(0.0, 1.0), max_size=4),
+       change=st.sampled_from(["none", "z_sign", "h_self", "h_cross", "p", "z",
+                               "signed_zero"]),
+       k=st.integers(0, 7), imag=st.integers(0, 1), up=st.booleans())
+def test_bitwise_equal_nodes_share_one_solve_and_certificate(
+        m, gamma_db, beta_db, p1, p2, symmetric, seed, zero_self, n, fracs, change, k, imag,
+        up):
+    # a node whose h_self, h_cross, p and clamped z have an earlier node's
+    # bytes takes that node's objects; a node one ulp or one zero's sign
+    # apart is solved and certified on its own; each is its one-node result
+    prob = _north_star_problem(m, gamma_db, beta_db, p1, p2, symmetric, seed, 1, zero_self)
+    probs, z_arrays = _twin_nodes(
+        prob, lambda z_max: np.concatenate([np.linspace(0.0, z_max, n), _edge_zs(z_max, fracs)]),
+        change, k % m, imag, up)
+    zs = z_arrays[0]
+    shared = change in ("none", "z_sign")
+    with mock.patch.object(beamform, "_solve", wraps=beamform._solve) as solve:
+        solved = beamform._solve_curves(probs, z_arrays)
+    with mock.patch.object(certify_mod, "_certify", wraps=certify_mod._certify) as cert:
+        curves = certify_curves(probs, z_arrays)
+    assert [c.args[-1].size for c in solve.call_args_list] == \
+        [zs.size * (1 if shared else 2)]
+    assert cert.call_count == (1 if shared else 2)
+    assert (solved[1] is solved[0]) == shared and (curves[1] is curves[0]) == shared
+    for node, zs_i, got, curve in zip(probs, z_arrays, solved, curves):
+        want = beamform._solve_curve(node, zs_i)
+        assert [_bits(a) for a in got] == [_bits(a) for a in want]
+        alone = certify_curve(node.h_self, node.h_cross, node.p, zs_i)
+        for f in fields(CertificateCurve):
+            assert _bits(getattr(curve, f.name)) == _bits(getattr(alone, f.name)), f.name
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import itertools
 import json
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from fdpareto.certify import GAP_TOL_ENDPOINT, GAP_TOL_INTERIOR, certify_curve
 from fdpareto.channel import ScenarioSpec, generate_scenario
+from fdpareto.errors import NumericalError
 from fdpareto import beamform, cli, pareto
 from fdpareto.cli import (
     RunConfig,
@@ -204,6 +206,60 @@ class TestCertifyCommand:
         assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 2
         doc = json.loads((out / "certificates.json").read_text())
         assert doc["summary"]["passed"] is False
+
+    def test_shared_curve_renders_as_its_copies(self, tmp_path, monkeypatch):
+        # a reciprocal link with equal budgets gives both nodes one curve,
+        # rendered once; copies of it, rendered per node, give the same bytes
+        cfg = write_config(tmp_path, grid_n=40)
+        shared, copied = tmp_path / "shared", tmp_path / "copied"
+        renders = []
+
+        def counted(fn):
+            def render(*args, **kwargs):
+                renders.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return render
+
+        for name in ("_certificate_records", "_rank_demo"):
+            monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+        assert main(["certify", "--config", str(cfg), "--out", str(shared)]) == 0
+        assert renders == ["_certificate_records", "_rank_demo"]
+        certify_curves = cli.certify_curves
+
+        def copies(*args):
+            curves = certify_curves(*args)
+            assert curves[1] is curves[0]
+            return [copy.deepcopy(curve) for curve in curves]
+
+        monkeypatch.setattr(cli, "certify_curves", copies)
+        assert main(["certify", "--config", str(cfg), "--out", str(copied)]) == 0
+        assert renders == ["_certificate_records", "_rank_demo"] * 3
+        assert read_all_bytes(shared) == read_all_bytes(copied)
+        nodes = json.loads((shared / "certificates.json").read_text())["nodes"]
+        assert nodes["node1"] == nodes["node2"]
+
+
+@pytest.mark.parametrize("command", ["boundary", "certify", "compare-zf"])
+def test_shared_node_keeps_its_solve_error(tmp_path, capsys, command):
+    # self gains near 1e300 (gamma 3000 dB) make the filter's power not
+    # finite; the one solve of both nodes raises a node's own error
+    cfg = write_config(tmp_path, scenario={"m": 3, "gamma_db": 3000.0, "beta_db": -40.0,
+                                           "symmetric": True, "seed": 7})
+    config = RunConfig.from_dict(json.loads(cfg.read_text()))
+    ch = generate_scenario(config.scenario)
+    prob = node_problem(ch, 1, 0.0)
+    with pytest.raises(NumericalError) as alone:
+        beamform.leakage_curve(prob.h_self, prob.h_cross, prob.p,
+                               SweepGrid.for_channel(ch, config.grid_n).z1_values())
+    run = {"boundary": cli.cmd_boundary, "certify": cli.cmd_certify,
+           "compare-zf": cli.cmd_compare_zf}[command]
+    with pytest.raises(NumericalError) as shared:
+        run(config, tmp_path)
+    assert type(shared.value) is type(alone.value)
+    assert str(shared.value) == str(alone.value)
+    code, _, err = _main_result([command, "--config", str(cfg), "--out", str(tmp_path)],
+                                capsys)
+    assert (code, err) == (1, f"fdpareto: error: {alone.value}\n")
 
 
 class TestValidation:
@@ -460,12 +516,44 @@ def _solve_calls(monkeypatch):
 
 @pytest.mark.parametrize("command", ["certify", "boundary"])
 def test_one_solve_per_job(tmp_path, monkeypatch, command):
-    # both nodes' z grids go through one loading solve, which the rank demo
-    # reuses, so a job runs no second bisection
+    # a reciprocal link with equal budgets has one distinct node: its z grid
+    # goes through one loading solve, which the rank demo reuses, so a job
+    # runs no second bisection and solves no row twice
     cfg = write_config(tmp_path, grid_n=30)
     calls = _solve_calls(monkeypatch)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [30]
+
+
+_DISTINCT_NODES = [{"symmetric": False, "p2": 1.0}, {"symmetric": True, "p2": 2.0},
+                   {"symmetric": False, "p2": 2.0}]
+
+
+@pytest.mark.parametrize("command", ["certify", "boundary"])
+@pytest.mark.parametrize("distinct", _DISTINCT_NODES)
+def test_one_solve_of_both_distinct_nodes(tmp_path, monkeypatch, command, distinct):
+    # an asymmetric link, or unequal budgets: both nodes' grids in one solve
+    cfg = write_config(tmp_path, grid_n=30, scenario={
+        "m": 3, "gamma_db": 40.0, "beta_db": -40.0, "p1": 1.0, "sigma2": 1.0, "seed": 7,
+        **distinct})
+    calls = _solve_calls(monkeypatch)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert calls == [60]
+
+
+@pytest.mark.parametrize("scenario", [{}, *_DISTINCT_NODES])
+def test_compare_zf_solves_the_grid_then_both_beams(tmp_path, monkeypatch, scenario):
+    # one solve of the distinct grids, then one of both nodes' beams at the
+    # equal-rate point: one row where the nodes and their z are bitwise equal
+    spec = {"m": 3, "gamma_db": 40.0, "beta_db": -40.0, "p1": 1.0, "p2": 1.0,
+            "sigma2": 1.0, "symmetric": True, "seed": 7, **scenario}
+    cfg = write_config(tmp_path, grid_n=30, scenario=spec)
+    calls = _solve_calls(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["compare-zf", "--config", str(cfg), "--out", str(out)]) == 0
+    eq = json.loads((out / "zf_comparison.json").read_text())["optimal_equal_rate"]
+    shared = spec["symmetric"] and spec["p1"] == spec["p2"]
+    assert calls == [30 if shared else 60, 1 if shared and eq["z1"] == eq["z2"] else 2]
 
 
 def _main_result(argv, capsys):
