@@ -11,9 +11,8 @@ boundary     full-duplex Pareto boundary + TDMA segment as CSV, plus run
              containment claims only) and run no oracle.
 compare-zf   zero-forcing rate pair vs the boundary, with a beamformer
              geometry report.
-certify      dual-certificate and KKT sweep over the z grid for both nodes,
-             plus one rank-reduction demonstration per node; nonzero exit
-             if any duality gap exceeds its gate.
+certify      dual-certificate and KKT sweep over the z grid for both nodes;
+             nonzero exit if any duality gap exceeds its gate.
 
 Exit codes: 0 success, 1 validation/usage error, 2 certification failure.
 All outputs are byte-deterministic for a fixed config.
@@ -31,15 +30,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, numlin
-from .beamform import DecoupledProblem, _solve_curves, covariance_of, zf_weights
+from . import __version__
+from .beamform import _solve_curves, covariance_of, zf_weights
 from .certify import (
     GAP_TOL_ENDPOINT,
     GAP_TOL_INTERIOR,
     KKT_TOL,
     CertificateCurve,
     certify_curves,
-    rank_reduce,
 )
 from .channel import ChannelSet, ScenarioSpec, generate_scenario, ideal_frontend, require_int
 from .errors import DegenerateGeometryError, NumericalError
@@ -270,40 +268,6 @@ def cmd_compare_zf(config: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _rank_demo(prob: DecoupledProblem, w: np.ndarray, z: float, seed: int) -> dict:
-    """Rank-reduce a deliberately rank-inflated feasible covariance.
-
-    w is the node's optimal beam at delivered power z; prob's z is not used.
-    """
-    q_opt = covariance_of(w)
-    slack = prob.p - float(np.trace(q_opt).real)
-    m = w.size
-    if slack <= 1e-9 or m < 2:
-        return {"skipped": "no power slack for rank inflation", "z": z}
-    rng = np.random.default_rng(seed)
-    h = prob.h_cross / np.linalg.norm(prob.h_cross)
-    proj = np.eye(m) - np.outer(h, h.conj())
-    g = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
-    junk = numlin.hermitianize(proj @ g @ g.conj().T @ proj.conj().T)
-    junk *= 0.5 * slack / float(np.trace(junk).real)
-    q0 = numlin.hermitianize(q_opt + junk)
-    a = covariance_of(prob.h_cross)
-    z0 = float(np.trace(a @ q0).real)
-    t0 = float(np.trace(q0).real)
-    trace = rank_reduce(prob, q0)
-    qf = trace.final_q
-    history = trace.to_dict()
-    return {
-        "z": z,
-        "start_rank": int(numlin.numeric_rank(q0, 1e-9)),
-        "iterations": history["iterations"],
-        "final_rank": history["final_rank"],
-        "target_residual": abs(float(np.trace(a @ qf).real) - z0),
-        "trace_residual": abs(float(np.trace(qf).real) - t0),
-        "min_eigenvalue": numlin.min_eigenvalue(qf),
-    }
-
-
 # One record of nodes.nodeN.certificates as json.dumps(indent=2, sort_keys=True)
 # writes it: keys sorted, at that list's depth, one %s per JSON token.
 _CERTIFICATE_RECORD = """\
@@ -391,20 +355,19 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
 
     A node that `certify_curves` gives an earlier node's curve (a reciprocal
     link with equal budgets) on the same grid takes that node's rendered
-    records and rank demonstration too: each is made once per distinct curve.
+    records too: they are made once per distinct curve.
     """
     ch = generate_scenario(config.scenario)
     grid = SweepGrid.for_channel(ch, config.grid_n)
     nodes: dict[str, dict] = {}
     records: dict[str, str] = {}
-    rendered: dict[tuple[int, bytes], tuple[str, dict]] = {}  # curves alive in the loop
+    rendered: dict[tuple[int, bytes], str] = {}  # curves alive in the loop
     max_rel = {"interior": 0.0, "endpoint": 0.0}
     max_kkt = 0.0
     failed = False
     probs = (node_problem(ch, 1, 0.0), node_problem(ch, 2, 0.0))
     z_arrays = (grid.z1_values(), grid.z2_values())
-    for node, prob, zs, curve in zip((1, 2), probs, z_arrays,
-                                     certify_curves(probs, z_arrays)):
+    for node, zs, curve in zip((1, 2), z_arrays, certify_curves(probs, z_arrays)):
         rel = np.abs(curve.gap) / np.maximum(1.0, curve.primal)
         endpoint = np.zeros(len(zs), dtype=bool)
         endpoint[[0, -1]] = True
@@ -419,13 +382,10 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
             curve.complementarity_residual])))
         shared = (id(curve), zs.tobytes())
         if shared not in rendered:
-            demo = len(zs) // 2
-            rendered[shared] = (_certificate_records(curve, zs, endpoint, rel, tol, ok),
-                                _rank_demo(prob, curve.w[demo], float(zs[demo]),
-                                           seed=config.scenario.seed))
+            rendered[shared] = _certificate_records(curve, zs, endpoint, rel, tol, ok)
         key = f"node{node}"
-        records[key], rank_demo = rendered[shared]
-        nodes[key] = {"certificates": _RECORDS_PLACEHOLDER % key, "rank_demo": rank_demo}
+        records[key] = rendered[shared]
+        nodes[key] = {"certificates": _RECORDS_PLACEHOLDER % key}
     doc = {
         "nodes": nodes,
         "summary": {
@@ -437,8 +397,8 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
         "metadata": _metadata(config, None, {}),
     }
     text = _json_text(doc)
-    for key, rendered in records.items():
-        text = _splice(text, _RECORDS_PLACEHOLDER % key, rendered)
+    for key, rows in records.items():
+        text = _splice(text, _RECORDS_PLACEHOLDER % key, rows)
     (out_dir / "certificates.json").write_text(text)
     return 2 if failed else 0
 

@@ -18,6 +18,7 @@ from fdpareto.beamform import (
 )
 from fdpareto.certify import (
     GAP_TOL_ENDPOINT,
+    GAP_TOL_INTERIOR,
     CertificateCurve,
     certify_curve,
     certify_curves,
@@ -216,8 +217,8 @@ def _bits(a):
 
 
 _north_star = dict(
-    m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0), beta_db=st.floats(-80.0, 0.0),
-    p1=st.floats(0.05, 20.0), p2=st.floats(0.05, 20.0), symmetric=st.booleans(),
+    m=st.integers(1, 8), gamma_db=st.floats(-60.0, 120.0), beta_db=st.floats(-80.0, 0.0),
+    p1=st.floats(0.01, 1e4), p2=st.floats(0.01, 1e4), symmetric=st.booleans(),
     seed=st.integers(0, 2**16))
 
 
@@ -325,17 +326,13 @@ def test_bitwise_equal_nodes_share_one_solve_and_certificate(
 @given(**_north_star, grid_n=st.integers(2, 60))
 def test_curve_weights_are_optimal_weights(m, gamma_db, beta_db, p1, p2, symmetric, seed,
                                            grid_n):
-    # the rank demo takes its beam from the curve's middle row in place of a
-    # second solve; every row, the grid ends included, is `optimal_weights`
+    # every row of the curve, the grid ends included, is `optimal_weights`
     ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
                                         p1=p1, p2=p2, symmetric=symmetric, seed=seed))
     grid = SweepGrid.for_channel(ch, grid_n)
     probs = (node_problem(ch, 1, 0.0), node_problem(ch, 2, 0.0))
     z_arrays = (grid.z1_values(), grid.z2_values())
     for node, zs, curve in zip((1, 2), z_arrays, certify_curves(probs, z_arrays)):
-        demo = len(zs) // 2
-        want = optimal_weights(node_problem(ch, node, float(zs[demo]))).w
-        assert _bits(curve.w[demo]) == _bits(want)
         for z, w in zip(zs.tolist(), curve.w):
             assert _bits(w) == _bits(optimal_weights(node_problem(ch, node, z)).w)
 
@@ -391,6 +388,30 @@ def test_mrt_gap_is_within_its_bound(m, gamma_db, beta_db, p1, p2, symmetric, se
     std = np.sqrt(np.sum(t * (c - np.sum(t * c)) ** 2))
     scale = max(1.0, float(curve.primal[0]))
     assert abs(float(curve.gap[0])) / scale <= 2.0**-23 * prob.p * std / scale + 1e-13
+
+
+def _zmax_corner_gap_rel():
+    """gap_rel of each record of a node whose cross channel all but misses a huge self gain."""
+    h_self, h_cross = np.array([0.0, 3e3]), np.array([1.0, 1e-4])
+    z_max = DecoupledProblem(h_self, h_cross, 1.0, 0.0).z_max
+    curve = certify_curve(h_self, h_cross, 1.0, np.linspace(0.0, z_max, 20))
+    assert curve.kkt_passed().all()
+    return np.abs(curve.gap) / np.maximum(1.0, curve.primal)
+
+
+def test_zmax_corner_interior_gaps_close():
+    assert np.all(_zmax_corner_gap_rel()[1:-1] <= GAP_TOL_INTERIOR)
+
+
+# The dual supremum is not attained at z_max, so the float lambda1 and
+# lambda2 step the dual value by about u * p * L.  Here p * std / max(1,
+# primal) is 900, std as in `test_mrt_gap_is_within_its_bound`, and the
+# z_max record reads gap_rel 3e-5.  A certificate at z_max that does not
+# rest on that supremum would pass this test.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the z_max gap of this node exceeds GAP_TOL_ENDPOINT")
+def test_zmax_corner_gap_within_endpoint_gate():
+    assert _zmax_corner_gap_rel()[-1] <= GAP_TOL_ENDPOINT
 
 
 def _certified_records(m, seed):
