@@ -215,10 +215,10 @@ def optimal_weights(prob: DecoupledProblem) -> BeamformerSolution:
 
     Returns the eps=0 solution when it satisfies the power budget (the
     low-z condition); otherwise bisects the loading until ||w||^2 = p to
-    1e-10 relative: `_solve_curve` at the one z of prob, with its checks.
+    1e-10 relative: `_solve_curves` at the one z of prob, with its checks.
     Raises NumericalError if the bracket or a constraint check fails.
     """
-    _, eps, ws, leakage = _solve_curve(prob, [prob.z])
+    _, eps, ws, leakage = _solve_curves([prob], [[prob.z]])[0]
     w = ws[0]
     return BeamformerSolution(w=w, epsilon=float(eps[0]), leakage=float(leakage[0]),
                               achieved_z=float(np.abs(np.vdot(prob.h_cross, w)) ** 2),
@@ -306,14 +306,6 @@ def _checked(prob: DecoupledProblem, c: np.ndarray, z: np.ndarray, eps: np.ndarr
     return z, eps, w, leakage
 
 
-def _solve_curve(prob: DecoupledProblem, zs) -> tuple[np.ndarray, ...]:
-    """Clamped z, loading, weights and leakage for each z of an array, checked.
-
-    `_solve_curves` of the one node.
-    """
-    return _solve_curves([prob], [zs])[0]
-
-
 def leakage_curves(probs, z_arrays) -> list[np.ndarray]:
     """Minimal self-leakage G(z) of each node over its own z array, in one solve.
 
@@ -338,7 +330,7 @@ def leakage_curve(h_self, h_cross, p: float, zs) -> np.ndarray:
     boundary.  A leakage beyond the float range is inf.
     """
     prob = DecoupledProblem(h_self=h_self, h_cross=h_cross, p=p, z=0.0)
-    return _solve_curve(prob, zs)[3]
+    return _solve_curves([prob], [zs])[0][3]
 
 
 def zf_weights(h_self, h_cross, p: float) -> np.ndarray:

@@ -107,16 +107,6 @@ class RankReductionTrace:
     iterations: list[tuple[int, float, float]] = field(default_factory=list)
     final_q: np.ndarray | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "iterations": [
-                {"rank_before": r, "sigma1": s, "objective_after": o}
-                for r, s, o in self.iterations
-            ],
-            "final_rank": int(numlin.numeric_rank(self.final_q, 1e-9))
-            if self.final_q is not None and np.any(self.final_q) else 0,
-        }
-
 
 @dataclass(frozen=True)
 class CertificateCurve:

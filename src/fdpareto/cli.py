@@ -8,7 +8,8 @@ boundary     full-duplex Pareto boundary + TDMA segment as CSV, plus run
              while the boundary is solved; presets reproduce the
              qualitative structure of the reference gamma/beta sweeps
              (random channels under a documented seed, so ordering and
-             containment claims only) and run no oracle.
+             containment claims only), write the beta = 0 curve as the
+             corner of the two single-link maxima, and run no oracle.
 compare-zf   zero-forcing rate pair vs the boundary, with a beamformer
              geometry report.
 certify      dual-certificate and KKT sweep over the z grid for both nodes;
@@ -24,7 +25,6 @@ import argparse
 import functools
 import json
 import sys
-import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -39,10 +39,11 @@ from .certify import (
     CertificateCurve,
     certify_curves,
 )
-from .channel import ChannelSet, ScenarioSpec, generate_scenario, ideal_frontend, require_int
+from .channel import ChannelSet, ScenarioSpec, generate_scenario, require_int
 from .errors import DegenerateGeometryError, NumericalError
 from .pareto import (
     ORACLE_TOL,
+    BoundaryCurve,
     SweepGrid,
     boundary,
     curve_to_csv,
@@ -54,7 +55,7 @@ from .pareto import (
     oracle_samples,
     tdma_boundary,
 )
-from .rates import rate_pair
+from .rates import RatePoint, rate_pair, single_link_max
 
 _EMIT_CHOICES = {"boundary", "tdma", "oracle"}
 
@@ -152,30 +153,17 @@ def _metadata(config: RunConfig, preset: str | None, extra: dict) -> dict:
     return meta
 
 
-class _Worker(threading.Thread):
-    """fn(*args) on a thread of its own, started at once.
+def _ideal_curve(ch: ChannelSet) -> BoundaryCurve:
+    """The link's boundary at beta = 0, which a preset writes as `ideal.csv`.
 
-    `result` joins the thread, then returns fn's value or raises its error
-    on the caller's thread.
+    With no front-end noise the rates decouple, so the region is the box
+    [0, r1_max] x [0, r2_max] of the two single-link maxima, and its one
+    Pareto point is the box's corner, at both nodes' z_max: the point that
+    `boundary` keeps from a full sweep of the link at beta = 0, bit for bit.
     """
-
-    def __init__(self, fn, *args):
-        super().__init__(name=f"fdpareto-{fn.__name__}")
-        self._call = functools.partial(fn, *args)
-        self._value = self._error = None
-        self.start()
-
-    def run(self) -> None:
-        try:
-            self._value = self._call()
-        except BaseException as exc:  # for result() to raise
-            self._error = exc
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
+    return BoundaryCurve([RatePoint(r1=single_link_max(ch, 1), r2=single_link_max(ch, 2),
+                                    z1=node_problem(ch, 1, 0.0).z_max,
+                                    z2=node_problem(ch, 2, 0.0).z_max)])
 
 
 def cmd_boundary(config: RunConfig, out_dir: Path, preset: str | None = None) -> int:
@@ -196,23 +184,22 @@ def cmd_boundary(config: RunConfig, out_dir: Path, preset: str | None = None) ->
                                            beta_db=beta_db, symmetric=True))
             curve = boundary(ch, SweepGrid.for_channel(ch, config.grid_n))
             files[f"boundary_gamma{gamma:g}.csv"] = curve_to_csv(curve)
-            if gamma == _PRESET_GAMMAS[0]:
-                files["tdma.csv"] = curve_to_csv(tdma_boundary(ch, config.grid_n))
-                ideal = boundary(ideal_frontend(ch),
-                                 SweepGrid.for_channel(ch, config.grid_n))
-                files["ideal.csv"] = curve_to_csv(ideal)
+        # gamma moves only the self channels, which neither curve reads
+        files["ideal.csv"] = curve_to_csv(_ideal_curve(ch))
+        files["tdma.csv"] = curve_to_csv(tdma_boundary(ch, config.grid_n))
     else:
+        # imported here: it imports logging, about 7.5 ms on every import of cli
+        from concurrent.futures import ThreadPoolExecutor
+
         ch = generate_scenario(config.scenario)
         seed = config.scenario.seed
-        sampling = (_Worker(oracle_samples, ch, config.samples, seed)
-                    if "oracle" in config.emit else None)
-        try:
+        # leaving the block joins the worker, also when the boundary raises
+        with ThreadPoolExecutor(1, thread_name_prefix="fdpareto-oracle_samples") as pool:
+            sampling = (pool.submit(oracle_samples, ch, config.samples, seed)
+                        if "oracle" in config.emit else None)
             curve = boundary(ch, SweepGrid.for_channel(ch, config.grid_n))
             files["boundary.csv"] = curve_to_csv(curve)
             files["tdma.csv"] = curve_to_csv(tdma_boundary(ch, config.grid_n))
-        finally:
-            if sampling is not None:
-                sampling.join()
         if sampling is not None:
             report = domination_oracle(ch, curve, samples=config.samples, seed=seed,
                                        rates=sampling.result())
@@ -225,11 +212,10 @@ def cmd_boundary(config: RunConfig, out_dir: Path, preset: str | None = None) ->
     return 0
 
 
-def _projection_report(ch: ChannelSet, node: int, w: np.ndarray) -> dict:
-    prob = node_problem(ch, node, 0.0)
+def _projection_report(h_cross: np.ndarray, h_self: np.ndarray, w: np.ndarray) -> dict:
     return {
-        "cross_projection": float(abs(np.vdot(prob.h_cross, w)) / np.linalg.norm(prob.h_cross)),
-        "self_projection": float(abs(np.vdot(prob.h_self, w)) / np.linalg.norm(prob.h_self)),
+        "cross_projection": float(abs(np.vdot(h_cross, w)) / np.linalg.norm(h_cross)),
+        "self_projection": float(abs(np.vdot(h_self, w)) / np.linalg.norm(h_self)),
         "power": float(np.linalg.norm(w)) ** 2,
     }
 
@@ -260,9 +246,10 @@ def cmd_compare_zf(config: RunConfig, out_dir: Path) -> int:
         beams = _solve_curves((node_problem(ch, 1, 0.0), node_problem(ch, 2, 0.0)),
                               ([eq.z1], [eq.z2]))
         doc["geometry"] = {
-            f"node{node}": {"zf": _projection_report(ch, node, w_zf),
-                            "optimal": _projection_report(ch, node, w_opt[0])}
-            for node, w_zf, (_, _, w_opt, _) in zip((1, 2), (w1, w2), beams)}
+            f"node{node}": {"zf": _projection_report(h_cross, h_self, w_zf),
+                            "optimal": _projection_report(h_cross, h_self, w_opt[0])}
+            for node, h_cross, h_self, w_zf, (_, _, w_opt, _) in zip(
+                (1, 2), (ch.h12, ch.h21), (ch.h11, ch.h22), (w1, w2), beams)}
     doc["metadata"] = _metadata(config, None, {})
     (out_dir / "zf_comparison.json").write_text(_json_text(doc))
     return 0
@@ -354,14 +341,17 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
     """Certificate sweep over the z grid for both nodes; exit 2 on any gap.
 
     A node that `certify_curves` gives an earlier node's curve (a reciprocal
-    link with equal budgets) on the same grid takes that node's rendered
-    records too: they are made once per distinct curve.
+    link with equal budgets) takes that node's rendered records too: they
+    are made once per distinct curve, keyed by the curve object alone.
+    `certify_curves` shares a curve only when both nodes' clamped z arrays
+    have the same bytes, and clamping a linspace(0, z_max, n) grid changes
+    no value, so a shared curve always comes with the same z grid.
     """
     ch = generate_scenario(config.scenario)
     grid = SweepGrid.for_channel(ch, config.grid_n)
     nodes: dict[str, dict] = {}
     records: dict[str, str] = {}
-    rendered: dict[tuple[int, bytes], str] = {}  # curves alive in the loop
+    rendered: dict[int, str] = {}  # by id: the curves stay alive in the loop
     max_rel = {"interior": 0.0, "endpoint": 0.0}
     max_kkt = 0.0
     failed = False
@@ -380,11 +370,10 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
             curve.primal_target_residual, curve.power_excess,
             -np.minimum(0.0, curve.q_min_eigenvalue), -np.minimum(0.0, curve.slack_margin),
             curve.complementarity_residual])))
-        shared = (id(curve), zs.tobytes())
-        if shared not in rendered:
-            rendered[shared] = _certificate_records(curve, zs, endpoint, rel, tol, ok)
+        if id(curve) not in rendered:
+            rendered[id(curve)] = _certificate_records(curve, zs, endpoint, rel, tol, ok)
         key = f"node{node}"
-        records[key] = rendered[shared]
+        records[key] = rendered[id(curve)]
         nodes[key] = {"certificates": _RECORDS_PLACEHOLDER % key}
     doc = {
         "nodes": nodes,

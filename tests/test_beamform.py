@@ -268,7 +268,7 @@ def test_stacked_solve_matches_one_node_solves(m, gamma_db, beta_db, p1, p2, sym
     probs, grids = _node_grids(ch, n, fracs)
     stacked = beamform._solve_curves(probs, grids)
     for prob, zs, got in zip(probs, grids, stacked):
-        want = beamform._solve_curve(prob, zs)
+        want = beamform._solve_curves([prob], [zs])[0]
         assert [_bits(a) for a in got] == [_bits(a) for a in want]
         ref = [min_leakage_reference(prob.h_self, prob.h_cross, prob.p, z) for z in zs]
         assert _bits(got[3]) == _bits(np.array(ref))
@@ -321,7 +321,7 @@ _SPOILED_WEIGHTS = {
     "power-boundary": (1.9, lambda w, v: w - 0.5 * np.vdot(v, w) * v,
                        "off the power boundary"),
 }
-# Both solves run the one constraint checker of `_solve_curve`.
+# Both solves run the one constraint checker of `_solve_curves`.
 _CHECKED_SOLVES = {
     "": lambda args, z: leakage_curve(zs=[0.5, z], **args),
     "optimal_weights-": lambda args, z: optimal_weights(DecoupledProblem(z=z, **args)),
@@ -414,7 +414,7 @@ class TestLeakageCurve:
         stacked = beamform._solve_curves(probs, grids)
         assert stacked[0][1].tolist() == [0.0] and stacked[1][1][1] > 0.0
         for prob, zs, got in zip(probs, grids, stacked):
-            want = beamform._solve_curve(prob, zs)
+            want = beamform._solve_curves([prob], [zs])[0]
             assert [_bits(a) for a in got] == [_bits(a) for a in want]
 
     def test_non_finite_power_raises_without_warning(self):

@@ -315,7 +315,7 @@ def test_bitwise_equal_nodes_share_one_solve_and_certificate(
     assert cert.call_count == (1 if shared else 2)
     assert (solved[1] is solved[0]) == shared and (curves[1] is curves[0]) == shared
     for node, zs_i, got, curve in zip(probs, z_arrays, solved, curves):
-        want = beamform._solve_curve(node, zs_i)
+        want = beamform._solve_curves([node], [zs_i])[0]
         assert [_bits(a) for a in got] == [_bits(a) for a in want]
         alone = certify_curve(node.h_self, node.h_cross, node.p, zs_i)
         for f in fields(CertificateCurve):

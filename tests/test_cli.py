@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdpareto.certify import GAP_TOL_ENDPOINT, GAP_TOL_INTERIOR, certify_curve
-from fdpareto.channel import ScenarioSpec, generate_scenario
+from fdpareto.channel import ScenarioSpec, generate_scenario, ideal_frontend
 from fdpareto.errors import NumericalError
 from fdpareto import beamform, cli, pareto
 from fdpareto.cli import (
@@ -85,6 +85,14 @@ class TestBoundaryCommand:
         assert names == {"boundary_gamma20.csv", "boundary_gamma40.csv",
                          "boundary_gamma60.csv", "ideal.csv", "tdma.csv",
                          "metadata.json"}
+
+    def test_preset_sweeps_only_its_three_gammas(self, tmp_path, monkeypatch):
+        # ideal.csv (beta = 0) is the closed-form corner, not a fourth sweep
+        betas = []
+        monkeypatch.setattr(cli, "boundary",
+                            lambda ch, grid: (betas.append(ch.frontend.beta), boundary(ch, grid))[1])
+        assert main(["boundary", "--preset", "fig4", "--out", str(tmp_path / "out")]) == 0
+        assert betas == [1e-4] * 3
 
     def test_preset_with_oracle_exits_1(self, tmp_path, capsys):
         # a preset sweeps three channels and runs no oracle: asking for its
@@ -417,6 +425,20 @@ _scenarios = st.fixed_dictionaries({
 _grid_n = st.integers(2, 12)
 
 
+# 600 examples over the north-star space, noise powers 1e-3 to 1e3 and grids
+# 2 to 300: the swept corner's rates and z fields are equal to the closed
+# form's bit for bit.
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(scenario=_scenarios, sigma2=st.floats(1e-3, 1e3), grid_n=st.integers(2, 300))
+def test_ideal_curve_is_the_swept_beta_zero_boundary(scenario, sigma2, grid_n):
+    ch = generate_scenario(ScenarioSpec.from_dict({**scenario, "sigma2": sigma2}))
+    swept = boundary(ideal_frontend(ch), SweepGrid.for_channel(ch, grid_n))
+    corner = cli._ideal_curve(ch)
+    assert corner.labels == swept.labels == ("optimal",)
+    for name in ("r1", "r2", "z1", "z2"):
+        assert getattr(corner, name).tobytes() == getattr(swept, name).tobytes(), name
+
+
 def _m1_scenario(gamma_db, p1):
     return {"m": 1, "gamma_db": gamma_db, "beta_db": -40.0, "p1": p1, "p2": 100.0,
             "sigma2": 1e-3, "symmetric": True, "seed": 0}
@@ -744,7 +766,7 @@ class TestOracleSamplingThread:
             assert main(argv + ["--out", str(tmp_path / "out")]) == 0
         assert started == []
         assert main(self.argv(tmp_path)) == 0
-        assert started == ["fdpareto-oracle_samples"]
+        assert started == ["fdpareto-oracle_samples_0"]
 
 
 @pytest.mark.parametrize("m", range(1, 9))
