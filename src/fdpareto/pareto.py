@@ -36,9 +36,15 @@ rounding can tie; only those are formatted for the filter.
 
 A `BoundaryCurve` holds its points as arrays.  `RatePoint`s are built only
 at the API edges (`BoundaryCurve(points=...)`, `.points` and
-`equal_rate_point`).  `curve_to_csv` writes a curve's rows in one `%`
-call: each rate is formatted once, when it is written, and each distinct z
-once.
+`equal_rate_point`).  `curve_to_csv` builds a block of rows at a time as
+arrays, with every number's "%.12g" text made by a numpy kernel
+(`_g12`): it scales each value by an exact power of ten to a 12-digit
+integer, takes the digits from a table of four-digit groups, and places
+them by a table of layouts.  Values the kernel cannot settle exactly (zeros,
+negatives, non-finite values, the ends of its range, and scaled values
+near a digit-count change or a rounding tie) are formatted by `%` instead.
+Only values whose exponent and rounding the scaled value fixes beyond
+doubt go through the tables, so no byte depends on how log10 rounds.
 
 The module also provides the half-duplex TDMA segment, the equal-rate point,
 and a random-covariance domination oracle that checks no sampled achievable
@@ -73,8 +79,6 @@ from .rates import (RatePoint, _check_rates, _power_limit, _rate, _trace_message
 CSV_HEADER = "r1,r2,z1,z2,label"
 # printf-style: the same text as format(v, ".12g"), at two thirds of its cost.
 _FMT = "%.12g"
-# One CSV row: two rates, then the z fields' and the label's text as arguments.
-_ROW = f"{_FMT},{_FMT},%s,%s,%s\n"
 # Neighbouring values further apart than this fraction of the larger
 # modulus never share their 12-significant-digit text: each rounds by at
 # most half a unit in its 12th digit, 5e-12 of its modulus, so two move
@@ -89,6 +93,9 @@ ORACLE_TOL = 1e-6
 # to a few MB.
 _SIEVE_STRIDE = 8
 _SIEVE_ROWS = 64
+# curve_to_csv renders _CSV_ROWS rows per array pass, which bounds its
+# scratch arrays to about 1 MB.
+_CSV_ROWS = 2048
 # The escape search brackets each pair's staircase index by comparing
 # d = c1 - c2 with r1 - r2, widened by this fraction of the largest modulus
 # of the pairs and the curve, which bounds the rounding of that comparison
@@ -687,30 +694,201 @@ def domination_oracle(ch: ChannelSet, curve: BoundaryCurve, samples: int,
                         violations=violations)
 
 
-def _texts(x: np.ndarray) -> list[str]:
-    """The CSV field of each value: its `.12g` text, or "" for NaN (no z).
+# The ".12g" kernel.  A text is built in three 64-bit words, its first byte
+# in the lowest; the bytes it leaves unused hold _PAD, which UTF-8 never
+# produces, and are deleted once a block of rows is joined.  Texts are at
+# most 19 bytes, so the last byte of the three words is always _PAD, and
+# the CSV turns it into the field's comma (_COMMA).
+_PAD = 0xFF
+_PAD_BYTE = bytes([_PAD])
+_PAD_WORD = np.uint64(2**64 - 1)
+_COMMA = np.uint64((_PAD ^ ord(",")) << 56)
+# x * _SCALE_UP[i] / _SCALE_DOWN[i] is x * 10**(i - 22), by one exact power
+# of ten (10**22 is the largest that a double holds exactly).
+_SCALE_UP = np.concatenate((np.ones(22), 10.0 ** np.arange(23)))
+_SCALE_DOWN = np.concatenate((10.0 ** np.arange(22, 0, -1), np.ones(23)))
+# A scaled value this close to a half may round either way after two
+# roundings (the scaling, then a x10 or /10 correction).
+_TIE_MARGIN = 5e-4
 
-    Each distinct value (by bit pattern, so -0.0 keeps its sign) is
-    formatted once; a curve's z values repeat along its grid rows and
-    columns.
+
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """For each group g of four digits, its text as a word, and its trailing zeros."""
+    digit = np.arange(10, dtype=np.uint64)
+    d0, d1, d2, d3 = (digit.reshape([10 if c == k else 1 for c in range(4)])
+                      for k in range(4))
+    text = (d0 + ord("0")) | (d1 + ord("0")) << 8 | (d2 + ord("0")) << 16 | (d3 + ord("0")) << 24
+    z0, z1, z2, z3 = (d == 0 for d in (d0, d1, d2, d3))
+    zeros = z3 * (1 + z2 * (1 + z1 * (1 + z0.astype(np.intp))))
+    return text.ravel(), zeros.ravel()
+
+
+_DIGITS4, _TRAILING4 = _digit_tables()
+
+
+def _layout_words() -> np.ndarray:
+    """The masks, fixed bytes and shift that `_g12` builds each kind of text from.
+
+    A kind of text is a decimal exponent e = 33 - i and a count tz of
+    trailing zeros among the twelve digits, as column 12 * i + tz.  Rows
+    0-1 mask the digits, as low and high words of 96 bits, that are written
+    where they stand (up to the point); rows 2-3 those that move on by row
+    7's shift, one byte (after the point) or five (after the "0." and
+    zeros that -4 <= e < 0 starts with, padded to five bytes).  Rows 4-6
+    hold the text's other bytes: the point, that prefix, the exponent, 0
+    where a digit goes and _PAD past the end.  Python's %g writes
+    -4 <= e < 12 without an exponent, strips trailing zeros and drops a
+    point that nothing follows.
     """
-    distinct, at = np.unique(x.view(np.int64), return_inverse=True)
-    texts = ["" if v != v else _FMT % v for v in distinct.view(np.float64).tolist()]
-    return [texts[k] for k in at.tolist()]
+    i, tz = np.divmod(np.arange(46 * 12), 12)
+    e, nsig = 33 - i, 12 - tz
+    small = (-4 <= e) & (e < 0)
+    fixed = (0 <= e) & (e < 12)
+    q = np.where(fixed, e, 0)  # the last digit before the point
+    keep = np.where(fixed, np.maximum(nsig, e + 1), nsig)
+    point = ~small & (keep > q + 1)
+    first = np.tri(13, 12, -1, dtype=bool)  # row n: the first n of 12 digits
+    in_place = first[np.where(small, 0, np.minimum(q + 1, keep))]
+    moved = first[keep] & ~first[np.where(small, 0, q + 1)]
+    shift = np.where(small, 5, 1)
+    text = np.full((e.size, 24), _PAD, dtype=np.uint8)
+    text[:, :12][in_place] = 0
+    text[:, 1:13][moved & ~small[:, None]] = 0
+    text[:, 5:17][moved & small[:, None]] = 0
+    at = np.flatnonzero(point)
+    text[at, q[at] + 1] = ord(".")
+    at = np.flatnonzero(small)
+    prefixes = b"".join(("0." + "0" * k).encode().ljust(5, _PAD_BYTE) for k in range(4))
+    text[at, :5] = np.frombuffer(prefixes, dtype=np.uint8).reshape(4, 5)[-1 - e[at]]
+    at = np.flatnonzero(~(small | fixed))
+    exponent = abs(e[at])
+    text[at[:, None], (keep + point)[at, None] + np.arange(4)] = np.stack(
+        (np.full_like(exponent, ord("e")), np.where(e[at] < 0, ord("-"), ord("+")),
+         ord("0") + exponent // 10, ord("0") + exponent % 10), axis=1)
+    masks = np.zeros((2, e.size, 16), dtype=np.uint8)
+    masks[0, :, :12][in_place] = _PAD
+    masks[1, :, :12][moved] = _PAD
+    return np.ascontiguousarray(np.concatenate(
+        (*masks.view("<u8"), text.view("<u8"), 8 * shift[:, None].astype(np.uint64)), axis=1).T,
+        dtype=np.uint64)
+
+
+_LAYOUT = _layout_words()
+
+
+def _g12(x: np.ndarray) -> np.ndarray:
+    """The "%.12g" text of each value of x, as (3, x.size) words padded with _PAD.
+
+    A value in [1e-11, 1e33) is scaled to y = x * 10**(11 - e) by one
+    exact power of ten, with e from log10 and at most one x10 or /10
+    correction; it then lies within 2.2e-4 of the exact scaled value, whose
+    nearest integer D holds the twelve digits.  `_DIGITS4` gives their text
+    four at a time, `_TRAILING4` the trailing zeros, and `_LAYOUT` where
+    each digit goes.  A value is formatted by `_FMT` instead when it is
+    outside that range (zeros, -0.0, negatives, NaN and infinities
+    included), when y lies within 1 of 1e11 or 1e12, or within
+    `_TIE_MARGIN` of a half.  Outside those, y's exponent and nearest
+    integer are those of the exact value whatever log10 returned, so no
+    byte depends on how it rounds.
+    """
+    ok = (x >= 1e-11) & (x < 1e33)
+    x_ok = np.where(ok, x, 1.0)
+    e = np.log10(x_ok)
+    np.floor(e, out=e)
+    np.subtract(33.0, e, out=e)
+    np.maximum(e, 1.0, out=e)
+    np.minimum(e, 44.0, out=e)
+    i = e.astype(np.intp)
+    y = x_ok * _SCALE_UP.take(i)
+    y /= _SCALE_DOWN.take(i)
+    up, down = y >= 1e12, y < 1e11
+    np.divide(y, 10.0, out=y, where=up)
+    np.multiply(y, 10.0, out=y, where=down)
+    i += down
+    i -= up
+    d = np.rint(y)
+    ok &= np.abs(y - d) < 0.5 - _TIE_MARGIN
+    ok &= np.abs(y - 5.5e11) < 4.5e11 - 1
+    # D's three groups of four digits, first group first
+    low = d.astype(np.int64)
+    high = low // 100_000_000
+    low -= high * 100_000_000
+    mid = low // 10_000
+    low -= mid * 10_000
+    tz = _TRAILING4.take(low, mode="clip")
+    ends = (tz == 4).nonzero()[0]  # a low group of zeros: count on into the next
+    tz[ends] += _TRAILING4.take(mid[ends], mode="clip")
+    ends = ends[tz[ends] == 8]
+    tz[ends] += _TRAILING4.take(high[ends], mode="clip")
+    a = _DIGITS4.take(mid, mode="clip") << 32 | _DIGITS4.take(high, mode="clip")
+    b = _DIGITS4.take(low, mode="clip")
+    i *= 12
+    i += tz
+    words = np.empty((3, x.size), dtype=np.uint64)
+    for row, word in zip(_LAYOUT[4:7], words):
+        row.take(i, out=word, mode="clip")
+    # the digits written where they stand (la, lb) and those moved on (ma, mb)
+    la, lb, ma, mb, shift = (row.take(i, mode="clip") for row in _LAYOUT[(0, 1, 2, 3, 7), ])
+    la &= a
+    lb &= b
+    ma &= a
+    mb &= b
+    spill = 64 - shift
+    words[0] |= la
+    words[0] |= ma << shift
+    words[1] |= lb
+    words[1] |= ma >> spill
+    words[1] |= mb << shift
+    words[2] |= mb >> spill
+    slow = (~ok).nonzero()[0]
+    texts = b"".join((_FMT % v).encode().ljust(24, _PAD_BYTE) for v in x[slow].tolist())
+    words[:, slow] = np.frombuffer(texts, dtype="<u8").reshape(-1, 3).T
+    return words
+
+
+def _label_words(labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct label and its newline as padded words, and each row's index.
+
+    Labels come in runs (a curve usually has one), so they are indexed
+    run by run.
+    """
+    runs = [(label, len(list(run))) for label, run in itertools.groupby(labels)]
+    index: dict[str, int] = {}
+    for label, _ in runs:
+        index.setdefault(label, len(index))
+    at = np.repeat(np.array([index[label] for label, _ in runs], dtype=np.intp),
+                   [count for _, count in runs])
+    texts = [(label + "\n").encode("utf-8", "surrogatepass") for label in index]
+    width = -(-max(map(len, texts), default=1) // 8)
+    words = np.frombuffer(b"".join(t.ljust(8 * width, _PAD_BYTE) for t in texts), dtype="<u8")
+    return words.reshape(len(texts), width).T.astype(np.uint64), at
 
 
 def curve_to_csv(curve: BoundaryCurve) -> str:
     """Render a curve as CSV with 12-significant-digit fields.
 
-    The whole body is one `%` call over a flat tuple.  Each rate is
-    formatted there (a curve's rates are finite).  Each z field's text, ""
-    for NaN, comes from `_texts`; those texts and the labels are `%s`
-    arguments, so a label may hold a "%".
+    The rows are built as arrays of `_g12` words, `_CSV_ROWS` at a time:
+    a block's four number columns in one `_g12` call (a NaN z is written
+    as ""), then the labels, gathered from their distinct texts
+    (`_label_words`).  The padding is deleted from each block's bytes, so
+    the text is exactly that of formatting every number with "%.12g" and
+    joining the fields with commas; a label is written as it is.
     """
-    fields = zip(curve.r1.tolist(), curve.r2.tolist(), _texts(curve.z1),
-                 _texts(curve.z2), curve.labels)
-    return (CSV_HEADER + "\n"
-            + _ROW * len(curve) % tuple(itertools.chain.from_iterable(fields)))
+    labels, at = _label_words(curve.labels)
+    blocks = [(CSV_HEADER + "\n").encode()]
+    for start in range(0, len(curve), _CSV_ROWS):
+        rows = slice(start, start + _CSV_ROWS)
+        values = np.concatenate((curve.r1[rows], curve.r2[rows], curve.z1[rows], curve.z2[rows]))
+        n = values.size // 4
+        no_z = np.isnan(values[2 * n:])
+        values[2 * n:][no_z] = 2.0  # any value that `_g12` does not format by `_FMT`
+        fields = _g12(values)
+        fields[:, 2 * n:][:, no_z] = _PAD_WORD
+        words = np.concatenate((fields.reshape(3, 4, n).swapaxes(0, 1).reshape(12, n),
+                                labels.take(at[rows], axis=1)))
+        words[2:12:3] ^= _COMMA
+        blocks.append(words.T.astype("<u8", copy=False).tobytes().translate(None, _PAD_BYTE))
+    return b"".join(blocks).decode("utf-8", "surrogatepass")
 
 
 def curve_from_csv(text: str) -> BoundaryCurve:

@@ -69,6 +69,42 @@ MUTANTS = (
            "                                    z2=node_problem(ch, 2, 0.0).z_max)",
            "z1=0.0, z2=0.0)",
            ("tests/test_cli.py", "tests/test_golden.py")),
+    Mutant("g12-tie-margin-zero", "pareto.py",
+           "_TIE_MARGIN = 5e-4",
+           "_TIE_MARGIN = 0.0",
+           ("tests/test_pareto.py",)),
+    Mutant("g12-seam-guard-dropped", "pareto.py",
+           "    ok &= np.abs(y - 5.5e11) < 4.5e11 - 1\n",
+           "",
+           ("tests/test_pareto.py",)),
+    Mutant("g12-zeros-in-kernel", "pareto.py",
+           "ok = (x >= 1e-11) & (x < 1e33)",
+           "ok = (x >= -0.0) & (x < 1e33)",
+           ("tests/test_pareto.py",)),
+    Mutant("csv-block-one-row-long", "pareto.py",
+           "rows = slice(start, start + _CSV_ROWS)",
+           "rows = slice(start, start + _CSV_ROWS + 1)",
+           ("tests/test_pareto.py",)),
+    Mutant("pareto-indices-r1-only-key", "pareto.py",
+           "order = np.lexsort((-r2, -r1))",
+           "order = np.argsort(-r1, kind=\"stable\")",
+           ("tests/test_pareto.py",)),
+    Mutant("block-inner-corner", "pareto.py",
+           "live = ~dominated(sub1[:-1, 1:], sub2[1:, :-1])",
+           "live = ~dominated(sub1[:-1, :-1], sub2[1:, :-1])",
+           ("tests/test_pareto.py",)),
+    Mutant("valid-curve-check-dropped", "pareto.py",
+           "            and all(map(_is_valid_curve, (z1s, z2s, leak1, leak2)))\n",
+           "",
+           ("tests/test_pareto.py",)),
+    Mutant("low-z-test-ge", "beamform.py",
+           "loaded = _power_at(c, habs2, z, load) > p",
+           "loaded = _power_at(c, habs2, z, load) >= p",
+           ("tests/test_beamform.py",)),
+    Mutant("bisection-without-freeze", "beamform.py",
+           "hi = np.where(active ^ up, mid, hi)",
+           "hi = np.where(~up, mid, hi)",
+           ("tests/test_beamform.py",)),
 )
 
 

@@ -12,6 +12,8 @@ kernels (`optimal_weights_reference`, `sweep_rate_point`,
 `written_maxima_reference` formats and reads back every rate where the
 package formats only neighbours that can tie, `joined_csv_reference` joins
 every field's text where the package formats whole rows at once,
+`percent_csv_reference` renders a curve's rows in one `%` call where the
+package builds their bytes in arrays (`pareto._g12`),
 `maximal_cells_reference` rates and sorts the whole grid where the package
 prunes it by blocks, `dual_certificate_reference` maximizes the dual
 numerically where the package uses its closed form, and
@@ -22,6 +24,7 @@ eigen-solves; `low_z_condition_bound`, `self_leakage` and
 `residual_noise_variance` are closed forms that only the tests evaluate.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -409,6 +412,26 @@ def joined_csv_reference(curve):
              for x in (curve.r1, curve.r2, curve.z1, curve.z2)]
     rows = map(",".join, zip(*texts, curve.labels))
     return "\n".join([CSV_HEADER, *rows]) + "\n"
+
+
+def percent_csv_reference(curve):
+    """The one-`%`-call renderer that `pareto.curve_to_csv` replaces.
+
+    The whole body is one `%` call over a flat tuple.  Each rate is
+    formatted there with "%.12g".  Each distinct z value (by bit pattern,
+    so -0.0 keeps its sign) is formatted once, "" for NaN; those texts and
+    the labels are `%s` arguments, so a label may hold a "%".
+    """
+    def texts(x):
+        distinct, at = np.unique(x.view(np.int64), return_inverse=True)
+        text = ["" if v != v else "%.12g" % v for v in distinct.view(np.float64).tolist()]
+        return [text[k] for k in at.tolist()]
+
+    fields = zip(curve.r1.tolist(), curve.r2.tolist(), texts(curve.z1), texts(curve.z2),
+                 curve.labels)
+    return (CSV_HEADER + "\n"
+            + "%.12g,%.12g,%s,%s,%s\n" * len(curve)
+            % tuple(itertools.chain.from_iterable(fields)))
 
 
 def curve_to_csv_reference(points):

@@ -14,6 +14,7 @@ from fdpareto.channel import (ChannelSet, FrontEndModel, ScenarioSpec, generate_
 from fdpareto.cli import preset_config
 from fdpareto.rates import RatePoint, rate_pairs, single_link_max
 from fdpareto.pareto import (
+    CSV_HEADER,
     BoundaryCurve,
     SweepGrid,
     boundary,
@@ -40,6 +41,7 @@ from oracles import (
     joined_csv_reference,
     maximal_cells_reference,
     pareto_filter_reference,
+    percent_csv_reference,
     sampled_covariances,
     sampled_rates_reference,
     sweep_rate_point,
@@ -121,7 +123,7 @@ _rate_value = st.one_of(_tied, st.integers(0, 4),
                         st.floats(0.0, 8.0, allow_nan=False, allow_infinity=False))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(_rate_value, _rate_value), max_size=40))
 @example([])
 @example([(0.0, -0.0)])
@@ -688,21 +690,144 @@ def test_written_filter_matches_reference(pairs):
         written_maxima_reference(r1, r2).tolist()
 
 
+def assert_same_lines(got, want):
+    """got == want, reporting the first lines that differ (a diff of long texts is slow)."""
+    got, want = got.split("\n"), want.split("\n")
+    differ = [(k, a, b) for k, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert (differ[:3], len(got)) == ([], len(want))
+
+
+def _g12_lines(x):
+    """`pareto._g12`'s text of each value, one per line."""
+    words = pareto._g12(np.asarray(x, dtype=np.float64))
+    words[2] ^= np.uint64((pareto._PAD ^ ord("\n")) << 56)  # its last byte is always padding
+    return words.T.astype("<u8").tobytes().translate(None, pareto._PAD_BYTE).decode()
+
+
+def _percent_lines(x):
+    return "".join("%.12g\n" % v for v in np.asarray(x, dtype=np.float64).tolist())
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.floats(), max_size=64))
+@example([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 2.2250738585072014e-308])
+def test_g12_matches_percent_format(values):
+    # 500 examples over every float: NaN, infinities, subnormals and -0.0
+    assert_same_lines(_g12_lines(values), _percent_lines(values))
+
+
+def _ulps_around(x, count):
+    x = np.asarray(x, dtype=np.float64)[:, None]
+    return (x + np.arange(-count, count + 1) * np.spacing(x)).ravel()
+
+
+def _exact_ties():
+    # integers below 2**53 whose digits from the 13th on are a single 5,
+    # with even and odd 12th digits, and dyadic ties below 1
+    d = np.random.default_rng(2).integers(10**11, 10**12, 200)
+    ints = np.concatenate([d * 10**k + 5 * 10**(k - 1) for k in (1, 2, 3, 4)])
+    ints = ints[ints < 2**53]
+    dyadic = [1234567890125 / 10, 123456789012.5 / 100, 0.5, 0.25, 0.125, 0.0625,
+              1 / 2**20, 3 / 2**40, 2.5e-5]
+    return np.concatenate([ints.astype(np.float64), dyadic])
+
+
+@pytest.mark.parametrize("values", [
+    _ulps_around([float(f"1e{k}") for k in range(-30, 41)], 64),
+    _ulps_around([float(f"9.999999999995e{k}") for k in range(-30, 41)]
+                 + [float(f"9.99999999999949999e{k}") for k in range(-30, 41)], 16),
+    _exact_ties(),
+    _ulps_around([1e-5, 9.99999999999e-5, 1e-4, 1.5e-5, 1.5e-4, 1.23456789012e-5,
+                  1.23456789012e-4, 99999999999.9, 1e11, 123456789012.0, 999999999999.0,
+                  1e12, 1.5e11, 1.5e12, 1234567890123.0], 8),
+    _ulps_around([1e-11, 1e33, 2.0, 1.0], 8),
+], ids=["powers-of-ten", "carry-seam", "exact-ties", "fixed-or-exponent", "range-ends"])
+def test_g12_explicit_values(values):
+    assert_same_lines(_g12_lines(values), _percent_lines(values))
+
+
+def _sweep(size, seed=11):
+    # bit patterns, log-uniform over the kernel's range and beyond, and [0, 64]
+    rng = np.random.default_rng(seed)
+    third = size // 3
+    return np.concatenate((rng.integers(0, 2**64, third, dtype=np.uint64).view(np.float64),
+                           10.0 ** rng.uniform(-14, 36, third),
+                           rng.uniform(0.0, 64.0, size - 2 * third)))
+
+
+def test_g12_seeded_sweep():
+    values = _sweep(10**6)
+    assert_same_lines(_g12_lines(values), _percent_lines(values))
+
+
+@pytest.mark.parametrize("offset", [-3.0, -0.7, 0.7, 3.0])
+def test_g12_does_not_depend_on_log10(monkeypatch, offset):
+    # a log10 off by 0.7 puts about every other exponent one off, so those
+    # values take the x10 or /10 correction; off by 3, none fits after it
+    values = np.concatenate((_sweep(3 * 10**5, seed=12), _exact_ties()))
+    want = _percent_lines(values)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + offset)
+    assert_same_lines(_g12_lines(values), want)
+
+
+def test_g12_tables():
+    text = [f"{g:04d}" for g in range(10_000)]
+    assert pareto._DIGITS4.tolist() == [int.from_bytes(t.encode(), "little") for t in text]
+    assert pareto._TRAILING4.tolist() == [len(t) - len(t.rstrip("0")) for t in text]
+
+
 _csv_value = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 9.9999999999996, 1e308]),
-                       st.floats(0.0, 1e6))
+                       st.floats(allow_nan=False))
 _csv_z = st.one_of(st.just(np.nan), st.sampled_from([-0.0, np.inf, -np.inf]),
                    st.floats(allow_nan=False))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(rows=st.lists(st.tuples(_csv_value, _csv_value, _csv_z, _csv_z,
-                               st.text(alphabet="%sdg.,_-ab 0", max_size=6)),
+                               st.text(alphabet="%sdg.,_-ab 0\x00é\n", max_size=6)),
                      max_size=30))
 def test_csv_equals_joined_renderer(rows):
-    # labels may hold "%", which must reach the text as it is
+    # 200 examples; labels may hold "%", NUL, non-ASCII text and newlines,
+    # which must reach the text as they are
     r1, r2, z1, z2, labels = zip(*rows) if rows else ((),) * 5
     curve = BoundaryCurve._of(r1, r2, z1, z2, tuple(labels))
     assert curve_to_csv(curve) == joined_csv_reference(curve)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(st.floats(), st.floats(), st.floats(), st.floats(),
+                               st.text(max_size=4)), max_size=30))
+def test_csv_equals_percent_renderer(rows):
+    # 200 examples over every float and label; a NaN rate is written "nan"
+    # and a NaN z "", as the one-`%`-call renderer wrote them
+    r1, r2, z1, z2, labels = zip(*rows) if rows else ((),) * 5
+    curve = BoundaryCurve._of(r1, r2, z1, z2, tuple(labels))
+    assert curve_to_csv(curve) == percent_csv_reference(curve)
+
+
+def test_csv_blocks_join_across_label_runs():
+    # 2 * _CSV_ROWS + 1 rows: the label changes inside the first block,
+    # runs across the boundary into the second, and changes back at the
+    # third, which holds one row
+    block = pareto._CSV_ROWS
+    n = 2 * block + 1
+    rng = np.random.default_rng(8)
+    zs = np.append(np.linspace(0.0, 3.7, 200), [np.nan, -0.0])
+    labels = ("optimal",) * (block - 2) + ("zf \ud800",) * (block + 2) + ("optimal",)
+    curve = BoundaryCurve._of(np.sort(rng.uniform(0, 12, n)), np.sort(rng.uniform(0, 12, n))[::-1],
+                              rng.choice(zs, n), rng.choice(zs, n), labels)
+    text = curve_to_csv(curve)
+    assert_same_lines(text, percent_csv_reference(curve))
+    lines = text.split("\n")
+    assert len(lines) == n + 2 and lines[-1] == ""
+    # lines[k + 1] is row k
+    assert lines[block - 2].endswith(",optimal") and lines[block - 1].endswith(",zf \ud800")
+    assert lines[2 * block].endswith(",zf \ud800") and lines[n].endswith(",optimal")
+
+
+def test_csv_of_an_empty_curve_is_its_header():
+    assert curve_to_csv(BoundaryCurve()) == CSV_HEADER + "\n"
 
 
 def test_csv_keeps_percent_in_labels():
@@ -721,7 +846,7 @@ def test_csv_keeps_percent_in_labels():
     (_fig4_channel, 200, 200),
 ], ids=["m1", "m3-asymmetric", "ideal-frontend", "fig4"])
 def test_csv_equals_point_list_renderer(make_channel, n1, n2):
-    # one format call over whole rows renders as each point formatted anew
+    # the array-built rows render as each point formatted anew
     ch = make_channel()
     curve = boundary(ch, SweepGrid.for_channel(ch, n1, n2))
     assert curve_to_csv(curve) == curve_to_csv_reference(curve.points)
