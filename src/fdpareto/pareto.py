@@ -42,9 +42,8 @@ arrays, with every number's "%.12g" text made by a numpy kernel
 integer, takes the digits from a table of four-digit groups, and places
 them by a table of layouts.  Values the kernel cannot settle exactly (zeros,
 negatives, non-finite values, the ends of its range, and scaled values
-near a digit-count change or a rounding tie) are formatted by `%` instead.
-Only values whose exponent and rounding the scaled value fixes beyond
-doubt go through the tables, so no byte depends on how log10 rounds.
+near a digit-count change or a rounding tie) are formatted by `%` instead,
+so no byte depends on how log10 rounds.
 
 The module also provides the half-duplex TDMA segment, the equal-rate point,
 and a random-covariance domination oracle that checks no sampled achievable
@@ -707,8 +706,8 @@ _COMMA = np.uint64((_PAD ^ ord(",")) << 56)
 # of ten (10**22 is the largest that a double holds exactly).
 _SCALE_UP = np.concatenate((np.ones(22), 10.0 ** np.arange(23)))
 _SCALE_DOWN = np.concatenate((10.0 ** np.arange(22, 0, -1), np.ones(23)))
-# A scaled value this close to a half may round either way after two
-# roundings (the scaling, then a x10 or /10 correction).
+# A scaled value this close to a half is left to _FMT: two roundings (the
+# scaling, then a x10 or /10 correction) could otherwise carry it across.
 _TIE_MARGIN = 5e-4
 
 

@@ -14,7 +14,6 @@ from fdpareto.channel import (ChannelSet, FrontEndModel, ScenarioSpec, generate_
 from fdpareto.cli import preset_config
 from fdpareto.rates import RatePoint, rate_pairs, single_link_max
 from fdpareto.pareto import (
-    CSV_HEADER,
     BoundaryCurve,
     SweepGrid,
     boundary,
@@ -771,12 +770,6 @@ def test_g12_does_not_depend_on_log10(monkeypatch, offset):
     assert_same_lines(_g12_lines(values), want)
 
 
-def test_g12_tables():
-    text = [f"{g:04d}" for g in range(10_000)]
-    assert pareto._DIGITS4.tolist() == [int.from_bytes(t.encode(), "little") for t in text]
-    assert pareto._TRAILING4.tolist() == [len(t) - len(t.rstrip("0")) for t in text]
-
-
 _csv_value = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 9.9999999999996, 1e308]),
                        st.floats(allow_nan=False))
 _csv_z = st.one_of(st.just(np.nan), st.sampled_from([-0.0, np.inf, -np.inf]),
@@ -824,10 +817,6 @@ def test_csv_blocks_join_across_label_runs():
     # lines[k + 1] is row k
     assert lines[block - 2].endswith(",optimal") and lines[block - 1].endswith(",zf \ud800")
     assert lines[2 * block].endswith(",zf \ud800") and lines[n].endswith(",optimal")
-
-
-def test_csv_of_an_empty_curve_is_its_header():
-    assert curve_to_csv(BoundaryCurve()) == CSV_HEADER + "\n"
 
 
 def test_csv_keeps_percent_in_labels():
