@@ -13,7 +13,15 @@ boundary     full-duplex Pareto boundary + TDMA segment as CSV, plus run
 compare-zf   zero-forcing rate pair vs the boundary, with a beamformer
              geometry report.
 certify      dual-certificate and KKT sweep over the z grid for both nodes;
-             nonzero exit if any duality gap exceeds its gate.
+             nonzero exit if any duality gap exceeds its gate.  Each
+             node's records are built as one matrix of padded 64-bit
+             words, with every number's json token written by a numpy
+             kernel (`fdpareto.json_floats`: Python's shortest round-trip
+             repr, left to repr itself for the values it cannot settle
+             exactly: zeros, subnormals, non-finite values, the ends of its
+             exponent table, decimals of 14 digits or fewer, some powers
+             of two, and decisions within 1e-6 of a digit of their
+             boundary).
 
 Exit codes: 0 success, 1 validation/usage error, 2 certification failure.
 All outputs are byte-deterministic for a fixed config.
@@ -24,6 +32,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -54,6 +63,8 @@ from .pareto import (
     node_problem,
     oracle_samples,
     tdma_boundary,
+    _PAD_BYTE,
+    _PAD_WORD,
 )
 from .rates import RatePoint, rate_pair, single_link_max
 
@@ -256,85 +267,129 @@ def cmd_compare_zf(config: RunConfig, out_dir: Path) -> int:
 
 
 # One record of nodes.nodeN.certificates as json.dumps(indent=2, sort_keys=True)
-# writes it: keys sorted, at that list's depth, one %s per JSON token.
+# writes it: keys sorted, at that list's depth, with a %(name)s per JSON token.
+# What comes before it ("[\n" or ",\n") is its %(open)s, and the list's end
+# is the last record's %(close)s.
 _CERTIFICATE_RECORD = """\
-        {
+%(open)s        {
           "certificate": {
-            "dual_value": %s,
-            "gap": %s,
-            "lambda1": %s,
-            "lambda2": %s,
-            "slack_margin": %s
+            "dual_value": %(dual_value)s,
+            "gap": %(gap)s,
+            "lambda1": %(lambda1)s,
+            "lambda2": %(lambda2)s,
+            "slack_margin": %(slack_margin)s
           },
-          "endpoint": %s,
-          "epsilon": %s,
-          "gap_ok": %s,
-          "gap_rel": %s,
-          "gap_tol": %s,
+          "endpoint": %(endpoint)s,
+          "epsilon": %(epsilon)s,
+          "gap_ok": %(gap_ok)s,
+          "gap_rel": %(gap_rel)s,
+          "gap_tol": %(gap_tol)s,
           "kkt": {
-            "complementarity_residual": %s,
-            "passed": %s,
-            "power_excess": %s,
-            "primal_target_residual": %s,
-            "q_min_eigenvalue": %s,
-            "slack_margin": %s,
-            "tol": %s
+            "complementarity_residual": %(complementarity_residual)s,
+            "passed": %(passed)s,
+            "power_excess": %(power_excess)s,
+            "primal_target_residual": %(primal_target_residual)s,
+            "q_min_eigenvalue": %(q_min_eigenvalue)s,
+            "slack_margin": %(slack_margin)s,
+            "tol": %(tol)s
           },
-          "primal": %s,
-          "z": %s
-        }"""
-# json's tokens for the nonnegative floats whose repr is not valid JSON
-_NONFINITE_TOKENS = {"nan": "NaN", "inf": "Infinity"}
+          "primal": %(primal)s,
+          "z": %(z)s
+        }%(close)s"""
+# the tokens that take one word: json's true/false/null and the list's punctuation
+_ONE_WORD_TOKENS = ("open", "endpoint", "gap_ok", "passed", "close")
 _RECORDS_PLACEHOLDER = "<certificates of %s>"
+# a placeholder as _json_text writes it, its key captured
+_PLACEHOLDER = re.compile(r'"<certificates of (\w+)>"')
 
 
-def _float_tokens(values: np.ndarray) -> list[str]:
-    """The JSON token json.dumps writes for each element of a float64 array.
+def _word(text: str) -> np.uint64:
+    return np.frombuffer(text.encode().ljust(8, _PAD_BYTE), dtype="<u8")[0].astype(np.uint64)
 
-    Each distinct magnitude (by bit pattern) is formatted once.  A negative
-    value other than NaN takes its magnitude's token behind a "-":
-    repr(-x) is "-" + repr(x), and json writes -inf as "-Infinity".
+
+def _record_layout() -> tuple[np.ndarray, dict[str, list[int]]]:
+    """A record as one row of padded words, and the columns of each token in it.
+
+    The fixed text (with `KKT_TOL`'s token) fills whole words padded with
+    _PAD; a float's token takes three words, as `json_floats` writes it,
+    and any other token one.  Each name maps to the first word of each of
+    its tokens (slack_margin has two).
     """
-    magnitude = np.abs(values)
-    distinct, at = np.unique(magnitude.view(np.int64), return_inverse=True)
-    texts = [_NONFINITE_TOKENS.get(t, t)
-             for t in map(float.__repr__, distinct.view(np.float64).tolist())]
-    texts += ["-" + t for t in texts]
-    at[np.signbit(values) & (magnitude == magnitude)] += distinct.size
-    return [texts[k] for k in at.tolist()]
+    template = _CERTIFICATE_RECORD.replace("%(tol)s", float.__repr__(KKT_TOL))
+    parts = re.split(r"%\((\w+)\)s", template)
+    row = bytearray()
+    columns: dict[str, list[int]] = {}
+    for k, part in enumerate(parts):
+        if k % 2 == 0:
+            row += part.encode()
+            row += _PAD_BYTE * (-len(row) % 8)
+        else:
+            columns.setdefault(part, []).append(len(row) // 8)
+            row += _PAD_BYTE * (8 if part in _ONE_WORD_TOKENS else 24)
+    return np.frombuffer(row, dtype="<u8").astype(np.uint64), columns
 
 
-def _bool_tokens(values: np.ndarray) -> list[str]:
-    return np.where(values, "true", "false").tolist()
+_RECORD_ROW, _RECORD_COLUMNS = _record_layout()
+_RECORD_FLOATS = tuple(name for name in _RECORD_COLUMNS if name not in _ONE_WORD_TOKENS)
+# each float token's three columns, and the _RECORD_FLOATS entry it shows
+_FLOAT_SLOTS = [(name, col) for name in _RECORD_FLOATS for col in _RECORD_COLUMNS[name]]
+_FLOAT_WORDS = np.array([col + k for _, col in _FLOAT_SLOTS for k in range(3)])
+_FLOAT_SOURCE = np.array([_RECORD_FLOATS.index(name) for name, _ in _FLOAT_SLOTS])
+_TRUE, _FALSE, _NULL = _word("true"), _word("false"), _word("null")
+_RECORDS_OPEN, _RECORDS_NEXT, _RECORDS_CLOSE = _word("[\n"), _word(",\n"), _word("\n      ]")
 
 
-def _certificate_records(curve: CertificateCurve, zs, endpoint, rel, tol, ok) -> str:
-    """One node's "certificates" list, as _json_text writes it in the document."""
+def _certificate_records(curve: CertificateCurve, zs, endpoint, rel, tol, ok) -> bytearray:
+    """One node's "certificates" list, as _json_text writes it in the document.
+
+    The records are built as one matrix of padded words, a row per record:
+    the template's fixed words, the float tokens from one `json_floats`
+    call over all columns, and the true/false/null words.  The padding is
+    deleted once, as `curve_to_csv` does.
+    """
+    # imported here: only certify formats these tokens (see json_floats)
+    from .json_floats import json_floats
+
     n = len(zs)
-    tokens = _float_tokens(np.concatenate((
-        curve.dual_value, curve.gap, curve.lambda1, curve.lambda2, curve.slack_margin,
-        curve.epsilon, rel, tol, curve.complementarity_residual, curve.power_excess,
-        curve.primal_target_residual, curve.q_min_eigenvalue, curve.primal, zs)))
-    (dual, gap, lam1, lam2, slack, eps, gap_rel, gap_tol, comp, power, target, q_min,
-     primal, z) = (tokens[k:k + n] for k in range(0, 14 * n, n))
+    floats = {"dual_value": curve.dual_value, "gap": curve.gap, "lambda1": curve.lambda1,
+              "lambda2": curve.lambda2, "slack_margin": curve.slack_margin,
+              "epsilon": curve.epsilon, "gap_rel": rel, "gap_tol": tol,
+              "complementarity_residual": curve.complementarity_residual,
+              "power_excess": curve.power_excess,
+              "primal_target_residual": curve.primal_target_residual,
+              "q_min_eigenvalue": curve.q_min_eigenvalue, "primal": curve.primal, "z": zs}
+    tokens = json_floats(np.concatenate([floats[name] for name in _RECORD_FLOATS]))
+    # the matrix lives in a bytearray, whose translate needs no copy of it
+    text = bytearray(8 * n * _RECORD_ROW.size)
+    rows = np.frombuffer(text, dtype="<u8").reshape(n, -1)
+    rows[:] = _RECORD_ROW
+    rows[:, _FLOAT_WORDS] = (tokens.reshape(3, len(_RECORD_FLOATS), n)[:, _FLOAT_SOURCE]
+                             .transpose(2, 1, 0).reshape(n, -1))
+    for name, flags in (("endpoint", endpoint), ("gap_ok", ok), ("passed", curve.kkt_passed())):
+        rows[:, _RECORD_COLUMNS[name][0]] = np.where(flags, _TRUE, _FALSE)
     # the MRT beam at z_max is the eps -> inf limit: no finite loading
-    for i in np.flatnonzero(np.isinf(curve.epsilon)).tolist():
-        eps[i] = "null"
-    columns = (
-        dual, gap, lam1, lam2, slack, _bool_tokens(endpoint), eps, _bool_tokens(ok), gap_rel,
-        gap_tol, comp, _bool_tokens(curve.kkt_passed()), power, target, q_min, slack,
-        [float.__repr__(KKT_TOL)] * n, primal, z,
-    )
-    return "[\n%s\n      ]" % ",\n".join(_CERTIFICATE_RECORD % row for row in zip(*columns))
+    col = _RECORD_COLUMNS["epsilon"][0]
+    rows[np.isinf(curve.epsilon), col:col + 3] = (_NULL, _PAD_WORD, _PAD_WORD)
+    rows[1:, _RECORD_COLUMNS["open"][0]] = _RECORDS_NEXT
+    rows[0, _RECORD_COLUMNS["open"][0]] = _RECORDS_OPEN
+    rows[-1, _RECORD_COLUMNS["close"][0]] = _RECORDS_CLOSE
+    return text.translate(None, _PAD_BYTE)
 
 
-def _splice(text: str, placeholder: str, rendered: str) -> str:
-    """Put `rendered` in place of the JSON string `placeholder`, which must occur once."""
-    token = json.dumps(placeholder)
-    count = text.count(token)
-    if count != 1:
-        raise AssertionError(f"placeholder {token} occurs {count} times")
-    return text.replace(token, rendered)
+def _splice(text: str, rendered: dict[str, bytes]) -> list[bytes]:
+    """The pieces of `text` with the JSON string "<certificates of KEY>" replaced by rendered[KEY].
+
+    One pass splits `text` at the placeholders; each key of `rendered` must
+    occur exactly once, and no other.  The pieces are written one after
+    another, never joined.
+    """
+    parts = _PLACEHOLDER.split(text)
+    keys = parts[1::2]
+    if sorted(keys) != sorted(rendered):
+        raise AssertionError(f"placeholders of {keys} in the text, lists of {sorted(rendered)}")
+    pieces = [part.encode() for part in parts]
+    pieces[1::2] = [rendered[key] for key in keys]
+    return pieces
 
 
 def cmd_certify(config: RunConfig, out_dir: Path) -> int:
@@ -350,8 +405,8 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
     ch = generate_scenario(config.scenario)
     grid = SweepGrid.for_channel(ch, config.grid_n)
     nodes: dict[str, dict] = {}
-    records: dict[str, str] = {}
-    rendered: dict[int, str] = {}  # by id: the curves stay alive in the loop
+    records: dict[str, bytearray] = {}
+    rendered: dict[int, bytearray] = {}  # by id: the curves stay alive in the loop
     max_rel = {"interior": 0.0, "endpoint": 0.0}
     max_kkt = 0.0
     failed = False
@@ -385,10 +440,8 @@ def cmd_certify(config: RunConfig, out_dir: Path) -> int:
         },
         "metadata": _metadata(config, None, {}),
     }
-    text = _json_text(doc)
-    for key, rows in records.items():
-        text = _splice(text, _RECORDS_PLACEHOLDER % key, rows)
-    (out_dir / "certificates.json").write_text(text)
+    with open(out_dir / "certificates.json", "wb") as out:
+        out.writelines(_splice(_json_text(doc), records))
     return 2 if failed else 0
 
 

@@ -10,11 +10,13 @@ written with, or one that its comments argue against.
 
 For each mutant the runner copies src/ into a temporary directory next to
 a copy of tests/ and pyproject.toml, puts the fault in, runs the named
-tests there with `pytest -x`, and prints whether they caught it.  It ends
-with the survivors, the mutants that no named test failed, and exits 1 if
-there is one.  It runs whole test files once per mutant, so it is not part
-of the tier-1 suite; `test_mutants.py` checks there that each old text
-occurs exactly once in src/.
+tests there with `pytest -x`, and prints whether they caught it.  A run
+that takes longer than TIMEOUT_S is stopped and counted as caught
+("killed (timeout)"): a mutant that makes the tests hang is caught too.
+It ends with the survivors, the mutants that no named test failed, and
+exits 1 if there is one.  It runs whole test files once per mutant, so it
+is not part of the tier-1 suite; `test_mutants.py` checks there that each
+old text occurs exactly once in src/.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+# a named test run of a mutant takes this long at most (the slowest file
+# takes about a minute)
+TIMEOUT_S = 600
 
 
 class Mutant(NamedTuple):
@@ -81,6 +86,35 @@ MUTANTS = (
            "ok = (x >= 1e-11) & (x < 1e33)",
            "ok = (x >= -0.0) & (x < 1e33)",
            ("tests/test_pareto.py",)),
+    Mutant("json-margin-zero", "json_floats.py",
+           "_REPR_MARGIN = 1e-6",
+           "_REPR_MARGIN = 0.0",
+           ("tests/test_pareto.py", "tests/test_cli.py")),
+    Mutant("json-even-closure-inverted", "json_floats.py",
+           "even = (bits & np.uint64(1)) == 0",
+           "even = (bits & np.uint64(1)) != 0",
+           ("tests/test_pareto.py", "tests/test_cli.py")),
+    Mutant("json-exponent-form-from-e15", "json_floats.py",
+           "fixed = (-4 <= e10) & (e10 < 16)",
+           "fixed = (-4 <= e10) & (e10 < 15)",
+           ("tests/test_pareto.py", "tests/test_cli.py")),
+    Mutant("json-power-of-two-guard-dropped", "json_floats.py",
+           "    ok &= ((bits & np.uint64(2**52 - 1)) != 0)"
+           " | (t - best < 0.5 * h - _REPR_MARGIN)\n",
+           "",
+           ("tests/test_pareto.py", "tests/test_cli.py")),
+    Mutant("json-short-decimal-guard-dropped", "json_floats.py",
+           "    ok &= ~in100 | (_TRAILING4.take(g[1], mode=\"clip\") < 2)\n",
+           "",
+           ("tests/test_pareto.py", "tests/test_cli.py")),
+    Mutant("json-power-of-ten-lo-dropped", "json_floats.py",
+           "    err += ax * lo\n",
+           "",
+           ("tests/test_pareto.py", "tests/test_cli.py")),
+    Mutant("records-last-close-dropped", "cli.py",
+           "    rows[-1, _RECORD_COLUMNS[\"close\"][0]] = _RECORDS_CLOSE\n",
+           "",
+           ("tests/test_cli.py", "tests/test_golden.py")),
     Mutant("csv-block-one-row-long", "pareto.py",
            "rows = slice(start, start + _CSV_ROWS)",
            "rows = slice(start, start + _CSV_ROWS + 1)",
@@ -108,8 +142,12 @@ MUTANTS = (
 )
 
 
-def _caught(mutant: Mutant, work: Path) -> bool:
-    """Put the mutant into a fresh copy of src/ under work; True if a named test fails."""
+def _outcome(mutant: Mutant, work: Path) -> str:
+    """Put the mutant into a fresh copy of src/ under work and run its named tests.
+
+    Returns "killed" if a named test fails, "killed (timeout)" if the run
+    takes longer than TIMEOUT_S, and "SURVIVED" if every test passes.
+    """
     src = work / "src"
     shutil.rmtree(src, ignore_errors=True)
     shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -119,11 +157,15 @@ def _caught(mutant: Mutant, work: Path) -> bool:
         raise SystemExit(f"{mutant.name}: the old text occurs {text.count(mutant.old)} "
                          f"times in {mutant.file}, not once")
     path.write_text(text.replace(mutant.old, mutant.new))
-    run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                          *mutant.tests], cwd=work, capture_output=True, text=True)
+    try:
+        run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                              *mutant.tests], cwd=work, capture_output=True, text=True,
+                             timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "killed (timeout)"
     if run.returncode not in (0, 1):  # 1: a test failed; anything else: pytest did not run
         raise SystemExit(f"{mutant.name}: pytest exited {run.returncode}\n{run.stdout}{run.stderr}")
-    return run.returncode == 1
+    return "killed" if run.returncode == 1 else "SURVIVED"
 
 
 def main(names: list[str]) -> int:
@@ -139,9 +181,9 @@ def main(names: list[str]) -> int:
         for mutant in MUTANTS:
             if names and mutant.name not in names:
                 continue
-            caught = _caught(mutant, work)
-            print(f"{mutant.name}: {'killed' if caught else 'SURVIVED'}", flush=True)
-            if not caught:
+            outcome = _outcome(mutant, work)
+            print(f"{mutant.name}: {outcome}", flush=True)
+            if outcome == "SURVIVED":
                 survivors.append(mutant.name)
     print(f"survivors: {', '.join(survivors) or 'none'}")
     return 1 if survivors else 0

@@ -9,6 +9,9 @@ kernels (`optimal_weights_reference`, `sweep_rate_point`,
 `domination_oracle_reference`, `escape_distances_reference`,
 `curve_to_csv_reference`, `equal_rate_point_reference`,
 `certificate_records_reference`) evaluate one point at a time,
+`float_tokens_reference` and `percent_records_reference` format every
+certificate number with float.__repr__ and every record with one `%` where
+the package builds their bytes in arrays (`json_floats`),
 `written_maxima_reference` formats and reads back every rate where the
 package formats only neighbours that can tie, `joined_csv_reference` joins
 every field's text where the package formats whole rows at once,
@@ -43,7 +46,7 @@ from fdpareto.beamform import (
     leakage_matrix,
     mrt_weights,
 )
-from fdpareto.certify import Certificate, dual_value_at
+from fdpareto.certify import KKT_TOL, Certificate, dual_value_at
 from fdpareto.errors import InfeasibleError, NumericalError
 from fdpareto.pareto import CSV_HEADER, ORACLE_TOL, OracleReport, grid_slack, pareto_indices
 from fdpareto.rates import PSD_TOL, RatePoint, _check_rates, _power_limit, _rate, _trace_message
@@ -353,6 +356,89 @@ def certificate_records_reference(curve, zs, endpoint, rel, tol, ok):
         curve.certificates(), rel.tolist(), tol.tolist(), ok.tolist(),
         curve.kkt_reports())]
     return json.dumps(records, indent=2, sort_keys=True).replace("\n", "\n" + " " * 6)
+
+
+# One record of nodes.nodeN.certificates, one %s per JSON token, as the CLI
+# rendered it row by row before its records were built as word arrays.
+_CERTIFICATE_RECORD = """\
+        {
+          "certificate": {
+            "dual_value": %s,
+            "gap": %s,
+            "lambda1": %s,
+            "lambda2": %s,
+            "slack_margin": %s
+          },
+          "endpoint": %s,
+          "epsilon": %s,
+          "gap_ok": %s,
+          "gap_rel": %s,
+          "gap_tol": %s,
+          "kkt": {
+            "complementarity_residual": %s,
+            "passed": %s,
+            "power_excess": %s,
+            "primal_target_residual": %s,
+            "q_min_eigenvalue": %s,
+            "slack_margin": %s,
+            "tol": %s
+          },
+          "primal": %s,
+          "z": %s
+        }"""
+# json's tokens for the nonnegative floats whose repr is not valid JSON
+_NONFINITE_TOKENS = {"nan": "NaN", "inf": "Infinity"}
+
+
+def float_tokens_reference(values):
+    """The JSON token json.dumps writes for each element of a float64 array.
+
+    Each distinct magnitude (by bit pattern) goes through float.__repr__
+    once.  A negative value other than NaN takes its magnitude's token
+    behind a "-": repr(-x) is "-" + repr(x), and json writes -inf as
+    "-Infinity".
+    """
+    magnitude = np.abs(values)
+    distinct, at = np.unique(magnitude.view(np.int64), return_inverse=True)
+    texts = [_NONFINITE_TOKENS.get(t, t)
+             for t in map(float.__repr__, distinct.view(np.float64).tolist())]
+    texts += ["-" + t for t in texts]
+    at[np.signbit(values) & (magnitude == magnitude)] += distinct.size
+    return [texts[k] for k in at.tolist()]
+
+
+def bool_tokens_reference(values):
+    return np.where(values, "true", "false").tolist()
+
+
+def percent_records_reference(curve, zs, endpoint, rel, tol, ok):
+    """One node's certificates list, one `%` format per record of the columns' tokens.
+
+    The reference for the CLI's word-array renderer (`cli._certificate_records`).
+    """
+    n = len(zs)
+    tokens = float_tokens_reference(np.concatenate((
+        curve.dual_value, curve.gap, curve.lambda1, curve.lambda2, curve.slack_margin,
+        curve.epsilon, rel, tol, curve.complementarity_residual, curve.power_excess,
+        curve.primal_target_residual, curve.q_min_eigenvalue, curve.primal, zs)))
+    (dual, gap, lam1, lam2, slack, eps, gap_rel, gap_tol, comp, power, target, q_min,
+     primal, z) = (tokens[k:k + n] for k in range(0, 14 * n, n))
+    for i in np.flatnonzero(np.isinf(curve.epsilon)).tolist():
+        eps[i] = "null"
+    columns = (
+        dual, gap, lam1, lam2, slack, bool_tokens_reference(endpoint), eps,
+        bool_tokens_reference(ok), gap_rel, gap_tol, comp,
+        bool_tokens_reference(curve.kkt_passed()), power, target, q_min, slack,
+        [float.__repr__(KKT_TOL)] * n, primal, z,
+    )
+    return "[\n%s\n      ]" % ",\n".join(_CERTIFICATE_RECORD % row for row in zip(*columns))
+
+
+def assert_same_lines(got, want):
+    """got == want, reporting the first lines that differ (a diff of long texts is slow)."""
+    got, want = got.split("\n"), want.split("\n")
+    differ = [(k, a, b) for k, (a, b) in enumerate(zip(got, want)) if a != b]
+    assert (differ[:3], len(got)) == ([], len(want))
 
 
 def maximal_cells_reference(z1s, z2s, leak1, leak2, sigma2, beta):

@@ -25,6 +25,7 @@ from oracles import (
     optimal_weights_reference,
     sample_feasible_weights,
 )
+from strategies import north_star_channels
 
 
 def random_problem(rng, m, z_frac=None, zero_self_entries=0):
@@ -201,23 +202,14 @@ def _bits(a):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0),
-       beta_db=st.floats(-80.0, 0.0), p1=st.floats(0.05, 20.0),
-       p2=st.floats(0.05, 20.0), symmetric=st.booleans(),
-       seed=st.integers(0, 2**16), node=st.sampled_from((1, 2)),
-       zero_self=st.integers(0, 8),
+@given(ch=north_star_channels(), node=st.sampled_from((1, 2)),
        fracs=st.lists(st.floats(0.0, 1.0), max_size=12))
-def test_array_kernel_matches_scalar_reference(m, gamma_db, beta_db, p1, p2,
-                                               symmetric, seed, node, zero_self,
-                                               fracs):
+def test_array_kernel_matches_scalar_reference(ch, node, fracs):
     # every z of one array gets the loading, leakage and weights of the
-    # scalar one-z search, to the last bit
-    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
-                                        p1=p1, p2=p2, symmetric=symmetric,
-                                        seed=seed))
+    # scalar one-z search, to the last bit; zeroed self gains (singular C,
+    # or C = 0) take the regularized eps=0 path
     prob = node_problem(ch, node, 0.0)
-    h_self = prob.h_self.copy()
-    h_self[:zero_self] = 0.0  # singular C, or C = 0: the regularized eps=0 path
+    h_self = prob.h_self
     z_max = prob.z_max
     bound = low_z_condition_bound(h_self, prob.h_cross, prob.p)
     edges = [0.0, z_max, np.nextafter(z_max, 0.0), bound,
@@ -254,17 +246,11 @@ def _node_grids(ch, n, fracs=()):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0),
-       beta_db=st.floats(-80.0, 0.0), p1=st.floats(0.05, 20.0),
-       p2=st.floats(0.05, 20.0), symmetric=st.booleans(),
-       seed=st.integers(0, 2**16), n=st.integers(2, 60),
+@given(ch=north_star_channels(), n=st.integers(2, 60),
        fracs=st.lists(st.floats(0.0, 1.0), max_size=6))
-def test_stacked_solve_matches_one_node_solves(m, gamma_db, beta_db, p1, p2, symmetric,
-                                               seed, n, fracs):
+def test_stacked_solve_matches_one_node_solves(ch, n, fracs):
     # both nodes in one `_solve` give each node's one-node solve to the last
     # bit, and the leakage of the scalar reference at every z
-    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
-                                        p1=p1, p2=p2, symmetric=symmetric, seed=seed))
     probs, grids = _node_grids(ch, n, fracs)
     stacked = beamform._solve_curves(probs, grids)
     for prob, zs, got in zip(probs, grids, stacked):

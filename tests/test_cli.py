@@ -4,6 +4,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -22,16 +25,18 @@ from fdpareto import beamform, cli, pareto
 from fdpareto.cli import (
     RunConfig,
     _certificate_records,
-    _float_tokens,
     _json_text,
     _splice,
     build_parser,
     main,
     preset_config,
 )
+from fdpareto.json_floats import json_floats
 from fdpareto.pareto import (SweepGrid, boundary, curve_from_csv, curve_to_csv,
                              domination_oracle, node_problem)
-from oracles import certificate_records_reference
+from oracles import (assert_same_lines, certificate_records_reference,
+                     percent_records_reference)
+from strategies import north_star_channels
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -120,7 +125,7 @@ class TestBoundaryCommand:
         out = tmp_path / "out"
         main(["boundary", "--config", str(cfg), "--out", str(out)])
         text = (out / "boundary.csv").read_text()
-        assert curve_to_csv(curve_from_csv(text)) == text
+        assert_same_lines(curve_to_csv(curve_from_csv(text)), text)
 
 
 class TestCompareZfCommand:
@@ -461,18 +466,15 @@ _CURVE_FIELDS = ("epsilon", "primal", "lambda1", "lambda2", "dual_value", "gap",
                  "q_min_eigenvalue", "complementarity_residual")
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(m=st.integers(1, 8), gamma_db=st.floats(0.0, 120.0), beta_db=st.floats(-80.0, 0.0),
-       p1=st.floats(0.01, 100.0), p2=st.floats(0.01, 100.0), symmetric=st.booleans(),
-       seed=st.integers(0, 2**16), node=st.sampled_from((1, 2)), n=st.integers(2, 30),
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ch=north_star_channels(), node=st.sampled_from((1, 2)), n=st.integers(2, 300),
        near_ends=st.booleans(),
        poison=st.lists(st.tuples(st.sampled_from(_CURVE_FIELDS + ("rel",)),
                                  st.integers(0, 2**16), st.sampled_from(_SPECIAL_FLOATS)),
                        max_size=3))
-def test_certificate_records_match_json_dumps(m, gamma_db, beta_db, p1, p2, symmetric,
-                                              seed, node, n, near_ends, poison):
-    ch = generate_scenario(ScenarioSpec(m=m, gamma_db=gamma_db, beta_db=beta_db,
-                                        p1=p1, p2=p2, symmetric=symmetric, seed=seed))
+def test_certificate_records_match_json_dumps(ch, node, n, near_ends, poison):
+    # 150 examples over the north-star space; the poison values put numbers
+    # that json spells itself, and the kernel's fallbacks, into any column
     prob = node_problem(ch, node, 0.0)
     zs = np.linspace(0.0, prob.z_max, n)
     if near_ends:
@@ -491,12 +493,22 @@ def test_certificate_records_match_json_dumps(m, gamma_db, beta_db, p1, p2, symm
     tol = np.where(endpoint, GAP_TOL_ENDPOINT, GAP_TOL_INTERIOR)
     ok = rel <= tol
     args = (curve, zs, endpoint, rel, tol, ok)
-    assert _certificate_records(*args) == certificate_records_reference(*args)
+    text = _certificate_records(*args).decode()
+    assert_same_lines(text, certificate_records_reference(*args))
+    assert_same_lines(text, percent_records_reference(*args))
+
+
+def _float_tokens(values):
+    """`json_floats`' token of each value, as a list of str."""
+    words = json_floats(np.array(values, dtype=np.float64))
+    texts = np.ascontiguousarray(words.T, dtype="<u8").tobytes()
+    return [texts[k:k + 24].translate(None, pareto._PAD_BYTE).decode()
+            for k in range(0, len(texts), 24)]
 
 
 @pytest.mark.parametrize("x", _SPECIAL_FLOATS)
 def test_float_tokens_match_json_dumps(x):
-    assert _float_tokens(np.array([x])) == [json.dumps(x)]
+    assert _float_tokens([x]) == [json.dumps(x)]
 
 
 # zeros, infinities, NaNs and subnormals of both signs; the NaN with its
@@ -510,7 +522,7 @@ _SIGNED_SPECIALS = _SPECIAL_FLOATS + (0.0, float(np.copysign(np.nan, -1.0)), -5e
                        | st.sampled_from(_SIGNED_SPECIALS), max_size=40),
        repeats=st.lists(st.integers(0, 2**16), max_size=40), negate=st.booleans())
 def test_float_tokens_of_repeated_values_match_json_dumps(values, repeats, negate):
-    # each distinct magnitude is formatted once and shared by both signs
+    # each distinct value is formatted once, however often it repeats, with either sign
     a = np.array(values, dtype=np.float64)
     if a.size:
         a = np.concatenate([a, a[np.array(repeats, dtype=int) % a.size]])
@@ -624,11 +636,31 @@ def test_cached_parser_serves_jobs_in_sequence(tmp_path, capsys):
     assert cached == run("fresh", fresh=True)
 
 
+def test_only_certify_imports_the_float_kernel(tmp_path):
+    # `json_floats` is imported on first use: importing the CLI and running
+    # boundary or compare-zf neither compiles it nor builds its tables
+    cfg = write_config(tmp_path)
+    script = f"""
+import sys
+from fdpareto import cli
+for command in ("boundary", "compare-zf", "certify"):
+    assert cli.main([command, "--config", {str(cfg)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+    print(command, "fdpareto.json_floats" in sys.modules)
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n") == ["boundary False", "compare-zf False", "certify True", ""]
+
+
 def test_splice_needs_exactly_one_placeholder():
-    assert _splice('{"a": "<x>"}', "<x>", "[]") == '{"a": []}'
-    for text in ('{"a": 1}', '{"a": "<x>", "b": "<x>"}'):
+    a, b = '"<certificates of a>"', '"<certificates of b>"'
+    assert b"".join(_splice(f'{{"a": {a}, "b": {b}}}', {"a": b"[1]", "b": b"[]"})) == \
+        b'{"a": [1], "b": []}'
+    for text in ('{"a": 1}', f'{{"a": {a}, "b": {a}}}', f'{{"a": {a}, "b": {b}}}'):
         with pytest.raises(AssertionError):
-            _splice(text, "<x>", "[]")
+            _splice(text, {"a": b"[]"})
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from fdpareto import json_floats
 from fdpareto.channel import ScenarioSpec, generate_scenario
 from fdpareto.pareto import node_problem
 from golden.regen import CASES, GOLDEN, VERSIONS, regenerate, run_case, versions
@@ -62,6 +63,29 @@ def test_golden_certificates_are_exactly_feasible(case):
             assert record["gap_ok"] and record["kkt"]["passed"], (node, k)
             if 0 < k < len(records) - 1:
                 assert record["gap_rel"] <= 1e-12, (node, k)
+
+
+def _strings(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for item in doc:
+            yield from _strings(item)
+    elif isinstance(doc, str):
+        yield doc
+
+
+def test_certify_numbers_take_the_kernel(tmp_path, monkeypatch):
+    # at most 5% of the distinct numbers in the records are formatted by
+    # repr (`json_floats._repr_token`), the rest by the array kernel
+    fallback = set()
+    token = json_floats._repr_token
+    monkeypatch.setattr(json_floats, "_repr_token", lambda v: fallback.add(token(v)) or token(v))
+    out = run_case("certify_m8_asym", tmp_path)
+    doc = json.loads((out / "certificates.json").read_text(), parse_float=str)
+    written = {text for node in doc["nodes"].values() for text in _strings(node["certificates"])}
+    assert len(written) > 200
+    assert 0 < len(fallback & written) <= 0.05 * len(written)
 
 
 def test_versions_without_simd_found(monkeypatch):
